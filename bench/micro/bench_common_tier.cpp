@@ -1,16 +1,9 @@
 // Common-tier microbenchmarks: the Monte-Carlo driver and the thread pool —
 // the hot paths under every figure reproduction ("average of 1000 runs" per
 // sweep point).
-//
-// `common/run_trials/type_erased_legacy` is a faithful replica of the
-// pre-optimization driver (std::function trial + per-trial std::vector
-// scratch + one heap closure per chunk through the submit() queue), kept so
-// the before/after ratio is measurable in one binary on one machine.
 #include "bench/micro/micro_benchmarks.hpp"
 
 #include <atomic>
-#include <functional>
-#include <queue>
 
 #include "common/monte_carlo.hpp"
 #include "common/parallel.hpp"
@@ -29,64 +22,6 @@ double tiny_trial(RngStream& rng) {
 
 std::size_t trial_count(bool quick) { return quick ? 20'000 : 200'000; }
 
-/// Pre-PR parallel_for: one std::function closure per chunk through the
-/// submit() queue (heap node per task), type-erased body call per index.
-void legacy_parallel_for(std::size_t n,
-                         const std::function<void(std::size_t)>& body,
-                         ThreadPool* pool) {
-  if (n == 0) return;
-  if (pool == nullptr) pool = &ThreadPool::global();
-  const std::size_t workers = pool->worker_count();
-  if (workers <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  const std::size_t chunks = std::min(n, workers * 4);
-  const std::size_t chunk = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    if (lo >= hi) break;
-    pool->submit([&body, lo, hi] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    });
-  }
-  pool->wait_idle();
-}
-
-/// Pre-PR run_multi_trials: per-trial std::vector<double> scratch and a
-/// std::function trial call.
-std::vector<RunningStats> legacy_run_multi_trials(
-    const MonteCarloConfig& cfg, std::size_t metrics,
-    const std::function<void(RngStream&, std::vector<double>&)>& trial) {
-  std::vector<double> values(cfg.trials * metrics, 0.0);
-  legacy_parallel_for(
-      cfg.trials,
-      [&](std::size_t i) {
-        RngStream rng(cfg.seed, trial_stream_id(cfg.experiment_id, i));
-        std::vector<double> out(metrics, 0.0);
-        trial(rng, out);
-        for (std::size_t m = 0; m < metrics; ++m)
-          values[i * metrics + m] = out[m];
-      },
-      cfg.pool);
-  std::vector<RunningStats> merged(metrics);
-  for (std::size_t i = 0; i < cfg.trials; ++i)
-    for (std::size_t m = 0; m < metrics; ++m)
-      merged[m].add(values[i * metrics + m]);
-  return merged;
-}
-
-RunningStats legacy_run_trials(
-    const MonteCarloConfig& cfg,
-    const std::function<double(RngStream&)>& trial) {
-  auto multi = legacy_run_multi_trials(
-      cfg, 1, [&trial](RngStream& rng, std::vector<double>& out) {
-        out[0] = trial(rng);
-      });
-  return multi[0];
-}
-
 }  // namespace
 
 void register_common_benches(perf::BenchRegistry& registry) {
@@ -98,30 +33,6 @@ void register_common_benches(perf::BenchRegistry& registry) {
         MonteCarloConfig cfg;
         cfg.trials = trial_count(quick);
         const auto s = run_trials(cfg, tiny_trial);
-        return s.count();
-      }});
-
-  registry.add(perf::Benchmark{
-      "common/run_trials/std_function_shim",
-      "trial",
-      {{"rng_draws_per_trial", 1}},
-      [](bool quick) -> std::uint64_t {
-        MonteCarloConfig cfg;
-        cfg.trials = trial_count(quick);
-        const std::function<double(RngStream&)> trial = tiny_trial;
-        const auto s = run_trials(cfg, trial);
-        return s.count();
-      }});
-
-  registry.add(perf::Benchmark{
-      "common/run_trials/type_erased_legacy",
-      "trial",
-      {{"rng_draws_per_trial", 1}},
-      [](bool quick) -> std::uint64_t {
-        MonteCarloConfig cfg;
-        cfg.trials = trial_count(quick);
-        const std::function<double(RngStream&)> trial = tiny_trial;
-        const auto s = legacy_run_trials(cfg, trial);
         return s.count();
       }});
 

@@ -2,22 +2,8 @@
 // sweeps actually spend their time in — ExactChannel bin queries, the
 // random-equal binning constructor, and whole registry-algorithm sweeps
 // through the batched sweep engine.
-//
-// The */_reference benchmarks run the SAME workload (same seeds, same RNG
-// streams, same query counts) through the pre-PR implementation in the same
-// binary — the honest A/B for docs/PERFORMANCE.md, immune to the
-// cross-binary code-layout noise PR 3 documented (~25%). For the channel
-// query kernel that is the retained scalar path
-// (ExactChannel::Config::node_set_fast_path = false); for the whole-figure
-// sweep it is a verbatim transcription of the pre-PR stack (vector<bool>
-// channel, vector<vector> binning, per-round buffer rebuilds, per-point
-// run_trials loop) kept below under "Pre-PR transcription".
 #include "bench/micro/micro_benchmarks.hpp"
 
-#include <algorithm>
-#include <numeric>
-
-#include "common/monte_carlo.hpp"
 #include "common/rng.hpp"
 #include "core/registry.hpp"
 #include "group/binning.hpp"
@@ -31,16 +17,12 @@ namespace {
 constexpr std::uint64_t kSeed = 0x7ca57ca57ca57ca5ULL;
 
 /// One b-bin assignment over n nodes, every bin queried `sweeps` times
-/// under the 1+ model — the Fig. 1 inner loop. The fast path answers with
-/// an early-exiting word AND; the reference walks the whole bin span into a
-/// per-query heap vector, exactly as before this PR.
-std::uint64_t exact_query_sweep(bool fast_path, bool quick) {
+/// under the 1+ model — the Fig. 1 inner loop.
+std::uint64_t exact_query_sweep(bool quick) {
   const std::size_t n = 4096, x = 64, bins = 32;
   const std::size_t sweeps = quick ? 200 : 2000;
   RngStream rng(kSeed, 101);
-  group::ExactChannel::Config cfg;
-  cfg.node_set_fast_path = fast_path;
-  auto ch = group::ExactChannel::with_random_positives(n, x, rng, cfg);
+  auto ch = group::ExactChannel::with_random_positives(n, x, rng);
   RngStream binning_rng(kSeed, 102);
   const auto assignment =
       group::BinAssignment::random_equal(ch.all_nodes(), bins, binning_rng);
@@ -60,8 +42,8 @@ std::vector<std::size_t> sweep_grid() {
   return {0, 4, 8, 12, 16, 20, 24, 32, 48, 64, 96, 128};
 }
 
-/// Whole-figure-series sweep through the batched engine (the post-PR path:
-/// per-thread channel workspaces, NodeSet queries, arena binning).
+/// Whole-figure-series sweep through the batched engine (per-thread
+/// channel workspaces, NodeSet queries, arena binning).
 std::uint64_t full_sweep_batched(const std::string& algorithm,
                                  std::uint64_t series, std::size_t trials) {
   perf::QuerySweepSpec spec;
@@ -77,180 +59,6 @@ std::uint64_t full_sweep_batched(const std::string& algorithm,
   return runs;
 }
 
-// ---------------------------------------------------------------------------
-// Pre-PR transcription. Everything from here to the matching end marker is
-// the abstract-tier stack as it existed before the NodeSet fast path,
-// transcribed from the pre-PR sources so the *_reference sweep measures the
-// real historical cost profile in this binary: ExactChannel over
-// std::vector<bool> with .at() and a per-query heap vector, BinAssignment
-// as vector<vector<NodeId>>, all_nodes() materialising a fresh vector, and
-// the round engine rebuilding assignment/order/candidate buffers each
-// round. Draw sequence and query counts are bit-identical to the batched
-// path (same contracts the conformance suite locks down), so the two
-// benchmarks do the same logical work.
-
-class LegacyExactChannel final : public group::QueryChannel {
- public:
-  LegacyExactChannel(std::vector<bool> positive, RngStream& rng)
-      : QueryChannel(group::CollisionModel::kOnePlus),
-        positive_(std::move(positive)),
-        rng_(&rng) {}
-
-  std::vector<NodeId> all_nodes() const {
-    std::vector<NodeId> out(positive_.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-      out[i] = static_cast<NodeId>(i);
-    return out;
-  }
-
-  std::optional<std::size_t> oracle_positive_count(
-      std::span<const NodeId> nodes) const override {
-    std::size_t count = 0;
-    for (const NodeId id : nodes)
-      if (positive_.at(static_cast<std::size_t>(id))) ++count;
-    return count;
-  }
-
- protected:
-  group::BinQueryResult do_query_set(
-      std::span<const NodeId> nodes) override {
-    std::vector<NodeId> positives_in_bin;
-    for (const NodeId id : nodes)
-      if (positive_.at(static_cast<std::size_t>(id)))
-        positives_in_bin.push_back(id);
-    if (positives_in_bin.empty()) return group::BinQueryResult::empty();
-    return group::BinQueryResult::activity();  // 1+ model
-  }
-
- private:
-  std::vector<bool> positive_;
-  [[maybe_unused]] RngStream* rng_;  // capture draws (2+ only; kept for shape)
-};
-
-std::vector<std::vector<NodeId>> legacy_random_equal(
-    std::span<const NodeId> nodes, std::size_t bins, RngStream& rng) {
-  std::vector<NodeId> shuffled(nodes.begin(), nodes.end());
-  rng.shuffle(std::span<NodeId>(shuffled));
-  std::vector<std::vector<NodeId>> out(bins);
-  for (std::size_t i = 0; i < shuffled.size(); ++i)
-    out[i % bins].push_back(shuffled[i]);
-  return out;
-}
-
-/// The pre-PR RoundEngine::run specialised to what the sweep exercises:
-/// exact lossless channel (no retries), non-empty-first ordering, the
-/// 2tBins policy (bins = 2·remaining threshold). Returns the trial's query
-/// count, the figure metric.
-double legacy_two_t_bins_trial(LegacyExactChannel& ch, std::size_t threshold,
-                               RngStream& rng) {
-  const auto participants = ch.all_nodes();
-  const QueryCount queries_at_start = ch.queries_used();
-  const auto spent = [&] {
-    return static_cast<double>(ch.queries_used() - queries_at_start);
-  };
-  if (threshold == 0) return spent();
-  if (participants.size() < threshold) return spent();
-
-  NodeId max_id = 0;
-  for (const NodeId id : participants) max_id = std::max(max_id, id);
-  std::vector<char> alive(static_cast<std::size_t>(max_id) + 1, 0);
-  for (const NodeId id : participants)
-    alive[static_cast<std::size_t>(id)] = 1;
-  std::size_t alive_count = participants.size();
-  std::vector<NodeId> candidates(participants.begin(), participants.end());
-
-  std::size_t confirmed = 0;
-  std::size_t bins =
-      std::clamp<std::size_t>(2 * threshold, 1, alive_count);
-
-  for (;;) {
-    const auto assignment = legacy_random_equal(candidates, bins, rng);
-
-    // Non-empty-first query order via the oracle hook (paper accounting).
-    std::vector<std::size_t> order(assignment.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::vector<char> nonempty(assignment.size(), 0);
-    for (std::size_t i = 0; i < assignment.size(); ++i)
-      nonempty[i] = *ch.oracle_positive_count(assignment[i]) > 0 ? 1 : 0;
-    std::stable_sort(order.begin(), order.end(),
-                     [&nonempty](std::size_t lhs, std::size_t rhs) {
-                       return nonempty[lhs] > nonempty[rhs];
-                     });
-
-    std::size_t round_lb = 0;
-    std::size_t empty_bins = 0;
-    for (const std::size_t idx : order) {
-      const auto result = ch.query_set(assignment[idx]);
-      if (result.kind == group::BinQueryResult::Kind::kEmpty) {
-        ++empty_bins;
-        for (const NodeId id : assignment[idx]) {
-          if (alive[static_cast<std::size_t>(id)]) {
-            alive[static_cast<std::size_t>(id)] = 0;
-            --alive_count;
-          }
-        }
-      } else {
-        round_lb += 1;  // 1+ activity certifies ≥1 positive
-      }
-      if (confirmed + round_lb >= threshold) return spent();
-      if (confirmed + alive_count < threshold) return spent();
-    }
-
-    candidates.clear();
-    for (std::size_t id = 0; id < alive.size(); ++id)
-      if (alive[id]) candidates.push_back(static_cast<NodeId>(id));
-
-    const std::size_t remaining = threshold - confirmed;
-    std::size_t next = 2 * remaining;
-    if (empty_bins == 0 && next <= bins) next = bins * 2;  // anti-livelock
-    bins = std::clamp<std::size_t>(next, 1, alive_count);
-  }
-}
-
-/// The same sweep the way the figure binaries ran it before this PR: one
-/// run_trials() call per grid point, a fresh legacy channel per trial.
-/// Identical seeds and streams to full_sweep_batched.
-std::uint64_t full_sweep_legacy(std::size_t trials) {
-  std::uint64_t runs = 0;
-  double total_queries = 0.0;
-  for (const std::size_t x : sweep_grid()) {
-    MonteCarloConfig mc{.seed = kSeed,
-                        .experiment_id = perf::sweep_point_id(90, 1, x),
-                        .trials = trials};
-    const auto stats = run_trials(mc, [x](RngStream& rng) {
-      std::vector<bool> positive(128, false);
-      for (const NodeId id : rng.sample_subset(128, x))
-        positive[static_cast<std::size_t>(id)] = true;
-      LegacyExactChannel ch(std::move(positive), rng);
-      return legacy_two_t_bins_trial(ch, 16, rng);
-    });
-    runs += stats.count();
-    total_queries += stats.sum();
-  }
-  // One-time fidelity gate (first call, i.e. a warmup repetition): the
-  // transcription must spend exactly as many queries as the batched path,
-  // or the A/B would compare different work. Bit-exact double sum: both
-  // sides reduce integer query counts in the same trial order.
-  static const bool fidelity_checked = [&] {
-    perf::QuerySweepSpec spec;
-    spec.n = 128;
-    spec.trials = trials;
-    spec.seed = kSeed;
-    for (const std::size_t x : sweep_grid())
-      spec.points.push_back({x, 16, perf::sweep_point_id(90, 1, x)});
-    const auto batched = perf::run_query_sweep(spec);
-    double batched_queries = 0.0;
-    for (const auto& s : batched.queries) batched_queries += s.sum();
-    TCAST_CHECK_MSG(batched_queries == total_queries,
-                    "pre-PR transcription diverged from the batched sweep");
-    return true;
-  }();
-  (void)fidelity_checked;
-  return runs;
-}
-
-// ------------------------------ end pre-PR transcription ------------------
-
 }  // namespace
 
 void register_core_benches(perf::BenchRegistry& registry) {
@@ -258,15 +66,7 @@ void register_core_benches(perf::BenchRegistry& registry) {
       "group/exact_channel/query_sweep",
       "query",
       {{"n", 4096}, {"x", 64}, {"bins", 32}},
-      [](bool quick) { return exact_query_sweep(/*fast_path=*/true, quick); }});
-
-  registry.add(perf::Benchmark{
-      "group/exact_channel/query_sweep_reference",
-      "query",
-      {{"n", 4096}, {"x", 64}, {"bins", 32}},
-      [](bool quick) {
-        return exact_query_sweep(/*fast_path=*/false, quick);
-      }});
+      [](bool quick) { return exact_query_sweep(quick); }});
 
   registry.add(perf::Benchmark{
       "core/2tbins/full_sweep",
@@ -274,14 +74,6 @@ void register_core_benches(perf::BenchRegistry& registry) {
       {{"n", 128}, {"t", 16}, {"points", 12}},
       [](bool quick) -> std::uint64_t {
         return full_sweep_batched("2tbins", 1, quick ? 30 : 300);
-      }});
-
-  registry.add(perf::Benchmark{
-      "core/2tbins/full_sweep_reference",
-      "run",
-      {{"n", 128}, {"t", 16}, {"points", 12}},
-      [](bool quick) -> std::uint64_t {
-        return full_sweep_legacy(quick ? 30 : 300);
       }});
 
   registry.add(perf::Benchmark{

@@ -38,7 +38,6 @@ struct Options {
   std::string tiers = "exact,packet";
   std::string algos;  ///< comma-separated registry names; empty = all
   std::size_t workers = 0;  ///< 0 = the global pool's default
-  bool lp_hosted = false;
   bool counting = false;
   bool service = false;
   std::size_t service_ops = 400;
@@ -52,7 +51,7 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--sessions N] [--seed S] [--tiers exact,packet]\n"
                "          [--algos NAME,NAME,...] [--counting]\n"
-               "          [--workers N] [--lp-hosted]\n"
+               "          [--workers N]\n"
                "          [--service] [--ops N]\n"
                "          [--unsafe-gate] [--shrink] [--emit-stanza]\n"
                "          [--out-dir DIR]\n"
@@ -61,10 +60,6 @@ void usage(const char* argv0) {
                "  --workers  size of the session fan-out pool (default:\n"
                "             hardware concurrency); campaign results are\n"
                "             bit-identical for any value\n"
-               "  --lp-hosted\n"
-               "             run packet-tier sessions on the parallel LP\n"
-               "             kernel path (sim/parallel) instead of the\n"
-               "             scalar single-queue path\n"
                "  --counting use the counting-portfolio preset: all count:*\n"
                "             adapters over the loss/crash plan axis\n"
                "  --service  attack the tcastd service tier instead: one\n"
@@ -101,8 +96,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
       const char* v = next();
       if (!v) return false;
       opts.workers = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--lp-hosted") {
-      opts.lp_hosted = true;
     } else if (arg == "--counting") {
       opts.counting = true;
     } else if (arg == "--service") {
@@ -179,7 +172,6 @@ int main(int argc, char** argv) {
   cfg.sessions_per_cell = opts.sessions;
   cfg.seed = opts.seed;
   cfg.break_counts_two_gate = opts.unsafe_gate;
-  cfg.lp_hosted_packet = opts.lp_hosted;
   std::unique_ptr<tcast::ThreadPool> pool;
   if (opts.workers > 0) {
     pool = std::make_unique<tcast::ThreadPool>(opts.workers);

@@ -112,7 +112,6 @@ SessionReport run_impl(const ChaosScenario& sc,
     pcfg.model = sc.model;
     pcfg.seed = sc.seed;
     pcfg.stream = 1;
-    pcfg.lp_hosted = sc.lp_hosted;
     packet = std::make_unique<group::PacketChannel>(positive, pcfg);
     adapter = std::make_unique<OracleAdapter>(*packet, positive);
     base = adapter.get();
@@ -197,7 +196,6 @@ std::string ChaosScenario::spec() const {
   if (retry.kind != core::RetryPolicy::Kind::kNone)
     s += ";retry=" + retry.spec();
   if (break_counts_two_gate) s += ";unsafe=1";
-  if (lp_hosted) s += ";lp=1";
   return s;
 }
 
@@ -244,9 +242,6 @@ std::optional<ChaosScenario> ChaosScenario::parse(std::string_view text) {
     } else if (key == "unsafe") {
       if (value != "0" && value != "1") return std::nullopt;
       sc.break_counts_two_gate = value == "1";
-    } else if (key == "lp") {
-      if (value != "0" && value != "1") return std::nullopt;
-      sc.lp_hosted = value == "1";
     } else {
       return std::nullopt;
     }
@@ -361,7 +356,6 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
           sc.retry = cfg.retry;
           sc.seed = gen.bits();
           sc.break_counts_two_gate = cfg.break_counts_two_gate;
-          sc.lp_hosted = tier == Tier::kPacket && cfg.lp_hosted_packet;
           scenarios.push_back(sc);
         }
       }

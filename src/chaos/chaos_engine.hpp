@@ -65,11 +65,6 @@ struct ChaosScenario {
   /// TEST-ONLY: run the engine with its loss-soundness gate disabled
   /// (EngineOptions::unsafe_counts_two_despite_loss).
   bool break_counts_two_gate = false;
-  /// Packet tier only: host the radio world on the parallel LP kernel
-  /// (PacketChannel::Config::lp_hosted) instead of the scalar single-queue
-  /// path. With interference off the two paths are bit-identical, so a
-  /// trace recorded on either replays faithfully on the other.
-  bool lp_hosted = false;
 
   bool ground_truth() const { return x >= t; }
 
@@ -142,10 +137,6 @@ struct CampaignConfig {
   std::size_t max_packet_n = 10;
   /// Worker pool; nullptr = ThreadPool::global().
   ThreadPool* pool = nullptr;
-  /// Run every packet-tier session on the LP-hosted kernel path
-  /// (ChaosScenario::lp_hosted). The nightly parity leg drives the same
-  /// campaign with this on and off and compares the results.
-  bool lp_hosted_packet = false;
 };
 
 struct CampaignResult {

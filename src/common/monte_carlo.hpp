@@ -5,13 +5,10 @@
 // results regardless of thread count), parallel fan-out, and merged stats.
 //
 // The drivers are templates so the per-trial callable is inlined into the
-// chunk loop — no std::function dispatch, no per-trial heap allocation (the
-// pre-existing std::function overloads remain as thin shims and produce
-// bit-identical results; see tests/perf/fastpath_determinism_test.cpp).
+// chunk loop — no std::function dispatch, no per-trial heap allocation.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -97,34 +94,5 @@ std::vector<RunningStats> run_multi_trials(const MonteCarloConfig& cfg,
         trial(rng, std::span<double>(out, metrics));
       });
 }
-
-/// Multi-metric variant with the original vector-out signature. Pays one
-/// scratch vector per trial (the callable's contract requires a real
-/// vector); new code should take std::span<double> instead. (A span-taking
-/// callable also accepts vector& — the negative clause routes it to the
-/// allocation-free overload above.)
-template <typename Trial>
-  requires(std::is_invocable_v<Trial&, RngStream&, std::vector<double>&> &&
-           !std::is_invocable_v<Trial&, RngStream&, std::span<double>>)
-std::vector<RunningStats> run_multi_trials(const MonteCarloConfig& cfg,
-                                           std::size_t metrics,
-                                           Trial&& trial) {
-  return detail::run_trials_into(
-      cfg, metrics, [&trial, metrics](RngStream& rng, double* out) {
-        std::vector<double> scratch(metrics, 0.0);
-        trial(rng, scratch);
-        for (std::size_t m = 0; m < metrics; ++m) out[m] = scratch[m];
-      });
-}
-
-/// Type-erased shims (pre-existing API). Results are bit-identical to the
-/// templated paths; only the dispatch cost differs.
-RunningStats run_trials(const MonteCarloConfig& cfg,
-                        const std::function<double(RngStream&)>& trial);
-Proportion run_bool_trials(const MonteCarloConfig& cfg,
-                           const std::function<bool(RngStream&)>& trial);
-std::vector<RunningStats> run_multi_trials(
-    const MonteCarloConfig& cfg, std::size_t metrics,
-    const std::function<void(RngStream&, std::vector<double>& out)>& trial);
 
 }  // namespace tcast

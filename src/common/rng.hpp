@@ -133,9 +133,10 @@ class RngStream {
   /// Uniform integer in [0, bound), exactly unbiased. Division-free: the
   /// classic rejection loop with the threshold and modulo evaluated through
   /// a cached reciprocal (detail::reciprocal_for). Draw-for-draw identical
-  /// to uniform_below_reference — same engine draws consumed, same values
-  /// returned, for every bound — which rng_test proves exhaustively at the
-  /// edge bounds and randomly in between.
+  /// to the two-division loop `threshold = (0 - bound) % bound; draw until
+  /// r >= threshold; return r % bound` — same engine draws consumed, same
+  /// values returned, for every bound — which rng_test proves exhaustively
+  /// at the edge bounds and randomly in between.
   std::uint64_t uniform_below(std::uint64_t bound) {
     TCAST_CHECK(bound > 0);
     if ((bound & (bound - 1)) == 0) {
@@ -156,17 +157,6 @@ class RngStream {
       std::uint64_t rem = r - qhat * bound;
       if (rem >= bound) rem -= bound;
       return rem;
-    }
-  }
-
-  /// The historical two-division rejection loop, kept verbatim as the
-  /// draw-compatibility oracle for uniform_below (tests only).
-  std::uint64_t uniform_below_reference(std::uint64_t bound) {
-    TCAST_CHECK(bound > 0);
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-      const std::uint64_t r = engine_();
-      if (r >= threshold) return r % bound;
     }
   }
 

@@ -11,60 +11,16 @@
 #define TCAST_SIMD_X86 1
 #include <cpuid.h>
 #include <immintrin.h>
-#elif defined(__aarch64__)
-#define TCAST_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace tcast::simd {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar reference. Vectorization is explicitly disabled so this stays a
-// genuine scalar baseline for the differential suites (and for `TCAST_SIMD=
-// scalar` triage) instead of silently compiling into the portable path.
-#if defined(__GNUC__) && !defined(__clang__)
-#define TCAST_NO_VECTORIZE __attribute__((optimize("no-tree-vectorize")))
-#elif defined(__clang__)
-#define TCAST_NO_VECTORIZE
-#else
-#define TCAST_NO_VECTORIZE
-#endif
-
-TCAST_NO_VECTORIZE
-bool intersect_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                      std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if ((a[i] & b[i]) != 0) return true;
-  }
-  return false;
-}
-
-TCAST_NO_VECTORIZE
-std::size_t and_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t n) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
-TCAST_NO_VECTORIZE
-std::size_t andnot_count_scalar(std::uint64_t* dst, const std::uint64_t* mask,
-                                std::size_t n) {
-  std::size_t removed = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    removed += static_cast<std::size_t>(std::popcount(dst[i] & mask[i]));
-    dst[i] &= ~mask[i];
-  }
-  return removed;
-}
-
-// ---------------------------------------------------------------------------
-// Portable: same loops, written so the auto-vectorizer is free to act (no
+// Portable: plain loops, written so the auto-vectorizer is free to act (no
 // early exit inside the vector body; the intersect splits into whole blocks
-// with a reduction OR).
+// with a reduction OR). The fallback on any hardware without an explicit
+// SIMD level.
 
 bool intersect_portable(const std::uint64_t* a, const std::uint64_t* b,
                         std::size_t n) {
@@ -298,58 +254,6 @@ __attribute__((target(TCAST_AVX512_TARGET))) std::size_t andnot_count_avx512(
 }
 #endif  // TCAST_SIMD_X86
 
-#if defined(TCAST_SIMD_NEON)
-// ---------------------------------------------------------------------------
-// AArch64 NEON: 128-bit lanes, CNT (per-byte popcount) + pairwise widening
-// adds up to u64.
-
-bool intersect_neon(const std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t va = vld1q_u64(a + i);
-    const uint64x2_t vb = vld1q_u64(b + i);
-    const uint64x2_t both = vandq_u64(va, vb);
-    if ((vgetq_lane_u64(both, 0) | vgetq_lane_u64(both, 1)) != 0) return true;
-  }
-  return i < n && (a[i] & b[i]) != 0;
-}
-
-inline std::uint64_t popcount_u64x2(uint64x2_t v) {
-  const uint8x16_t bytes = vcntq_u8(vreinterpretq_u8_u64(v));
-  return vaddvq_u8(bytes);
-}
-
-std::size_t and_popcount_neon(const std::uint64_t* a, const std::uint64_t* b,
-                              std::size_t n) {
-  std::size_t total = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    total += popcount_u64x2(vandq_u64(vld1q_u64(a + i), vld1q_u64(b + i)));
-  }
-  if (i < n) total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  return total;
-}
-
-std::size_t andnot_count_neon(std::uint64_t* dst, const std::uint64_t* mask,
-                              std::size_t n) {
-  std::size_t removed = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t vd = vld1q_u64(dst + i);
-    const uint64x2_t vm = vld1q_u64(mask + i);
-    removed += popcount_u64x2(vandq_u64(vd, vm));
-    // bic(d, m) computes d AND ~m.
-    vst1q_u64(dst + i, vbicq_u64(vd, vm));
-  }
-  if (i < n) {
-    removed += static_cast<std::size_t>(std::popcount(dst[i] & mask[i]));
-    dst[i] &= ~mask[i];
-  }
-  return removed;
-}
-#endif  // TCAST_SIMD_NEON
-
 // ---------------------------------------------------------------------------
 // Dispatch.
 
@@ -389,12 +293,8 @@ Level detect_best() {
 #if defined(TCAST_SIMD_X86)
   if (cpu_has_avx512()) return Level::kAVX512;
   if (cpu_has_avx2()) return Level::kAVX2;
-  return Level::kPortable;
-#elif defined(TCAST_SIMD_NEON)
-  return Level::kNEON;
-#else
-  return Level::kPortable;
 #endif
+  return Level::kPortable;
 }
 
 bool parse_level(const char* text, Level* out) {
@@ -403,8 +303,8 @@ bool parse_level(const char* text, Level* out) {
     const char* name;
     Level level;
   } kNames[] = {
-      {"scalar", Level::kScalar},   {"portable", Level::kPortable},
-      {"neon", Level::kNEON},       {"avx2", Level::kAVX2},
+      {"portable", Level::kPortable},
+      {"avx2", Level::kAVX2},
       {"avx512", Level::kAVX512},
   };
   for (const auto& entry : kNames) {
@@ -417,7 +317,7 @@ bool parse_level(const char* text, Level* out) {
 }
 
 bool level_supported(Level level) {
-  if (level == Level::kScalar || level == Level::kPortable) return true;
+  if (level == Level::kPortable) return true;
   for (Level supported : supported_levels()) {
     if (supported == level) return true;
   }
@@ -444,12 +344,8 @@ std::atomic<int> g_forced{kAuto};
 
 const char* to_string(Level level) {
   switch (level) {
-    case Level::kScalar:
-      return "scalar";
     case Level::kPortable:
       return "portable";
-    case Level::kNEON:
-      return "neon";
     case Level::kAVX2:
       return "avx2";
     case Level::kAVX512:
@@ -464,14 +360,12 @@ Level best_supported() {
 }
 
 std::vector<Level> supported_levels() {
-  std::vector<Level> levels = {Level::kScalar, Level::kPortable};
+  std::vector<Level> levels = {Level::kPortable};
 #if defined(TCAST_SIMD_X86)
   static const bool kAvx2 = cpu_has_avx2();
   static const bool kAvx512 = cpu_has_avx512();
   if (kAvx2) levels.push_back(Level::kAVX2);
   if (kAvx512) levels.push_back(Level::kAVX512);
-#elif defined(TCAST_SIMD_NEON)
-  levels.push_back(Level::kNEON);
 #endif
   return levels;
 }
@@ -496,17 +390,11 @@ void clear_forced_level() {
 bool words_intersect(const std::uint64_t* a, const std::uint64_t* b,
                      std::size_t n) {
   switch (active_level()) {
-    case Level::kScalar:
-      return intersect_scalar(a, b, n);
 #if defined(TCAST_SIMD_X86)
     case Level::kAVX2:
       return intersect_avx2(a, b, n);
     case Level::kAVX512:
       return intersect_avx512(a, b, n);
-#endif
-#if defined(TCAST_SIMD_NEON)
-    case Level::kNEON:
-      return intersect_neon(a, b, n);
 #endif
     default:
       return intersect_portable(a, b, n);
@@ -516,17 +404,11 @@ bool words_intersect(const std::uint64_t* a, const std::uint64_t* b,
 std::size_t words_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
                                std::size_t n) {
   switch (active_level()) {
-    case Level::kScalar:
-      return and_popcount_scalar(a, b, n);
 #if defined(TCAST_SIMD_X86)
     case Level::kAVX2:
       return and_popcount_avx2(a, b, n);
     case Level::kAVX512:
       return and_popcount_avx512(a, b, n);
-#endif
-#if defined(TCAST_SIMD_NEON)
-    case Level::kNEON:
-      return and_popcount_neon(a, b, n);
 #endif
     default:
       return and_popcount_portable(a, b, n);
@@ -536,17 +418,11 @@ std::size_t words_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
 std::size_t words_andnot_count(std::uint64_t* dst, const std::uint64_t* mask,
                                std::size_t n) {
   switch (active_level()) {
-    case Level::kScalar:
-      return andnot_count_scalar(dst, mask, n);
 #if defined(TCAST_SIMD_X86)
     case Level::kAVX2:
       return andnot_count_avx2(dst, mask, n);
     case Level::kAVX512:
       return andnot_count_avx512(dst, mask, n);
-#endif
-#if defined(TCAST_SIMD_NEON)
-    case Level::kNEON:
-      return andnot_count_neon(dst, mask, n);
 #endif
     default:
       return andnot_count_portable(dst, mask, n);
@@ -590,12 +466,6 @@ void bin_intersection_counts(const std::uint64_t* pos, std::size_t pos_words,
   // Dispatch once for the whole batch, not per bin.
   const Level level = active_level();
   switch (level) {
-    case Level::kScalar:
-      for (std::size_t b = 0; b < bin_count; ++b) {
-        out[b] = static_cast<std::uint32_t>(
-            and_popcount_scalar(pos, bins + b * words_per_bin, n));
-      }
-      return;
 #if defined(TCAST_SIMD_X86)
     case Level::kAVX2:
       for (std::size_t b = 0; b < bin_count; ++b) {
@@ -607,14 +477,6 @@ void bin_intersection_counts(const std::uint64_t* pos, std::size_t pos_words,
       for (std::size_t b = 0; b < bin_count; ++b) {
         out[b] = static_cast<std::uint32_t>(
             and_popcount_avx512(pos, bins + b * words_per_bin, n));
-      }
-      return;
-#endif
-#if defined(TCAST_SIMD_NEON)
-    case Level::kNEON:
-      for (std::size_t b = 0; b < bin_count; ++b) {
-        out[b] = static_cast<std::uint32_t>(
-            and_popcount_neon(pos, bins + b * words_per_bin, n));
       }
       return;
 #endif

@@ -4,25 +4,22 @@
 // Every kernel operates on packed 64-bit membership words (the NodeSet /
 // BinAssignment word-image layout) and comes in several implementations:
 //
-//   kScalar   — the PR 4 reference loops, compiled with vectorization
-//               disabled. The ground truth every other variant is
-//               differentially tested against.
-//   kPortable — the same loops written to auto-vectorize; the fallback on
-//               any hardware without explicit SIMD support.
+//   kPortable — plain loops written to auto-vectorize; the fallback on any
+//               hardware without an explicit SIMD level (AArch64 included).
 //   kAVX2     — explicit 256-bit x86 paths (VPAND/VPTEST, Mula nibble-LUT
 //               popcount).
 //   kAVX512   — explicit 512-bit x86 paths (VPTESTMQ, VPOPCNTQ); requires
 //               AVX-512 F+BW+VPOPCNTDQ.
-//   kNEON     — explicit 128-bit AArch64 paths (CNT + pairwise adds).
 //
-// Dispatch is resolved at runtime from CPUID (x86) or the target arch
-// (AArch64), overridable for tests and triage: programmatically via
-// force_level(), or with TCAST_SIMD=scalar|portable|avx2|avx512|neon in the
-// environment. All variants are bit-exact for any input — including odd
-// word counts that exercise the vector tails — which the kernel property
-// suite (tests/common/simd_kernels_test.cpp) and the registry-wide
-// differential suite (tests/conformance/simd_differential_test.cpp) lock
-// down across every selectable level.
+// Dispatch is resolved at runtime from CPUID, overridable for tests and
+// triage: programmatically via force_level(), or with
+// TCAST_SIMD=portable|avx2|avx512 in the environment. All variants are
+// bit-exact for any input — including odd word counts that exercise the
+// vector tails — which the kernel property suite
+// (tests/common/simd_kernels_test.cpp, against std::bitset and sorted-vector
+// oracles) and the registry-wide differential suite
+// (tests/conformance/simd_differential_test.cpp) lock down across every
+// selectable level.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +29,7 @@
 namespace tcast::simd {
 
 enum class Level : std::uint8_t {
-  kScalar,    ///< non-vectorized reference loops
   kPortable,  ///< auto-vectorization-friendly portable loops
-  kNEON,      ///< AArch64 128-bit
   kAVX2,      ///< x86 256-bit
   kAVX512,    ///< x86 512-bit (F + BW + VPOPCNTDQ)
 };

@@ -27,8 +27,7 @@ ExactChannel::ExactChannel(std::size_t n, std::size_t x, RngStream& rng,
       positive_(n),
       rng_(&rng),
       capture_(cfg.capture ? std::move(cfg.capture)
-                           : std::make_shared<radio::GeometricCaptureModel>()),
-      fast_path_(cfg.node_set_fast_path) {
+                           : std::make_shared<radio::GeometricCaptureModel>()) {
   nodes_.resize(n);
   for (std::size_t i = 0; i < n; ++i) nodes_[i] = static_cast<NodeId>(i);
   if (x > 0) assign_random_positives(x, rng);
@@ -106,7 +105,7 @@ void ExactChannel::do_announce(const BinAssignment& a) {
 
 const std::uint32_t* ExactChannel::cached_bin_counts(
     const BinAssignment& a) const {
-  if (!fast_path_ || !a.has_bin_words()) return nullptr;
+  if (!a.has_bin_words()) return nullptr;
   // Versions are globally unique per assign event, so matching the
   // announced version proves `a` carries exactly the announced content —
   // even if it is a different object, or the announced one was re-assigned
@@ -132,10 +131,8 @@ BinQueryResult ExactChannel::resolve(std::size_t positives,
   // 2+ model: a lone reply always decodes; collisions may capture.
   const auto idx = capture_->captured_index(positives, *rng_);
   if (!idx) return BinQueryResult::activity();
-  // The captured identity is the (idx+1)-th positive in bin order — the
-  // same pick (and the same RNG consumption) as the reference path's
-  // positives_in_bin[*idx], located by walking the span instead of
-  // materialising the positives.
+  // The captured identity is the (idx+1)-th positive in bin order, located
+  // by walking the span instead of materialising the positives.
   std::size_t seen = 0;
   for (const NodeId id : bin) {
     if (!positive_.test(id)) continue;
@@ -146,27 +143,8 @@ BinQueryResult ExactChannel::resolve(std::size_t positives,
   return BinQueryResult::activity();
 }
 
-BinQueryResult ExactChannel::query_set_reference(
-    std::span<const NodeId> nodes) {
-  // The pre-NodeSet implementation, kept verbatim as the differential
-  // reference: bounds-checked membership walk into a per-query heap vector.
-  std::vector<NodeId> positives_in_bin;
-  for (const NodeId id : nodes) {
-    TCAST_CHECK(static_cast<std::size_t>(id) < positive_.universe());
-    if (positive_.test(id)) positives_in_bin.push_back(id);
-  }
-  const std::size_t k = positives_in_bin.size();
-
-  if (k == 0) return BinQueryResult::empty();
-  if (model() == CollisionModel::kOnePlus) return BinQueryResult::activity();
-  const auto idx = capture_->captured_index(k, *rng_);
-  if (idx) return BinQueryResult::captured_node(positives_in_bin[*idx]);
-  return BinQueryResult::activity();
-}
-
 BinQueryResult ExactChannel::do_query_bin(const BinAssignment& a,
                                           std::size_t idx) {
-  if (!fast_path_) return query_set_reference(a.bin(idx));
   // Hot path: counts already materialized for this exact announcement
   // (versions are globally unique, so the compare alone proves `a` is the
   // announced content). Skips the full re-validation in cached_bin_counts.
@@ -195,7 +173,6 @@ BinQueryResult ExactChannel::do_query_bin(const BinAssignment& a,
 }
 
 BinQueryResult ExactChannel::do_query_set(std::span<const NodeId> nodes) {
-  if (!fast_path_) return query_set_reference(nodes);
   if (model() == CollisionModel::kOnePlus) {
     for (const NodeId id : nodes)
       if (positive_.test(id)) return BinQueryResult::activity();

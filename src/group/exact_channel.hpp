@@ -6,10 +6,9 @@
 //
 // Ground truth is stored as a NodeSet (common/node_set.hpp), so a bin query
 // against a word-capable BinAssignment is AND + popcount over 64-node words
-// instead of a per-member span walk. The historical scalar path is retained
-// verbatim behind Config::node_set_fast_path = false as the reference
-// implementation; the conformance suite's differential tests prove the two
-// paths bit-identical (outcomes, query counts, and RNG draws).
+// instead of a per-member span walk. The conformance suite's differential
+// tests prove it bit-identical (outcomes, query counts, and RNG draws) to a
+// scalar per-member walk, tests/conformance/reference_exact_channel.hpp.
 #pragma once
 
 #include <memory>
@@ -27,10 +26,6 @@ class ExactChannel final : public QueryChannel {
     CollisionModel model = CollisionModel::kOnePlus;
     /// 2+ capture draw; nullptr = GeometricCaptureModel defaults.
     std::shared_ptr<radio::CaptureModel> capture;
-    /// false = the retained scalar reference path (per-member span walk with
-    /// bounds-checked access and a per-query heap vector, exactly the
-    /// pre-NodeSet implementation). Differential tests flip this.
-    bool node_set_fast_path = true;
   };
 
   /// `positive[i]` = ground truth for node i; `rng` is borrowed for capture
@@ -93,18 +88,17 @@ class ExactChannel final : public QueryChannel {
   ExactChannel(std::size_t n, std::size_t x, RngStream& rng, Config cfg);
 
   BinQueryResult resolve(std::size_t positives, std::span<const NodeId> bin);
-  BinQueryResult query_set_reference(std::span<const NodeId> nodes);
 
   /// Per-announcement SoA cache: every bin's positive count, batched
   /// through the SIMD bin-count kernel on first use after announce() and
   /// then served as array lookups — the oracle ordering pass and the query
   /// loop each touch every bin, so one vector pass replaces 2·bins word
   /// walks. Returns nullptr (and the callers fall back to the per-bin
-  /// kernels) unless the fast path is on, `a` has a word image, and `a` is
-  /// the currently announced assignment at its announced version — an
-  /// assignment mutated or recycled since its announce() can never serve
-  /// stale counts. Invalidated by any ground-truth mutation. Consumes no
-  /// RNG, so cached and uncached runs stay draw-for-draw identical.
+  /// kernels) unless `a` has a word image and is the currently announced
+  /// assignment at its announced version — an assignment mutated or
+  /// recycled since its announce() can never serve stale counts.
+  /// Invalidated by any ground-truth mutation. Consumes no RNG, so cached
+  /// and uncached runs stay draw-for-draw identical.
   const std::uint32_t* cached_bin_counts(const BinAssignment& a) const;
 
   NodeSet positive_;
@@ -112,7 +106,6 @@ class ExactChannel final : public QueryChannel {
   std::vector<NodeId> pool_scratch_;  ///< assign_random_positives() reuse
   RngStream* rng_;
   std::shared_ptr<radio::CaptureModel> capture_;
-  bool fast_path_;
   /// cached_bin_counts() state (see above). `counts_` is mutable because
   /// the materialization point is the const oracle-count hook; the channel
   /// is single-threaded by contract (the query counter already is).

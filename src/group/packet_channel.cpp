@@ -1,7 +1,5 @@
 #include "group/packet_channel.hpp"
 
-#include <cmath>
-
 #include "common/check.hpp"
 #include "rcd/addressing.hpp"
 
@@ -11,86 +9,6 @@ struct PacketChannel::Participant {
   std::unique_ptr<radio::Radio> radio;
   std::unique_ptr<rcd::BackcastResponder> backcast;
   std::unique_ptr<rcd::PollcastResponder> pollcast;
-};
-
-/// The foreign region as a logical process of its own (Config::lp_hosted
-/// with interference_duty > 0): the same Poisson duty-cycle model as
-/// radio::InterferenceSource, but running on an LP-local simulator with its
-/// own RNG stream, delivering each foreign frame to the singlehop world as
-/// a ghost transmission (radio::Channel::inject_transmission) over a
-/// conservative link. The world → interferer back-link carries no messages;
-/// it exists purely to bound how far the free-running interferer may run
-/// ahead (without it, its perpetual emit loop would never yield).
-struct PacketChannel::GhostInterferer {
-  /// Foreign frames land one backoff slot after the emit decision — the
-  /// cross-region propagation/slot margin, and the link's lookahead.
-  static constexpr SimTime kThrottle = 8 * kMillisecond;
-  static constexpr std::uint64_t kStreamSalt = 0x47484F53;  // "GHOS"
-
-  GhostInterferer(sim::parallel::ParallelKernel& kernel,
-                  sim::parallel::LogicalProcess& world,
-                  radio::Channel& target, const Config& cfg)
-      : kernel_(&kernel),
-        world_(&world),
-        target_(&target),
-        duty_(cfg.interference_duty),
-        frame_bytes_(cfg.interference_frame_bytes),
-        pos_(cfg.interferer_pos),
-        lookahead_(target.phy().backoff_slot),
-        lp_(&kernel.add_lp(cfg.seed, cfg.stream + kStreamSalt)) {
-    TCAST_CHECK(duty_ > 0.0 && duty_ < 1.0);
-    kernel.connect(*lp_, world, lookahead_);
-    kernel.connect(world, *lp_, kThrottle);
-    schedule_next();
-  }
-
-  radio::Frame foreign_frame() const {
-    radio::Frame f;
-    f.type = radio::FrameType::kData;
-    f.src = 0xBEEF;
-    f.dest = 0xBEEF;  // foreign PAN: nobody here accepts it
-    f.data.resize(frame_bytes_);
-    return f;
-  }
-
-  void schedule_next() {
-    const double burst = static_cast<double>(target_->airtime(foreign_frame()));
-    // busy/(busy+idle) = duty  ⇒  mean idle gap = burst·(1−duty)/duty.
-    const double mean_gap = burst * (1.0 - duty_) / duty_;
-    RngStream& rng = lp_->sim().rng();
-    double u = rng.uniform01();
-    while (u <= 0.0) u = rng.uniform01();
-    const auto gap = static_cast<SimTime>(-mean_gap * std::log(u));
-    lp_->sim().schedule_after(std::max<SimTime>(1, gap), [this] { emit(); });
-  }
-
-  void emit() {
-    sim::Simulator& s = lp_->sim();
-    if (s.now() >= busy_until_) {  // a real transmitter can't self-overlap
-      radio::Frame f = foreign_frame();
-      busy_until_ = s.now() + target_->airtime(f);
-      radio::Channel* chan = target_;
-      const double x = pos_.first;
-      const double y = pos_.second;
-      kernel_->post(*lp_, *world_, s.now() + lookahead_, 0,
-                    [chan, f = std::move(f), x, y] {
-                      chan->inject_transmission(f, x, y);
-                    });
-      ++frames_emitted_;
-    }
-    schedule_next();
-  }
-
-  sim::parallel::ParallelKernel* kernel_;
-  sim::parallel::LogicalProcess* world_;
-  radio::Channel* target_;
-  double duty_;
-  std::size_t frame_bytes_;
-  std::pair<double, double> pos_;
-  SimTime lookahead_;
-  sim::parallel::LogicalProcess* lp_;
-  SimTime busy_until_ = 0;
-  std::uint64_t frames_emitted_ = 0;
 };
 
 namespace {
@@ -171,17 +89,7 @@ PacketChannel::PacketChannel(std::vector<bool> positive, Config cfg)
     participants_.push_back(std::move(p));
   }
 
-  if (cfg_.lp_hosted) {
-    // Adopt the world simulator as LP 0 of an inline kernel. Interference,
-    // when present, becomes a second LP with its own stream — on the scalar
-    // path it shares the world's RNG, so hosted-vs-direct bit-parity is
-    // only claimed (and tested) at interference_duty == 0.
-    kernel_ = std::make_unique<sim::parallel::ParallelKernel>();
-    world_lp_ = &kernel_->adopt_lp(*sim_);
-    if (cfg_.interference_duty > 0.0)
-      ghost_ = std::make_unique<GhostInterferer>(*kernel_, *world_lp_,
-                                                 *channel_, cfg_);
-  } else if (cfg_.interference_duty > 0.0) {
+  if (cfg_.interference_duty > 0.0) {
     radio::InterferenceSource::Config icfg;
     icfg.duty = cfg_.interference_duty;
     icfg.frame_bytes = cfg_.interference_frame_bytes;
@@ -206,15 +114,7 @@ double PacketChannel::participant_energy_mj(NodeId id) {
 }
 
 std::uint64_t PacketChannel::interference_frames() const {
-  if (ghost_) return ghost_->frames_emitted_;
   return interference_ ? interference_->frames_emitted() : 0;
-}
-
-void PacketChannel::advance_until_flag(const std::function<bool()>& done) {
-  if (kernel_)
-    kernel_->run_until_flag(*world_lp_, done);
-  else
-    sim_->run_until_flag(done);
 }
 
 void PacketChannel::ensure_announced(
@@ -228,7 +128,7 @@ void PacketChannel::ensure_announced(
   } else {
     pollcast_->announce(cfg_.predicate_id, session_, wire, on_done);
   }
-  advance_until_flag([&done] { return done; });
+  sim_->run_until_flag([&done] { return done; });
   TCAST_CHECK_MSG(done, "announce did not complete");
   announced_wire_ = wire;
 }
@@ -307,7 +207,7 @@ BinQueryResult PacketChannel::poll_once(std::uint16_t bin) {
     }
     pending_failures_.clear();
   }
-  advance_until_flag([f = &frame] { return f->done; });
+  sim_->run_until_flag([f = &frame] { return f->done; });
   TCAST_CHECK_MSG(frame.done, "poll did not complete");
   return frame.result;
 }
@@ -324,7 +224,7 @@ BinQueryResult PacketChannel::poll(std::uint16_t bin) {
        ++attempt) {
     bool waited = false;
     sim_->schedule_after(backoff, [&waited] { waited = true; });
-    advance_until_flag([&waited] { return waited; });
+    sim_->run_until_flag([&waited] { return waited; });
     backoff = static_cast<SimTime>(static_cast<double>(backoff) *
                                    cfg_.poll_backoff_multiplier);
     ++repolls_;

@@ -22,7 +22,6 @@
 #include "radio/radio.hpp"
 #include "rcd/backcast.hpp"
 #include "rcd/pollcast.hpp"
-#include "sim/parallel/kernel.hpp"
 #include "sim/simulator.hpp"
 
 namespace tcast::group {
@@ -64,19 +63,6 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
     std::pair<double, double> initiator_pos = {0.0, 0.0};
     std::vector<std::pair<double, double>> participant_positions;
     std::pair<double, double> interferer_pos = {0.0, 0.0};
-
-    /// Host the world on the parallel LP kernel (sim/parallel) instead of
-    /// driving the simulator directly. The singlehop world is one LP (its
-    /// channel folds frames into every receiver instantly — zero lookahead,
-    /// so it cannot be split without changing semantics); with
-    /// interference_duty > 0 the foreign region becomes a *second* LP with
-    /// its own RNG stream, feeding ghost transmissions over a conservative
-    /// link. The kernel runs inline (no pool): worlds are hosted inside
-    /// chaos-campaign worker threads, where nested pools are forbidden.
-    /// false = the scalar single-queue path, kept as the differential
-    /// reference; with interference_duty == 0 the two paths are
-    /// bit-identical (the conformance suite proves it).
-    bool lp_hosted = false;
   };
 
   /// `positive[i]` = whether participant i's sensor holds the predicate.
@@ -98,14 +84,6 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
 
   /// Backoff re-polls issued for silent bins (each also counted a query).
   std::uint64_t repolls() const { return repolls_; }
-
-  /// Whether this world runs on the parallel LP kernel (Config::lp_hosted).
-  bool lp_hosted() const { return kernel_ != nullptr; }
-
-  /// Kernel window/message statistics; nullptr on the scalar path.
-  const sim::parallel::KernelStats* kernel_stats() const {
-    return kernel_ ? &kernel_->stats() : nullptr;
-  }
 
   /// The PHY can misreport here whenever lone frames may be dropped
   /// (clean_loss), a lone HACK may fail to decode (non-ideal HACK model),
@@ -138,14 +116,10 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
 
  private:
   struct Participant;
-  struct GhostInterferer;
 
   BinQueryResult poll(std::uint16_t bin);
   BinQueryResult poll_once(std::uint16_t bin);
   void ensure_announced(const std::vector<std::uint16_t>& wire);
-  /// Advances the world until `done()`: directly on the scalar path,
-  /// through the LP kernel when hosted.
-  void advance_until_flag(const std::function<bool()>& done);
 
   std::vector<bool> positive_;
   std::vector<NodeId> nodes_;  ///< cached [0, n) for all_nodes()
@@ -156,9 +130,6 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
   std::unique_ptr<rcd::BackcastInitiator> backcast_;
   std::unique_ptr<rcd::PollcastInitiator> pollcast_;
   std::unique_ptr<radio::InterferenceSource> interference_;
-  std::unique_ptr<sim::parallel::ParallelKernel> kernel_;
-  sim::parallel::LogicalProcess* world_lp_ = nullptr;
-  std::unique_ptr<GhostInterferer> ghost_;
   std::vector<std::unique_ptr<Participant>> participants_;
   std::vector<std::uint16_t> announced_wire_;
   /// Per-poll wire scratch: do_query_bin/do_query_set serialise the bin

@@ -14,8 +14,8 @@ namespace {
 /// Per-thread channel workspace, recycled across every trial this thread
 /// executes within one sweep. Keyed by a sweep generation counter so a
 /// later sweep with a different spec rebuilds instead of reusing stale
-/// state; within one sweep every trial uses the same (n, model, capture,
-/// fast-path) configuration, so reuse is always valid.
+/// state; within one sweep every trial uses the same (n, model, capture)
+/// configuration, so reuse is always valid.
 struct Workspace {
   std::uint64_t generation = 0;
   std::unique_ptr<group::ExactChannel> channel;

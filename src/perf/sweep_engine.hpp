@@ -55,7 +55,7 @@ struct QuerySweepSpec {
   std::vector<SweepPoint> points;
   std::size_t trials = 1000;
   std::uint64_t seed = 0x7ca57ca57ca57ca5ULL;
-  group::ExactChannel::Config channel;  ///< model / capture / fast path
+  group::ExactChannel::Config channel;  ///< model / capture
   core::EngineOptions engine;           ///< paper accounting defaults
   ThreadPool* pool = nullptr;           ///< nullptr = global pool
 };

@@ -96,8 +96,7 @@ class Channel {
   /// occupies the medium from now for airtime(f), raises CCA/activity,
   /// collides with local frames and is delivered under the same reception
   /// rules, as if transmitted by an unseen radio at (x, y). This is how a
-  /// neighbouring logical process's broadcast lands in this LP's world
-  /// (and how cross-region interference reaches a hosted singlehop world).
+  /// neighbouring logical process's broadcast lands in this LP's world.
   void inject_transmission(Frame f, double x, double y);
 
   void set_tx_tap(TxTap tap) { tx_tap_ = std::move(tap); }

@@ -251,8 +251,10 @@ Response Shard::do_load(const Request& req) {
     positive[static_cast<std::size_t>(id)] = true;
 
   if (req.tier == BackendTier::kExact) {
-    pop.channel = std::make_unique<group::ExactChannel>(std::move(positive),
-                                                        *pop.channel_rng);
+    group::ExactChannel::Config ecfg;
+    ecfg.model = req.model;
+    pop.channel = std::make_unique<group::ExactChannel>(
+        std::move(positive), *pop.channel_rng, std::move(ecfg));
     pop.oracle_capable = true;
   } else {
     group::PacketChannel::Config pcfg;

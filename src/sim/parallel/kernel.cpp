@@ -12,15 +12,8 @@ ParallelKernel::~ParallelKernel() = default;
 
 LogicalProcess& ParallelKernel::add_lp(std::uint64_t seed,
                                        std::uint64_t stream) {
-  auto sim = std::make_unique<Simulator>(seed, stream);
-  lps_.emplace_back(new LogicalProcess(std::move(sim), nullptr,
-                                       static_cast<LpRank>(lps_.size())));
-  return *lps_.back();
-}
-
-LogicalProcess& ParallelKernel::adopt_lp(Simulator& sim) {
   lps_.emplace_back(
-      new LogicalProcess(nullptr, &sim, static_cast<LpRank>(lps_.size())));
+      new LogicalProcess(seed, stream, static_cast<LpRank>(lps_.size())));
   return *lps_.back();
 }
 
@@ -52,8 +45,8 @@ void ParallelKernel::post(LogicalProcess& src, LogicalProcess& dst,
 
 void ParallelKernel::compute_horizons(SimTime deadline) {
   for (auto& lp : lps_) {
-    lp->next_ = lp->sim_->pending() ? lp->sim_->next_event_time()
-                                    : kHorizonInf;
+    lp->next_ = lp->sim_.pending() ? lp->sim_.next_event_time()
+                                   : kHorizonInf;
     lp->eit_ = kHorizonInf;
   }
   // Relax earliest-input-times over the link graph. T(s) = min(next_s,
@@ -82,25 +75,15 @@ void ParallelKernel::compute_horizons(SimTime deadline) {
   for (auto& lp : lps_) lp->horizon_ = std::min(lp->eit_, cap);
 }
 
-void ParallelKernel::drain_lps(LogicalProcess* watch,
-                               const std::function<bool()>* done) {
-  struct Ctx {
-    ParallelKernel* k;
-    LogicalProcess* watch;
-    const std::function<bool()>* done;
-  } ctx{this, watch, done};
+void ParallelKernel::drain_lps() {
   const auto body = [](void* raw, std::size_t i) {
-    auto& c = *static_cast<Ctx*>(raw);
-    LogicalProcess& lp = *c.k->lps_[i];
-    if (&lp == c.watch && c.done != nullptr)
-      lp.executed_ = lp.sim_->run_before_flag(lp.horizon_, *c.done);
-    else
-      lp.executed_ = lp.sim_->run_before(lp.horizon_);
+    LogicalProcess& lp = *static_cast<ParallelKernel*>(raw)->lps_[i];
+    lp.executed_ = lp.sim_.run_before(lp.horizon_);
   };
   if (cfg_.pool == nullptr || lps_.size() <= 1) {
-    for (std::size_t i = 0; i < lps_.size(); ++i) body(&ctx, i);
+    for (std::size_t i = 0; i < lps_.size(); ++i) body(this, i);
   } else {
-    cfg_.pool->run_batch(lps_.size(), body, &ctx);
+    cfg_.pool->run_batch(lps_.size(), body, this);
   }
 }
 
@@ -126,7 +109,7 @@ std::size_t ParallelKernel::route_outboxes() {
               return a.seq < b.seq;
             });
   for (auto& m : route_scratch_) {
-    Simulator& dst = *lps_[m.dst]->sim_;
+    Simulator& dst = lps_[m.dst]->sim_;
     TCAST_CHECK_MSG(m.time >= dst.now(),
                     "cross-LP event arrived in the destination's past");
     dst.schedule_at(m.time, m.priority, std::move(m.fn));
@@ -136,9 +119,7 @@ std::size_t ParallelKernel::route_outboxes() {
   return routed;
 }
 
-std::size_t ParallelKernel::step_window(SimTime deadline,
-                                        LogicalProcess* watch,
-                                        const std::function<bool()>* done) {
+std::size_t ParallelKernel::step_window(SimTime deadline) {
   compute_horizons(deadline);
   bool runnable = false;
   for (const auto& lp : lps_)
@@ -149,7 +130,7 @@ std::size_t ParallelKernel::step_window(SimTime deadline,
   if (!runnable) return 0;
 
   ++stats_.windows;
-  drain_lps(watch, done);
+  drain_lps();
 
   std::size_t executed = 0;
   std::size_t active_lps = 0;
@@ -161,10 +142,8 @@ std::size_t ParallelKernel::step_window(SimTime deadline,
   if (active_lps <= 1 && lps_.size() > 1) ++stats_.stalled_windows;
   stats_.messages += route_outboxes();
   // With every lookahead ≥ 1 the globally earliest LP always clears its
-  // EIT, so a runnable window that executed nothing means the watch flag
-  // stopped it — legal — or a horizon bug.
-  TCAST_CHECK_MSG(executed > 0 || watch != nullptr,
-                  "conservative window made no progress");
+  // EIT, so a runnable window that executed nothing is a horizon bug.
+  TCAST_CHECK_MSG(executed > 0, "conservative window made no progress");
   return executed;
 }
 
@@ -173,22 +152,9 @@ std::size_t ParallelKernel::run() { return run_until(kHorizonInf); }
 std::size_t ParallelKernel::run_until(SimTime deadline) {
   std::size_t total = 0;
   for (;;) {
-    const std::size_t executed = step_window(deadline, nullptr, nullptr);
+    const std::size_t executed = step_window(deadline);
     if (executed == 0) break;
     total += executed;
-  }
-  return total;
-}
-
-std::size_t ParallelKernel::run_until_flag(
-    LogicalProcess& watch, const std::function<bool()>& done) {
-  std::size_t total = 0;
-  while (!done()) {
-    const std::size_t executed = step_window(kHorizonInf, &watch, &done);
-    total += executed;
-    if (executed == 0) break;  // drained without the flag: caller decides
-    TCAST_CHECK_MSG(total < cfg_.max_steps,
-                    "ParallelKernel::run_until_flag: hang guard hit");
   }
   return total;
 }

@@ -48,7 +48,7 @@
 namespace tcast::sim::parallel {
 
 /// Stable LP identity used in the cross-LP tie-break. Assigned densely in
-/// add_lp/adopt_lp order.
+/// add_lp order.
 using LpRank = std::uint32_t;
 
 /// "No event / unbounded" sentinel, kept far from overflow so adding a
@@ -61,8 +61,6 @@ struct KernelConfig {
   /// inline on the calling thread (the sequential differential reference;
   /// bit-identical to any pool by construction).
   ThreadPool* pool = nullptr;
-  /// Hang guard for run_until_flag (events executed).
-  std::size_t max_steps = 50'000'000;
 };
 
 struct KernelStats {
@@ -70,8 +68,8 @@ struct KernelStats {
   std::uint64_t events = 0;
   std::uint64_t messages = 0;
   /// Windows in which at most one LP executed work — where conservative
-  /// lookahead serialized the world (docs/PERFORMANCE.md reports this
-  /// honestly for the singlehop worlds).
+  /// lookahead serialized the world (docs/PERFORMANCE.md reports this for
+  /// the cell worlds).
   std::uint64_t stalled_windows = 0;
   std::uint64_t relax_passes = 0;
 };
@@ -80,13 +78,11 @@ class ParallelKernel;
 
 /// One logical process: an LP-local simulator plus the kernel-facing
 /// bookkeeping (rank, link set, outbox). Create via ParallelKernel::add_lp
-/// (kernel-owned simulator, LP-local RNG stream) or adopt_lp (caller-owned
-/// simulator hosted on the kernel — how PacketChannel's singlehop world
-/// becomes an LP).
+/// (kernel-owned simulator, LP-local RNG stream).
 class LogicalProcess {
  public:
-  Simulator& sim() { return *sim_; }
-  const Simulator& sim() const { return *sim_; }
+  Simulator& sim() { return sim_; }
+  const Simulator& sim() const { return sim_; }
   LpRank rank() const { return rank_; }
 
   LogicalProcess(const LogicalProcess&) = delete;
@@ -104,14 +100,10 @@ class LogicalProcess {
     EventFn fn;
   };
 
-  LogicalProcess(std::unique_ptr<Simulator> owned, Simulator* borrowed,
-                 LpRank rank)
-      : owned_(std::move(owned)),
-        sim_(owned_ ? owned_.get() : borrowed),
-        rank_(rank) {}
+  LogicalProcess(std::uint64_t seed, std::uint64_t stream, LpRank rank)
+      : sim_(seed, stream), rank_(rank) {}
 
-  std::unique_ptr<Simulator> owned_;
-  Simulator* sim_;
+  Simulator sim_;
   LpRank rank_;
   std::vector<std::pair<LpRank, SimTime>> in_links_;  ///< (src, lookahead)
   std::vector<Message> outbox_;
@@ -135,10 +127,6 @@ class ParallelKernel {
   /// Creates an LP with a kernel-owned Simulator seeded (seed, stream) —
   /// the LP-local RNG stream. Stable address for the kernel's lifetime.
   LogicalProcess& add_lp(std::uint64_t seed, std::uint64_t stream);
-
-  /// Hosts a caller-owned simulator as an LP (the simulator must outlive
-  /// the kernel and must not be advanced behind the kernel's back).
-  LogicalProcess& adopt_lp(Simulator& sim);
 
   std::size_t lp_count() const { return lps_.size(); }
   LogicalProcess& lp(std::size_t i) { return *lps_[i]; }
@@ -166,15 +154,6 @@ class ParallelKernel {
   /// the bounded drive for such worlds.
   std::size_t run_until(SimTime deadline);
 
-  /// Drives the whole world conservatively until `done()` flips, checking
-  /// the flag before every event of `watch` (other LPs drain whole
-  /// windows). This is how a synchronous co-simulation caller
-  /// (PacketChannel's query loop) waits for a protocol milestone while
-  /// neighbour LPs keep pace. Returns events executed; TCAST_CHECK-fails
-  /// after cfg.max_steps as a hang guard.
-  std::size_t run_until_flag(LogicalProcess& watch,
-                             const std::function<bool()>& done);
-
   const KernelStats& stats() const { return stats_; }
 
  private:
@@ -186,10 +165,9 @@ class ParallelKernel {
 
   /// One conservative window: compute horizons, drain, route. Returns
   /// events executed (0 = nothing runnable at or below `deadline`).
-  std::size_t step_window(SimTime deadline, LogicalProcess* watch,
-                          const std::function<bool()>* done);
+  std::size_t step_window(SimTime deadline);
   void compute_horizons(SimTime deadline);
-  void drain_lps(LogicalProcess* watch, const std::function<bool()>* done);
+  void drain_lps();
   std::size_t route_outboxes();
 
   KernelConfig cfg_;

@@ -63,18 +63,6 @@ std::size_t Simulator::run_before(SimTime horizon) {
   return executed;
 }
 
-std::size_t Simulator::run_before_flag(SimTime horizon,
-                                       const std::function<bool()>& done) {
-  std::size_t executed = 0;
-  while (!done() && !queue_.empty() && queue_.next_time() < horizon) {
-    auto fired = queue_.pop();
-    now_ = fired.time;
-    fired.fn();
-    ++executed;
-  }
-  return executed;
-}
-
 std::size_t Simulator::run_until_flag(const std::function<bool()>& done,
                                       std::size_t max_steps) {
   std::size_t executed = 0;

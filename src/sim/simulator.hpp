@@ -59,11 +59,6 @@ class Simulator {
   /// any time ≥ horizon afterwards. Returns events executed.
   std::size_t run_before(SimTime horizon);
 
-  /// run_before, but also stops as soon as `done()` is true (checked before
-  /// every event, matching run_until_flag). Returns events executed.
-  std::size_t run_before_flag(SimTime horizon,
-                              const std::function<bool()>& done);
-
   /// World-model randomness (channel noise, jitter, backoff draws).
   RngStream& rng() { return rng_; }
 

@@ -46,6 +46,7 @@ TEST(ChaosScenario, ParseRejectsMalformedSpecs) {
       "algo=2tbins;unsafe=2",
       "algo=2tbins;n=4;x=9",    // x > n
       "algo=2tbins;what=1",     // unknown key
+      "algo=2tbins;lp=1",       // retired key
   };
   for (const char* text : bad)
     EXPECT_FALSE(ChaosScenario::parse(text).has_value()) << text;

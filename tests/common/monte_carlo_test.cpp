@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 namespace tcast {
 namespace {
 
@@ -63,8 +65,7 @@ TEST(MonteCarlo, DeterminismRegressionAcrossThreadCounts) {
     for (int i = 0; i < 17; ++i) acc += rng.normal(1.0, 3.0);
     return acc;
   };
-  const auto multi_trial = [&trial](RngStream& rng,
-                                    std::vector<double>& out) {
+  const auto multi_trial = [&trial](RngStream& rng, std::span<double> out) {
     out[0] = trial(rng);
     out[1] = rng.uniform01();
   };
@@ -101,7 +102,7 @@ TEST(MonteCarlo, MultiMetricKeepsMetricsApart) {
   MonteCarloConfig cfg;
   cfg.trials = 50;
   const auto stats = run_multi_trials(
-      cfg, 2, [](RngStream&, std::vector<double>& out) {
+      cfg, 2, [](RngStream&, std::span<double> out) {
         out[0] = 1.0;
         out[1] = 2.0;
       });

@@ -62,6 +62,45 @@ TEST(RngStream, UniformBelowIsRoughlyUniform) {
   }
 }
 
+/// The two-division rejection loop uniform_below must match draw for draw:
+/// threshold = 2^64 mod bound, reject draws below it, reduce by modulo.
+std::uint64_t uniform_below_oracle(RngStream& rng, std::uint64_t bound) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng.bits();
+    if (r >= threshold) return r % bound;
+  }
+}
+
+TEST(RngStream, UniformBelowMatchesDivisionOracle) {
+  std::vector<std::uint64_t> bounds;
+  for (std::uint64_t b = 1; b <= 5000; ++b) bounds.push_back(b);
+  for (int k = 0; k < 64; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    if (p > 1) bounds.push_back(p - 1);
+    bounds.push_back(p);
+    bounds.push_back(p + 1);
+  }
+  bounds.push_back(~std::uint64_t{0});
+  // Random bounds of every magnitude: a raw word shifted right 0..63 bits.
+  RngStream pick(0xB0D5, 1);
+  for (int i = 0; i < 4000; ++i) {
+    const auto shift = static_cast<int>(pick.bits() % 64);
+    bounds.push_back(std::max<std::uint64_t>(1, pick.bits() >> shift));
+  }
+
+  RngStream rng(0xD1CE, 7);
+  for (const std::uint64_t bound : bounds) {
+    for (int rep = 0; rep < 3; ++rep) {
+      RngStream oracle = rng;  // copying forks the stream at this point
+      const std::uint64_t want = uniform_below_oracle(oracle, bound);
+      ASSERT_EQ(rng.uniform_below(bound), want) << "bound=" << bound;
+      // Same number of engine draws consumed: the streams stay in step.
+      ASSERT_EQ(rng.bits(), oracle.bits()) << "bound=" << bound;
+    }
+  }
+}
+
 TEST(RngStream, UniformIntInclusiveBounds) {
   RngStream rng(4);
   bool saw_lo = false, saw_hi = false;

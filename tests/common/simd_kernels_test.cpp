@@ -6,8 +6,8 @@
 // empty span) and the bin-count batch's special-cased small images.
 //
 // The contract under test is strict bit-exactness: for ANY input, every
-// level returns the same answer as the scalar reference. That is what lets
-// the dispatcher pick a level at runtime (or a test force one) without the
+// level returns the same answer as both oracles. That is what lets the
+// dispatcher pick a level at runtime (or a test force one) without the
 // figure pipeline noticing.
 #include <gtest/gtest.h>
 
@@ -98,7 +98,7 @@ std::size_t intersection_size_sorted_oracle(
 TEST(SimdKernels, SupportedLevelsAreCoherent) {
   const auto levels = supported_levels();
   ASSERT_FALSE(levels.empty());
-  EXPECT_EQ(levels.front(), Level::kScalar);
+  EXPECT_EQ(levels.front(), Level::kPortable);
   EXPECT_NE(std::find(levels.begin(), levels.end(), best_supported()),
             levels.end());
   for (const Level level : levels) {

@@ -1,18 +1,20 @@
 // Differential proof for the NodeSet fast path (group/exact_channel.hpp):
 // with identical seeds, every registry algorithm must produce bit-identical
-// results whether ExactChannel answers queries through the word image
-// (node_set_fast_path = true) or through the retained scalar reference walk
-// (false). "Bit-identical" is the full observable surface: the decision,
-// every ThresholdOutcome counter, the channel's query count, and the
-// post-run RNG state (same number of draws consumed — proven by comparing
-// the next raw output word).
+// results whether the production ExactChannel answers queries through its
+// word image or the test-only ReferenceExactChannel answers them with a
+// scalar per-member walk. "Bit-identical" is the full observable surface:
+// the decision, every ThresholdOutcome counter, the channel's query count,
+// and the post-run RNG state (same number of draws consumed — proven by
+// comparing the next raw output word).
 //
 // A second suite proves the batched sweep engine (perf/sweep_engine.hpp)
-// inherits the property: fast vs reference sweeps agree bitwise for every
-// worker count, so workspace recycling is unobservable too.
+// inherits the property: it agrees bitwise with a plain per-trial loop over
+// fresh reference channels for every worker count, so workspace recycling
+// is unobservable too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "core/registry.hpp"
 #include "group/exact_channel.hpp"
 #include "perf/sweep_engine.hpp"
+#include "reference_exact_channel.hpp"
 
 namespace tcast::conformance {
 namespace {
@@ -35,20 +38,30 @@ struct RunRecord {
   std::uint64_t next_rng_word = 0;
 };
 
-RunRecord run_scenario(const Scenario& sc, const core::AlgorithmSpec& spec,
-                       bool fast_path) {
-  RngStream rng(sc.seed, 0x9e77);
-  group::ExactChannel::Config cfg;
-  cfg.model = sc.model;
-  cfg.node_set_fast_path = fast_path;
-  auto channel =
-      group::ExactChannel::with_random_positives(sc.n, sc.x, rng, cfg);
+RunRecord record(group::QueryChannel& channel, std::span<const NodeId> nodes,
+                 const Scenario& sc, const core::AlgorithmSpec& spec,
+                 RngStream& rng) {
   RunRecord rec;
-  rec.outcome =
-      spec.run(channel, channel.all_nodes(), sc.t, rng, sc.engine_options());
+  rec.outcome = spec.run(channel, nodes, sc.t, rng, sc.engine_options());
   rec.channel_queries = channel.queries_used();
   rec.next_rng_word = rng.bits();
   return rec;
+}
+
+RunRecord run_production(const Scenario& sc,
+                         const core::AlgorithmSpec& spec) {
+  RngStream rng(sc.seed, 0x9e77);
+  group::ExactChannel::Config cfg;
+  cfg.model = sc.model;
+  auto channel =
+      group::ExactChannel::with_random_positives(sc.n, sc.x, rng, cfg);
+  return record(channel, channel.all_nodes(), sc, spec, rng);
+}
+
+RunRecord run_reference(const Scenario& sc, const core::AlgorithmSpec& spec) {
+  RngStream rng(sc.seed, 0x9e77);
+  ReferenceExactChannel channel(sc.n, sc.x, rng, sc.model);
+  return record(channel, channel.all_nodes(), sc, spec, rng);
 }
 
 void expect_identical(const RunRecord& fast, const RunRecord& ref) {
@@ -70,8 +83,7 @@ TEST(FastPathDifferential, RegistryWideFastMatchesReference) {
     const Scenario sc = random_scenario(scenario_rng, /*allow_lossy=*/false);
     for (const auto& spec : core::algorithm_registry()) {
       SCOPED_TRACE(spec.name + " on [" + sc.describe() + "]");
-      expect_identical(run_scenario(sc, spec, /*fast_path=*/true),
-                       run_scenario(sc, spec, /*fast_path=*/false));
+      expect_identical(run_production(sc, spec), run_reference(sc, spec));
     }
   }
 }
@@ -89,8 +101,7 @@ TEST(FastPathDifferential, WideBinCountsFallBackIdentically) {
     if (sc.x > sc.n) sc.x = sc.n;
     for (const auto& spec : core::algorithm_registry()) {
       SCOPED_TRACE(spec.name + " on [" + sc.describe() + "]");
-      expect_identical(run_scenario(sc, spec, /*fast_path=*/true),
-                       run_scenario(sc, spec, /*fast_path=*/false));
+      expect_identical(run_production(sc, spec), run_reference(sc, spec));
     }
   }
 }
@@ -125,28 +136,40 @@ perf::QuerySweepSpec sweep_spec(const std::string& algorithm,
   return spec;
 }
 
+/// The sweep without the engine: one fresh reference channel per trial, on
+/// the trial's own stream, reduced point by point in trial order.
+std::vector<RunningStats> reference_sweep(const perf::QuerySweepSpec& spec) {
+  const auto* algo = core::find_algorithm(spec.algorithm);
+  std::vector<RunningStats> queries(spec.points.size());
+  for (std::size_t p = 0; p < spec.points.size(); ++p) {
+    const perf::SweepPoint& point = spec.points[p];
+    for (std::size_t i = 0; i < spec.trials; ++i) {
+      RngStream rng(spec.seed, trial_stream_id(point.experiment_id, i));
+      ReferenceExactChannel channel(spec.n, point.x, rng, spec.channel.model);
+      const auto outcome =
+          algo->run(channel, channel.all_nodes(), point.t, rng, spec.engine);
+      queries[p].add(static_cast<double>(outcome.queries));
+    }
+  }
+  return queries;
+}
+
 TEST(FastPathDifferential, SweepEngineFastMatchesReferenceAcrossWorkerCounts) {
   for (const auto model :
        {group::CollisionModel::kOnePlus, group::CollisionModel::kTwoPlus}) {
     for (const char* algorithm : {"2tbins", "expinc"}) {
-      // Reference: scalar path on a single worker — the pre-PR ground truth.
-      ThreadPool reference_pool(1);
-      perf::QuerySweepSpec ref = sweep_spec(algorithm, model);
-      ref.channel.node_set_fast_path = false;
-      ref.pool = &reference_pool;
-      const auto reference = perf::run_query_sweep(ref);
-
+      const auto reference = reference_sweep(sweep_spec(algorithm, model));
       for (const std::size_t workers : worker_counts_under_test()) {
         ThreadPool pool(workers);
         perf::QuerySweepSpec fast = sweep_spec(algorithm, model);
-        fast.pool = &pool;  // node_set_fast_path defaults to true
+        fast.pool = &pool;
         const auto got = perf::run_query_sweep(fast);
-        ASSERT_EQ(got.queries.size(), reference.queries.size());
+        ASSERT_EQ(got.queries.size(), reference.size());
         SCOPED_TRACE(std::string(algorithm) + " model=" +
                      group::to_string(model) +
                      " workers=" + std::to_string(workers));
         for (std::size_t p = 0; p < got.queries.size(); ++p)
-          expect_bitwise_equal(got.queries[p], reference.queries[p]);
+          expect_bitwise_equal(got.queries[p], reference[p]);
       }
     }
   }

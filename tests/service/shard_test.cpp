@@ -93,6 +93,40 @@ TEST(Shard, ExactVerdictsMatchGroundTruth) {
   EXPECT_EQ(shard.stats().conformance_violations, 0u);
 }
 
+TEST(Shard, ExactLoadHonoursModel) {
+  // The same population loaded as 1+ and as 2+ answers the same queries
+  // correctly either way, but 2+ captures confirm positives for free, so
+  // the 2+ load must spend fewer queries in total.
+  const std::size_t thresholds[] = {5, 10, 19, 20, 21, 30};
+  std::uint64_t total_queries[2] = {0, 0};
+  const group::CollisionModel models[2] = {group::CollisionModel::kOnePlus,
+                                           group::CollisionModel::kTwoPlus};
+  for (std::size_t m = 0; m < 2; ++m) {
+    ManualClock clock;
+    Shard shard(config(clock));
+    Collector out;
+    Request load = load_req("p", 64, 20);
+    load.model = models[m];
+    out.submit(shard, std::move(load));
+    shard.drain();
+    for (const std::size_t t : thresholds) {
+      out.submit(shard, query_req("p", t, 0, ApproxMode::kNever));
+      shard.drain();
+    }
+    ASSERT_EQ(out.at(0)->status, StatusCode::kOk);
+    for (std::size_t i = 0; i < std::size(thresholds); ++i) {
+      const Response& r = *out.at(i + 1);
+      ASSERT_EQ(r.status, StatusCode::kOk);
+      EXPECT_EQ(r.mode, AnswerMode::kExact);
+      EXPECT_EQ(r.decision, thresholds[i] <= 20u)  // x = 20
+          << group::to_string(models[m]) << " t=" << thresholds[i];
+      total_queries[m] += r.queries;
+    }
+    EXPECT_EQ(shard.stats().conformance_violations, 0u);
+  }
+  EXPECT_LT(total_queries[1], total_queries[0]);
+}
+
 TEST(Shard, FullQueueRejectsWithRetryAfterHint) {
   ManualClock clock;
   ShardConfig cfg = config(clock);

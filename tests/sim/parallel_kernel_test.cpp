@@ -32,25 +32,11 @@ TEST(ParallelKernel, SingleLpRunsToQuiescence) {
   EXPECT_EQ(k.stats().messages, 0u);
 }
 
-TEST(ParallelKernel, AdoptedLpSharesCallerSimulator) {
-  Simulator sim(7);
-  ParallelKernel k;
-  LogicalProcess& lp = k.adopt_lp(sim);
-  EXPECT_EQ(&lp.sim(), &sim);
-  bool ran = false;
-  sim.schedule_at(4, [&] { ran = true; });
-  k.run();
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(sim.now(), 4);
-}
-
 TEST(ParallelKernel, RanksAssignedDensely) {
   ParallelKernel k;
-  Simulator host(1);
   EXPECT_EQ(k.add_lp(1, 0).rank(), 0u);
-  EXPECT_EQ(k.adopt_lp(host).rank(), 1u);
-  EXPECT_EQ(k.add_lp(1, 2).rank(), 2u);
-  EXPECT_EQ(k.lp_count(), 3u);
+  EXPECT_EQ(k.add_lp(1, 2).rank(), 1u);
+  EXPECT_EQ(k.lp_count(), 2u);
 }
 
 TEST(ParallelKernel, CrossLpMessageArrivesAtExactTimestamp) {
@@ -125,23 +111,6 @@ TEST(ParallelKernel, RunUntilStopsAtDeadlineAndKeepsFutureEvents) {
   EXPECT_TRUE(lp.sim().pending());
   EXPECT_EQ(k.run_until(30), 1u);
   EXPECT_EQ(fired, 3);
-}
-
-TEST(ParallelKernel, RunUntilFlagStopsWatchMidWindow) {
-  ParallelKernel k;
-  LogicalProcess& watch = k.add_lp(1, 0);
-  int fired = 0;
-  bool done = false;
-  for (SimTime t = 1; t <= 10; ++t)
-    watch.sim().schedule_at(t, [&] {
-      ++fired;
-      if (fired == 3) done = true;
-    });
-  k.run_until_flag(watch, [&] { return done; });
-  // The flag is checked before every event of the watched LP: exactly the
-  // three events that flip it run, the rest stay queued.
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(watch.sim().pending_count(), 7u);
 }
 
 TEST(ParallelKernelDeath, PostBelowLookaheadAborts) {

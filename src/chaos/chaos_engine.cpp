@@ -7,7 +7,6 @@
 #include "conformance/harness.hpp"
 #include "core/registry.hpp"
 #include "faults/faulty_channel.hpp"
-#include "faults/trace_channel.hpp"
 #include "group/exact_channel.hpp"
 #include "group/packet_channel.hpp"
 
@@ -78,7 +77,7 @@ class OracleAdapter final : public group::QueryChannel {
 };
 
 /// run_session / replay_session share one stack; `replay` selects the
-/// injector (nullptr = live FaultyChannel drawing from scenario.plan).
+/// fault source (nullptr = draws from scenario.plan).
 SessionReport run_impl(const ChaosScenario& sc,
                        const faults::FaultTrace* replay) {
   const auto* spec = core::find_algorithm(sc.algorithm);
@@ -119,22 +118,15 @@ SessionReport run_impl(const ChaosScenario& sc,
   }
 
   // Fault injector: live plan-driven draws, or verbatim trace replay.
-  std::unique_ptr<faults::FaultyChannel> faulty;
-  std::unique_ptr<faults::TraceChannel> traced;
-  group::QueryChannel* injected = nullptr;
-  if (replay != nullptr) {
-    traced = std::make_unique<faults::TraceChannel>(*base, *replay);
-    injected = traced.get();
-  } else {
-    faulty = std::make_unique<faults::FaultyChannel>(*base, participants,
-                                                     sc.plan);
-    injected = faulty.get();
-  }
+  faults::FaultyChannel faulty =
+      replay != nullptr
+          ? faults::FaultyChannel(*base, participants, *replay)
+          : faults::FaultyChannel(*base, participants, sc.plan);
 
   // Conformance monitors, mirroring exactly the inferences that are sound
   // on this stack. The query bound only holds when nothing can inflate the
   // count past the registered worst case (no loss-driven re-querying).
-  const bool lossy = injected->lossy();
+  const bool lossy = faulty.lossy();
   conformance::CheckedChannel::Config ccfg;
   ccfg.exact_semantics = !lossy;
   ccfg.two_plus_activity_counts_two = !lossy;
@@ -142,7 +134,7 @@ SessionReport run_impl(const ChaosScenario& sc,
       !lossy && sc.retry.kind == core::RetryPolicy::Kind::kNone
           ? conformance::registered_query_bound(sc.algorithm, sc.n, sc.t)
           : 0.0;
-  conformance::CheckedChannel checked(*injected, participants, ccfg);
+  conformance::CheckedChannel checked(faulty, participants, ccfg);
 
   core::EngineOptions opts;
   opts.ordering = core::BinOrdering::kInOrder;  // cross-tier parity
@@ -154,12 +146,7 @@ SessionReport run_impl(const ChaosScenario& sc,
   rep.outcome = spec->run(checked, participants, sc.t, algo_rng, opts);
   checked.check_outcome(sc.t, rep.outcome);
   rep.violations = checked.violations();
-  if (replay != nullptr) {
-    rep.trace.events = traced->log().events();
-    rep.trace.lossy = traced->lossy();
-  } else {
-    rep.trace = faults::FaultTrace::record(*faulty);
-  }
+  rep.trace = faults::FaultTrace::record(faulty);
   rep.algo_rng_probe = algo_rng.bits();
   rep.channel_rng_probe =
       sc.tier == Tier::kExact ? channel_rng.bits() : 0;

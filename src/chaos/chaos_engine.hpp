@@ -8,10 +8,10 @@
 //   2. run_session executes it under a conformance CheckedChannel with
 //      every invariant monitor online, records the injected faults as a
 //      FaultTrace, and reports any violations;
-//   3. replay_session re-runs a (scenario, trace) pair through a
-//      TraceChannel — no fault RNG — reproducing the recorded schedule
-//      bit-identically; on the packet tier the same trace drives
-//      frame-level crash/reboot/loss through ChannelFaultControl;
+//   3. replay_session re-runs a (scenario, trace) pair with the
+//      FaultyChannel replaying the trace — no fault RNG — reproducing the
+//      recorded schedule bit-identically; on the packet tier the same trace
+//      drives frame-level crash/reboot/loss through ChannelFaultControl;
 //   4. run_campaign fans thousands of sessions across the registry ×
 //      tier × fault-plan grid on the thread pool and collects every
 //      violating (scenario, trace) pair for the shrinker.
@@ -82,9 +82,9 @@ struct ChaosScenario {
 struct SessionReport {
   ChaosScenario scenario;
   core::ThresholdOutcome outcome;
-  /// The injected-fault schedule: recorded from the FaultyChannel on a live
-  /// run, re-recorded from the TraceChannel's own log on a replay — equal
-  /// on both iff the replay was faithful.
+  /// The injected-fault schedule, recorded from the FaultyChannel's log on
+  /// a live run and on a replay alike — equal on both iff the replay was
+  /// faithful.
   faults::FaultTrace trace;
   std::vector<conformance::Violation> violations;
   /// Next raw RNG word of the algorithm stream after the run — a replay
@@ -108,10 +108,11 @@ struct SessionReport {
 /// schedule is recorded as a replayable FaultTrace.
 SessionReport run_session(const ChaosScenario& scenario);
 
-/// Re-executes `scenario` with `trace` replayed verbatim through a
-/// TraceChannel (zero fault RNG consumed). On the stack that recorded the
-/// trace this is bit-identical: same outcome, query count, fault log, and
-/// RNG probes.
+/// Re-executes `scenario` with the FaultyChannel replaying `trace`
+/// verbatim (zero fault RNG consumed). On the stack that recorded the trace
+/// this is bit-identical: same outcome, query count, fault log, and RNG
+/// probes. Crashes and reboots naming a node outside the scenario's
+/// participants are ignored.
 SessionReport replay_session(const ChaosScenario& scenario,
                              const faults::FaultTrace& trace);
 

@@ -3,59 +3,10 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/ddmin.hpp"
 
 namespace tcast::chaos {
 namespace {
-
-/// One ddmin pass over trace.events: returns true when anything was
-/// removed. `probes` counts predicate calls.
-bool ddmin_events(const ChaosScenario& sc, faults::FaultTrace& trace,
-                  const TracePredicate& pred, std::size_t& probes) {
-  bool removed_any = false;
-  std::size_t granularity = 2;
-  while (trace.events.size() >= 2) {
-    const std::size_t n = trace.events.size();
-    const std::size_t chunks = std::min(granularity, n);
-    const std::size_t chunk = (n + chunks - 1) / chunks;
-    bool removed = false;
-    for (std::size_t c = 0; c < chunks && c * chunk < trace.events.size();
-         ++c) {
-      // Candidate: the trace with chunk c deleted (complement kept).
-      faults::FaultTrace candidate = trace;
-      const std::size_t lo = c * chunk;
-      const std::size_t hi =
-          std::min(candidate.events.size(), lo + chunk);
-      candidate.events.erase(candidate.events.begin() + lo,
-                             candidate.events.begin() + hi);
-      ++probes;
-      if (pred(sc, candidate)) {
-        trace = std::move(candidate);
-        removed = true;
-        removed_any = true;
-        // Stay at this granularity; chunk boundaries shifted, restart it.
-        break;
-      }
-    }
-    if (removed) {
-      granularity = std::max<std::size_t>(2, granularity - 1);
-      continue;
-    }
-    if (chunks >= n) break;  // 1-minimal: no single event is removable
-    granularity = std::min(n, granularity * 2);
-  }
-  // Size 1: try the empty trace once (a scenario whose stack violates with
-  // no faults at all should shrink to zero events).
-  if (trace.events.size() == 1) {
-    faults::FaultTrace candidate = trace;
-    candidate.events.clear();
-    ++probes;
-    if (pred(sc, candidate)) {
-      trace = std::move(candidate);
-      removed_any = true;
-    }
-  }
-  return removed_any;
-}
 
 /// Greedily pulls every event's at_query down toward its predecessor (the
 /// first event toward 0), shrinking the query prefix a reproducer must
@@ -137,9 +88,15 @@ ShrinkResult shrink(const ChaosScenario& scenario, faults::FaultTrace trace,
   ++result.probes;
   TCAST_CHECK_MSG(pred(scenario, trace),
                   "shrink: predicate does not hold on the input trace");
+  const auto fails = [&](const std::vector<faults::FaultEvent>& events) {
+    ++result.probes;
+    return pred(scenario, faults::FaultTrace{events, trace.lossy});
+  };
   bool changed = true;
   while (changed) {
-    changed = ddmin_events(scenario, trace, pred, result.probes);
+    const std::size_t before = trace.events.size();
+    trace.events = ddmin(std::move(trace.events), fails);
+    changed = trace.events.size() < before;
     changed = compact_queries(scenario, trace, pred, result.probes) ||
               changed;
   }

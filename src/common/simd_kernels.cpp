@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.hpp"
 
@@ -56,87 +54,6 @@ std::size_t andnot_count_portable(std::uint64_t* dst, const std::uint64_t* mask,
 }
 
 #if defined(TCAST_SIMD_X86)
-// ---------------------------------------------------------------------------
-// AVX2. Unaligned loads throughout — the word images live in std::vector
-// storage with no alignment promise beyond 8 bytes.
-
-__attribute__((target("avx2"))) bool intersect_avx2(const std::uint64_t* a,
-                                                    const std::uint64_t* b,
-                                                    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // testz(a, b) == 1  <=>  (a AND b) == 0 — the AND and the test fuse.
-    if (!_mm256_testz_si256(va, vb)) return true;
-  }
-  std::uint64_t acc = 0;
-  for (; i < n; ++i) acc |= a[i] & b[i];
-  return acc != 0;
-}
-
-// Mula nibble-LUT popcount: per-byte counts via PSHUFB on both nibbles,
-// horizontally summed into four u64 lanes by PSADBW.
-__attribute__((target("avx2"))) inline __m256i popcount_epi64_avx2(__m256i v) {
-  const __m256i lookup =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1,
-                       2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-  const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
-                                      _mm256_shuffle_epi8(lookup, hi));
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
-}
-
-__attribute__((target("avx2"))) std::size_t and_popcount_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_add_epi64(acc, popcount_epi64_avx2(_mm256_and_si256(va, vb)));
-  }
-  std::uint64_t lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::size_t total =
-      static_cast<std::size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
-__attribute__((target("avx2"))) std::size_t andnot_count_avx2(
-    std::uint64_t* dst, const std::uint64_t* mask, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vd =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i vm =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    acc = _mm256_add_epi64(acc, popcount_epi64_avx2(_mm256_and_si256(vd, vm)));
-    // andnot(m, d) computes (~m) AND d.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_andnot_si256(vm, vd));
-  }
-  std::uint64_t lanes[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::size_t removed =
-      static_cast<std::size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    removed += static_cast<std::size_t>(std::popcount(dst[i] & mask[i]));
-    dst[i] &= ~mask[i];
-  }
-  return removed;
-}
-
 // ---------------------------------------------------------------------------
 // AVX-512 (F + BW + VPOPCNTDQ — the native 64-bit lane popcount).
 
@@ -267,16 +184,6 @@ std::uint64_t read_xcr0() {
   return (static_cast<std::uint64_t>(hi) << 32) | lo;
 }
 
-bool cpu_has_avx2() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  if ((ebx & bit_AVX2) == 0) return false;
-  // AVX2 also needs OS support for YMM state (XGETBV bits 1|2).
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
-  if ((ecx & bit_OSXSAVE) == 0) return false;
-  return (read_xcr0() & 0x6) == 0x6;
-}
-
 bool cpu_has_avx512() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
@@ -289,53 +196,6 @@ bool cpu_has_avx512() {
 }
 #endif
 
-Level detect_best() {
-#if defined(TCAST_SIMD_X86)
-  if (cpu_has_avx512()) return Level::kAVX512;
-  if (cpu_has_avx2()) return Level::kAVX2;
-#endif
-  return Level::kPortable;
-}
-
-bool parse_level(const char* text, Level* out) {
-  if (text == nullptr) return false;
-  const struct {
-    const char* name;
-    Level level;
-  } kNames[] = {
-      {"portable", Level::kPortable},
-      {"avx2", Level::kAVX2},
-      {"avx512", Level::kAVX512},
-  };
-  for (const auto& entry : kNames) {
-    if (std::strcmp(text, entry.name) == 0) {
-      *out = entry.level;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool level_supported(Level level) {
-  if (level == Level::kPortable) return true;
-  for (Level supported : supported_levels()) {
-    if (supported == level) return true;
-  }
-  return false;
-}
-
-// The automatic choice (env override when valid, else widest supported),
-// computed once.
-Level resolve_auto_level() {
-  Level level = detect_best();
-  Level from_env;
-  if (parse_level(std::getenv("TCAST_SIMD"), &from_env) &&
-      level_supported(from_env)) {
-    level = from_env;
-  }
-  return level;
-}
-
 // kAuto sentinel: no force in effect.
 constexpr int kAuto = -1;
 std::atomic<int> g_forced{kAuto};
@@ -346,8 +206,6 @@ const char* to_string(Level level) {
   switch (level) {
     case Level::kPortable:
       return "portable";
-    case Level::kAVX2:
-      return "avx2";
     case Level::kAVX512:
       return "avx512";
   }
@@ -355,30 +213,26 @@ const char* to_string(Level level) {
 }
 
 Level best_supported() {
-  static const Level kBest = detect_best();
-  return kBest;
+#if defined(TCAST_SIMD_X86)
+  static const bool kAvx512 = cpu_has_avx512();
+  if (kAvx512) return Level::kAVX512;
+#endif
+  return Level::kPortable;
 }
 
 std::vector<Level> supported_levels() {
-  std::vector<Level> levels = {Level::kPortable};
-#if defined(TCAST_SIMD_X86)
-  static const bool kAvx2 = cpu_has_avx2();
-  static const bool kAvx512 = cpu_has_avx512();
-  if (kAvx2) levels.push_back(Level::kAVX2);
-  if (kAvx512) levels.push_back(Level::kAVX512);
-#endif
-  return levels;
+  if (best_supported() == Level::kPortable) return {Level::kPortable};
+  return {Level::kPortable, best_supported()};
 }
 
 Level active_level() {
   const int forced = g_forced.load(std::memory_order_relaxed);
   if (forced != kAuto) return static_cast<Level>(forced);
-  static const Level kResolved = resolve_auto_level();
-  return kResolved;
+  return best_supported();
 }
 
 void force_level(Level level) {
-  TCAST_CHECK_MSG(level_supported(level),
+  TCAST_CHECK_MSG(level == Level::kPortable || level == best_supported(),
                   "forced SIMD level not supported on this CPU");
   g_forced.store(static_cast<int>(level), std::memory_order_relaxed);
 }
@@ -391,8 +245,6 @@ bool words_intersect(const std::uint64_t* a, const std::uint64_t* b,
                      std::size_t n) {
   switch (active_level()) {
 #if defined(TCAST_SIMD_X86)
-    case Level::kAVX2:
-      return intersect_avx2(a, b, n);
     case Level::kAVX512:
       return intersect_avx512(a, b, n);
 #endif
@@ -405,8 +257,6 @@ std::size_t words_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
                                std::size_t n) {
   switch (active_level()) {
 #if defined(TCAST_SIMD_X86)
-    case Level::kAVX2:
-      return and_popcount_avx2(a, b, n);
     case Level::kAVX512:
       return and_popcount_avx512(a, b, n);
 #endif
@@ -419,8 +269,6 @@ std::size_t words_andnot_count(std::uint64_t* dst, const std::uint64_t* mask,
                                std::size_t n) {
   switch (active_level()) {
 #if defined(TCAST_SIMD_X86)
-    case Level::kAVX2:
-      return andnot_count_avx2(dst, mask, n);
     case Level::kAVX512:
       return andnot_count_avx512(dst, mask, n);
 #endif
@@ -467,12 +315,6 @@ void bin_intersection_counts(const std::uint64_t* pos, std::size_t pos_words,
   const Level level = active_level();
   switch (level) {
 #if defined(TCAST_SIMD_X86)
-    case Level::kAVX2:
-      for (std::size_t b = 0; b < bin_count; ++b) {
-        out[b] = static_cast<std::uint32_t>(
-            and_popcount_avx2(pos, bins + b * words_per_bin, n));
-      }
-      return;
     case Level::kAVX512:
       for (std::size_t b = 0; b < bin_count; ++b) {
         out[b] = static_cast<std::uint32_t>(

@@ -2,22 +2,22 @@
 // abstract tier's sweep hot loops.
 //
 // Every kernel operates on packed 64-bit membership words (the NodeSet /
-// BinAssignment word-image layout) and comes in several implementations:
+// BinAssignment word-image layout) and comes in two implementations:
 //
 //   kPortable — plain loops written to auto-vectorize; the fallback on any
-//               hardware without an explicit SIMD level (AArch64 included).
-//   kAVX2     — explicit 256-bit x86 paths (VPAND/VPTEST, Mula nibble-LUT
-//               popcount).
+//               hardware without AVX-512 (AArch64 included).
 //   kAVX512   — explicit 512-bit x86 paths (VPTESTMQ, VPOPCNTQ); requires
 //               AVX-512 F+BW+VPOPCNTDQ.
 //
-// Dispatch is resolved at runtime from CPUID, overridable for tests and
-// triage: programmatically via force_level(), or with
-// TCAST_SIMD=portable|avx2|avx512 in the environment. All variants are
-// bit-exact for any input — including odd word counts that exercise the
-// vector tails — which the kernel property suite
-// (tests/common/simd_kernels_test.cpp, against std::bitset and sorted-vector
-// oracles) and the registry-wide differential suite
+// There is no AVX2 level: measured, it never beat kPortable in nine rounds
+// of ten on any benchmark, while kAVX512 did on both full sweeps
+// (docs/PERFORMANCE.md).
+//
+// Dispatch is resolved at runtime from CPUID; tests pin a level with
+// force_level(). Both variants are bit-exact for any input — including odd
+// word counts that exercise the vector tails — which the kernel property
+// suite (tests/common/simd_kernels_test.cpp, against std::bitset and
+// sorted-vector oracles) and the registry-wide differential suite
 // (tests/conformance/simd_differential_test.cpp) lock down across every
 // selectable level.
 #pragma once
@@ -30,7 +30,6 @@ namespace tcast::simd {
 
 enum class Level : std::uint8_t {
   kPortable,  ///< auto-vectorization-friendly portable loops
-  kAVX2,      ///< x86 256-bit
   kAVX512,    ///< x86 512-bit (F + BW + VPOPCNTDQ)
 };
 
@@ -44,13 +43,11 @@ Level best_supported();
 std::vector<Level> supported_levels();
 
 /// The level the kernels currently dispatch to: the forced level if one is
-/// set, else the TCAST_SIMD environment override (when valid and
-/// supported), else best_supported().
+/// set, else best_supported().
 Level active_level();
 
 /// Forces dispatch to `level` (which must be supported — aborts otherwise;
-/// consult supported_levels() first). Test hook; also useful to pin a
-/// production binary to a known-good path. Not thread-safe against
+/// consult supported_levels() first). Test hook. Not thread-safe against
 /// concurrent kernel calls mid-switch: set it before fanning out work.
 void force_level(Level level);
 

@@ -7,6 +7,7 @@
 #include "analysis/bounds.hpp"
 #include "common/check.hpp"
 #include "core/sequential_baseline.hpp"
+#include "faults/faulty_channel.hpp"
 #include "group/exact_channel.hpp"
 
 namespace tcast::conformance {
@@ -15,8 +16,18 @@ namespace {
 // Seed-stream layout: every run of a scenario derives all randomness from
 // scenario.seed through fixed stream ids, so failures replay exactly.
 constexpr std::uint64_t kPositivesStream = 0;
-constexpr std::uint64_t kChannelStream = 1;   // capture + loss draws
+constexpr std::uint64_t kChannelStream = 1;   // capture draws
 constexpr std::uint64_t kAlgorithmStream = 2; // binning + sampling hints
+
+/// A lossy scenario's false negatives: an i.i.d. fault plan on the
+/// scenario's seed, drawn from the fault injector's private stream.
+faults::FaultPlan loss_plan(const Scenario& sc) {
+  faults::FaultPlan plan;
+  plan.process = faults::FaultPlan::LossProcess::kIid;
+  plan.loss = sc.loss_prob;
+  plan.seed = sc.seed;
+  return plan;
+}
 
 std::vector<bool> draw_positives(const Scenario& sc) {
   std::vector<bool> positive(sc.n, false);
@@ -89,10 +100,10 @@ ConformanceReport check_algorithm(const core::AlgorithmSpec& spec,
   group::ExactChannel exact(draw_positives(scenario), channel_rng, ecfg);
   const auto participants = exact.all_nodes();
 
-  std::optional<LossyChannel> lossy;
+  std::optional<faults::FaultyChannel> lossy;
   group::QueryChannel* inner = &exact;
   if (scenario.lossy()) {
-    lossy.emplace(exact, scenario.loss_prob, channel_rng);
+    lossy.emplace(exact, participants, loss_plan(scenario));
     inner = &*lossy;
   }
 
@@ -176,10 +187,10 @@ core::ThresholdOutcome run_relabeled(const core::AlgorithmSpec& spec,
   group::ExactChannel::Config ecfg;
   ecfg.model = sc.model;
   group::ExactChannel exact(std::move(positive), channel_rng, ecfg);
-  std::optional<LossyChannel> lossy;
+  std::optional<faults::FaultyChannel> lossy;
   group::QueryChannel* channel = &exact;
   if (sc.lossy()) {
-    lossy.emplace(exact, sc.loss_prob, channel_rng);
+    lossy.emplace(exact, participants, loss_plan(sc));
     channel = &*lossy;
   }
   return spec.run(*channel, participants, sc.t, algo_rng,
@@ -316,10 +327,10 @@ CountingReport check_counting_algorithm(const core::CountAlgorithmSpec& spec,
   group::ExactChannel exact(draw_positives(scenario), channel_rng, ecfg);
   const auto participants = exact.all_nodes();
 
-  std::optional<LossyChannel> lossy;
+  std::optional<faults::FaultyChannel> lossy;
   group::QueryChannel* inner = &exact;
   if (scenario.lossy()) {
-    lossy.emplace(exact, scenario.loss_prob, channel_rng);
+    lossy.emplace(exact, participants, loss_plan(scenario));
     inner = &*lossy;
   }
 
@@ -390,10 +401,10 @@ core::CountOutcome run_count_relabeled(const core::CountAlgorithmSpec& spec,
   group::ExactChannel::Config ecfg;
   ecfg.model = sc.model;
   group::ExactChannel exact(std::move(positive), channel_rng, ecfg);
-  std::optional<LossyChannel> lossy;
+  std::optional<faults::FaultyChannel> lossy;
   group::QueryChannel* channel = &exact;
   if (sc.lossy()) {
-    lossy.emplace(exact, sc.loss_prob, channel_rng);
+    lossy.emplace(exact, participants, loss_plan(sc));
     channel = &*lossy;
   }
   return spec.run(*channel, participants, algo_rng, {});

@@ -23,7 +23,8 @@ struct Scenario {
   core::BinOrdering ordering = core::BinOrdering::kNonEmptyFirst;
   core::BinningScheme scheme = core::BinningScheme::kRandomEqual;
   /// Probability that a truly non-empty bin reads as silence (the HACK
-  /// false-negative mechanism, abstracted). 0 = exact channel.
+  /// false-negative mechanism, abstracted), injected by a FaultyChannel
+  /// running an i.i.d. plan on `seed`. 0 = exact channel.
   double loss_prob = 0.0;
   std::uint64_t seed = 1;
 
@@ -51,56 +52,5 @@ struct Scenario {
 /// both collision models, both orderings/schemes, and — when `allow_lossy`
 /// — a false-negative rate up to 0.3.
 Scenario random_scenario(RngStream& rng, bool allow_lossy);
-
-/// LossyChannel: decorator injecting false negatives with probability
-/// `loss_prob` per query — a truly non-empty bin reads as silence, the way
-/// superposed-HACK reception fails on real motes. False positives are never
-/// injected (they are structurally impossible on every tier: silence cannot
-/// be manufactured into a reply). The oracle hook forwards, so instrumented
-/// layers above keep their ground-truth view.
-class LossyChannel final : public group::QueryChannel {
- public:
-  /// `rng` drives the loss draws and must outlive the channel.
-  LossyChannel(group::QueryChannel& inner, double loss_prob, RngStream& rng)
-      : QueryChannel(inner.model()),
-        inner_(&inner),
-        loss_prob_(loss_prob),
-        rng_(&rng) {}
-
-  std::size_t injected_losses() const { return injected_; }
-
-  bool lossy() const override { return loss_prob_ > 0.0 || inner_->lossy(); }
-
-  std::optional<std::size_t> oracle_positive_count(
-      std::span<const NodeId> nodes) const override {
-    return inner_->oracle_positive_count(nodes);
-  }
-
- protected:
-  void do_announce(const group::BinAssignment& a) override {
-    inner_->announce(a);
-  }
-  group::BinQueryResult do_query_bin(const group::BinAssignment& a,
-                                     std::size_t idx) override {
-    return maybe_drop(inner_->query_bin(a, idx));
-  }
-  group::BinQueryResult do_query_set(std::span<const NodeId> nodes) override {
-    return maybe_drop(inner_->query_set(nodes));
-  }
-
- private:
-  group::BinQueryResult maybe_drop(group::BinQueryResult r) {
-    if (r.nonempty() && rng_->bernoulli(loss_prob_)) {
-      ++injected_;
-      return group::BinQueryResult::empty();
-    }
-    return r;
-  }
-
-  group::QueryChannel* inner_;
-  double loss_prob_;
-  RngStream* rng_;
-  std::size_t injected_ = 0;
-};
 
 }  // namespace tcast::conformance

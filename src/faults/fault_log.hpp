@@ -4,8 +4,9 @@
 // fired, and the node involved when one is (crash/reboot, downgraded
 // capture). Logs compare bit-exactly, which is how the replay guarantee is
 // asserted: same FaultPlan + same run ⇒ identical FaultLog ⇒ identical
-// outcome. `to_string` renders the log for post-hoc blame (tcast_cli
-// --verbose).
+// outcome, and a FaultyChannel replaying the log as a FaultTrace logs it
+// again verbatim. `to_string` renders the log for post-hoc blame
+// (tcast_cli --verbose).
 #pragma once
 
 #include <cstddef>

@@ -7,9 +7,11 @@
 //   - recorded from any FaultyChannel run (`record`) — the channel's
 //     FaultLog *is* the schedule, since fault injection is a pure function
 //     of (plan, query index);
-//   - replayed verbatim through a TraceChannel, which consumes no RNG and
-//     reproduces the exact same sequence of injected faults on any inner
-//     channel — the replay half of the chaos engine's record/replay loop;
+//   - replayed verbatim by a FaultyChannel built from the trace, which
+//     consumes no RNG and reproduces the exact same sequence of injected
+//     faults on any inner channel — the replay half of the chaos engine's
+//     record/replay loop — and re-recorded from that channel by the same
+//     `record`;
 //   - round-tripped through a compact one-line spec (`to_spec`/`parse`),
 //     which is how the delta-debugging shrinker emits minimal reproducers
 //     and how regression tests pin them down.
@@ -40,12 +42,13 @@ class FaultyChannel;
 
 struct FaultTrace {
   std::vector<FaultEvent> events;
-  /// Whether the recording fault layer declared itself lossy(); replayed
-  /// TraceChannels report at least this.
+  /// Whether the recording fault layer declared itself lossy(); a
+  /// FaultyChannel replaying the trace reports at least this.
   bool lossy = false;
 
   /// Snapshots a FaultyChannel's injected-fault schedule (its FaultLog)
-  /// plus its lossy() claim. Record after the run completes.
+  /// plus its lossy() claim, whether it drew from a plan or replayed a
+  /// trace. Record after the run completes.
   static FaultTrace record(const FaultyChannel& channel);
 
   /// Parses the spec grammar above; nullopt on any malformed token,

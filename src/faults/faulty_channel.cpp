@@ -7,16 +7,36 @@ namespace tcast::faults {
 FaultyChannel::FaultyChannel(group::QueryChannel& inner,
                              std::span<const NodeId> participants,
                              FaultPlan plan)
+    : FaultyChannel(inner, participants, plan, {}, plan.lossy()) {}
+
+FaultyChannel::FaultyChannel(group::QueryChannel& inner,
+                             std::span<const NodeId> participants,
+                             const FaultTrace& trace)
+    : FaultyChannel(inner, participants, FaultPlan{}, trace.events,
+                    trace.lossy) {}
+
+FaultyChannel::FaultyChannel(group::QueryChannel& inner,
+                             std::span<const NodeId> participants,
+                             FaultPlan plan, std::vector<FaultEvent> script,
+                             bool lossy)
     : QueryChannel(inner.model()),
       inner_(&inner),
       ctrl_(inner.fault_control()),
       plan_(plan),
+      lossy_(lossy),
       rng_(plan.seed, /*stream=*/0xFA17ULL),  // fixed fault stream id
+      script_(std::move(script)),
       participants_(participants.begin(), participants.end()) {
+  std::stable_sort(script_.begin(), script_.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) {
+                     return a.at_query < b.at_query;
+                   });
   NodeId max_id = 0;
   for (const NodeId id : participants_) max_id = std::max(max_id, id);
-  crashed_.assign(static_cast<std::size_t>(max_id) + 1, 0);
-  reboot_due_.assign(crashed_.size(), 0);
+  state_.assign(static_cast<std::size_t>(max_id) + 1, NodeState::kAbsent);
+  for (const NodeId id : participants_)
+    state_[static_cast<std::size_t>(id)] = NodeState::kUp;
+  reboot_due_.assign(state_.size(), 0);
 }
 
 bool FaultyChannel::loss_draw() {
@@ -36,122 +56,151 @@ bool FaultyChannel::loss_draw() {
   return false;
 }
 
-void FaultyChannel::run_crash_schedule(QueryCount at) {
-  if (plan_.crash_rate <= 0.0) return;
-  if (plan_.reboot_after > 0 && crashed_count_ > 0) {
-    for (std::size_t idx = 0; idx < crashed_.size(); ++idx) {
-      if (crashed_[idx] && reboot_due_[idx] <= at) {
-        crashed_[idx] = 0;
-        --crashed_count_;
-        if (ctrl_) ctrl_->restore_node(static_cast<NodeId>(idx));
-        log_.record(FaultEvent::Kind::kReboot, at,
-                    static_cast<NodeId>(idx));
+void FaultyChannel::draw(QueryCount at) {
+  // Draws happen unconditionally (for each enabled fault class) and before
+  // the query, so the per-query RNG consumption is constant whatever the
+  // result or the tier.
+  if (plan_.crash_rate > 0.0) {
+    const auto rebooting = [&](std::size_t idx) {
+      return plan_.reboot_after > 0 && state_[idx] == NodeState::kDown &&
+             reboot_due_[idx] <= at;
+    };
+    for (std::size_t idx = 0; crashed_count_ > 0 && idx < state_.size(); ++idx)
+      if (rebooting(idx))
+        pending_.push_back(
+            {FaultEvent::Kind::kReboot, at, static_cast<NodeId>(idx)});
+    if (rng_.bernoulli(plan_.crash_rate)) {
+      // Uniform victim among the participants up once those reboots fire.
+      std::vector<NodeId> up;
+      up.reserve(participants_.size());
+      for (const NodeId id : participants_) {
+        const auto idx = static_cast<std::size_t>(id);
+        if (state_[idx] == NodeState::kUp || rebooting(idx)) up.push_back(id);
+      }
+      if (!up.empty()) {
+        const NodeId victim =
+            up[static_cast<std::size_t>(rng_.uniform_below(up.size()))];
+        if (plan_.reboot_after > 0)
+          reboot_due_[static_cast<std::size_t>(victim)] =
+              at + plan_.reboot_after;
+        pending_.push_back({FaultEvent::Kind::kCrash, at, victim});
       }
     }
   }
-  if (!rng_.bernoulli(plan_.crash_rate)) return;
-  if (crashed_count_ >= participants_.size()) return;
-  // Uniform victim among the currently-alive participants.
-  std::vector<NodeId> alive;
-  alive.reserve(participants_.size() - crashed_count_);
-  for (const NodeId id : participants_)
-    if (!crashed_[static_cast<std::size_t>(id)]) alive.push_back(id);
-  const NodeId victim =
-      alive[static_cast<std::size_t>(rng_.uniform_below(alive.size()))];
-  crashed_[static_cast<std::size_t>(victim)] = 1;
-  ++crashed_count_;
-  if (plan_.reboot_after > 0)
-    reboot_due_[static_cast<std::size_t>(victim)] = at + plan_.reboot_after;
-  if (ctrl_) ctrl_->fail_node(victim);
-  log_.record(FaultEvent::Kind::kCrash, at, victim);
+  if (loss_draw()) pending_.push_back({FaultEvent::Kind::kFalseEmpty, at});
+  if (plan_.capture_downgrade > 0.0 &&
+      rng_.bernoulli(plan_.capture_downgrade))
+    pending_.push_back({FaultEvent::Kind::kCaptureDowngrade, at});
+  if (plan_.spurious_activity > 0.0 &&
+      rng_.bernoulli(plan_.spurious_activity))
+    pending_.push_back({FaultEvent::Kind::kSpuriousActivity, at});
 }
 
-bool FaultyChannel::frame_level_loss(QueryCount at) {
-  if (!ctrl_ || plan_.process == FaultPlan::LossProcess::kNone) return false;
-  // Same draw, moved before the query: the fault stream is private, so the
-  // crash → loss → downgrade → spurious sequence is unchanged and the plan
-  // replays bit-identically whether or not the inner channel is frame-level.
-  if (loss_draw()) {
-    ctrl_->suppress_next_query();
-    // Logged unconditionally: at the frame level the loss *happened* (the
-    // initiator was deaf for the exchange) even if the bin was silent.
-    log_.record(FaultEvent::Kind::kFalseEmpty, at);
+void FaultyChannel::begin_query(QueryCount at) {
+  pending_.clear();
+  draw(at);
+  while (cursor_ < script_.size() && script_[cursor_].at_query < at)
+    ++cursor_;
+  for (; cursor_ < script_.size() && script_[cursor_].at_query == at;
+       ++cursor_)
+    pending_.push_back(script_[cursor_]);
+
+  for (const FaultEvent& e : pending_) {
+    switch (e.kind) {
+      case FaultEvent::Kind::kCrash:
+      case FaultEvent::Kind::kReboot: {
+        const auto idx = static_cast<std::size_t>(e.node);
+        if (idx >= state_.size() || state_[idx] == NodeState::kAbsent) break;
+        if (e.kind == FaultEvent::Kind::kCrash) {
+          if (state_[idx] == NodeState::kUp) ++crashed_count_;
+          state_[idx] = NodeState::kDown;
+          if (ctrl_) ctrl_->fail_node(e.node);
+        } else {
+          if (state_[idx] == NodeState::kDown) --crashed_count_;
+          state_[idx] = NodeState::kUp;
+          if (ctrl_) ctrl_->restore_node(e.node);
+        }
+        log_.record(e.kind, at, e.node);
+        break;
+      }
+      case FaultEvent::Kind::kFalseEmpty:
+        // Frame level: losses happen on the air, before the result exists.
+        // Logged unconditionally — the initiator was deaf for the exchange
+        // even if the bin was silent.
+        if (ctrl_) {
+          ctrl_->suppress_next_query();
+          log_.record(FaultEvent::Kind::kFalseEmpty, at);
+        }
+        break;
+      default:
+        break;  // result-rewriting events apply in end_query
+    }
   }
-  return true;
 }
 
-group::BinQueryResult FaultyChannel::corrupt(group::BinQueryResult r,
-                                             QueryCount at, bool skip_loss) {
-  // Draws happen unconditionally (for each enabled fault class) so the
-  // per-query RNG consumption is constant; application is sequential, so a
-  // lost reply plus interference legitimately reads as spurious activity.
-  const bool lost =
-      !skip_loss && plan_.process != FaultPlan::LossProcess::kNone
-          ? loss_draw()
-          : false;
-  const bool downgrade = plan_.capture_downgrade > 0.0
-                             ? rng_.bernoulli(plan_.capture_downgrade)
-                             : false;
-  const bool spurious = plan_.spurious_activity > 0.0
-                            ? rng_.bernoulli(plan_.spurious_activity)
-                            : false;
-  if (lost && r.nonempty()) {
-    log_.record(FaultEvent::Kind::kFalseEmpty, at);
-    r = group::BinQueryResult::empty();
-  }
-  if (downgrade && r.kind == group::BinQueryResult::Kind::kCaptured) {
-    log_.record(FaultEvent::Kind::kCaptureDowngrade, at, r.captured);
-    r = group::BinQueryResult::activity();
-  }
-  if (spurious && r.kind == group::BinQueryResult::Kind::kEmpty) {
-    log_.record(FaultEvent::Kind::kSpuriousActivity, at);
-    r = group::BinQueryResult::activity();
+group::BinQueryResult FaultyChannel::end_query(group::BinQueryResult r,
+                                               QueryCount at) {
+  // Sequential application, so a lost reply plus interference legitimately
+  // reads as spurious activity.
+  for (const FaultEvent& e : pending_) {
+    switch (e.kind) {
+      case FaultEvent::Kind::kFalseEmpty:
+        if (!ctrl_ && r.nonempty()) {
+          log_.record(FaultEvent::Kind::kFalseEmpty, at);
+          r = group::BinQueryResult::empty();
+        }
+        break;
+      case FaultEvent::Kind::kCaptureDowngrade:
+        if (r.kind == group::BinQueryResult::Kind::kCaptured) {
+          // Log the node actually captured in *this* run, which may differ
+          // from the recorded one when replaying on a different stack.
+          log_.record(FaultEvent::Kind::kCaptureDowngrade, at, r.captured);
+          r = group::BinQueryResult::activity();
+        }
+        break;
+      case FaultEvent::Kind::kSpuriousActivity:
+        if (r.kind == group::BinQueryResult::Kind::kEmpty) {
+          log_.record(FaultEvent::Kind::kSpuriousActivity, at);
+          r = group::BinQueryResult::activity();
+        }
+        break;
+      default:
+        break;  // crash/reboot applied in begin_query
+    }
   }
   return r;
+}
+
+bool FaultyChannel::filters(std::span<const NodeId> nodes) const {
+  return !ctrl_ && crashed_count_ > 0 &&
+         std::any_of(nodes.begin(), nodes.end(),
+                     [this](NodeId id) { return is_crashed(id); });
+}
+
+std::span<const NodeId> FaultyChannel::alive(std::span<const NodeId> nodes) {
+  alive_.clear();
+  for (const NodeId id : nodes)
+    if (!is_crashed(id)) alive_.push_back(id);
+  return alive_;
 }
 
 group::BinQueryResult FaultyChannel::do_query_bin(
     const group::BinAssignment& a, std::size_t idx) {
   const QueryCount at = queries_used() - 1;  // base class already counted us
-  run_crash_schedule(at);
-  const bool skip_loss = frame_level_loss(at);
-  group::BinQueryResult r;
+  begin_query(at);
   const auto bin = a.bin(idx);
-  const bool any_crashed =
-      !ctrl_ && crashed_count_ > 0 &&
-      std::any_of(bin.begin(), bin.end(),
-                  [this](NodeId id) { return is_crashed(id); });
-  if (any_crashed) {
-    // Query-layer crash semantics: a crashed mote is silent, so it is
-    // filtered out of the queried set. (Frame level: its radio is off —
-    // the inner channel enforces silence for us, no filtering.)
-    std::vector<NodeId> filtered;
-    filtered.reserve(bin.size());
-    for (const NodeId id : bin)
-      if (!is_crashed(id)) filtered.push_back(id);
-    r = inner_->query_set(filtered);
-  } else {
-    r = inner_->query_bin(a, idx);
-  }
-  return corrupt(r, at, skip_loss);
+  return end_query(filters(bin) ? inner_->query_set(alive(bin))
+                                : inner_->query_bin(a, idx),
+                   at);
 }
 
 group::BinQueryResult FaultyChannel::do_query_set(
     std::span<const NodeId> nodes) {
   const QueryCount at = queries_used() - 1;
-  run_crash_schedule(at);
-  const bool skip_loss = frame_level_loss(at);
-  group::BinQueryResult r;
-  if (!ctrl_ && crashed_count_ > 0) {
-    std::vector<NodeId> filtered;
-    filtered.reserve(nodes.size());
-    for (const NodeId id : nodes)
-      if (!is_crashed(id)) filtered.push_back(id);
-    r = inner_->query_set(filtered);
-  } else {
-    r = inner_->query_set(nodes);
-  }
-  return corrupt(r, at, skip_loss);
+  begin_query(at);
+  return end_query(filters(nodes) ? inner_->query_set(alive(nodes))
+                                  : inner_->query_set(nodes),
+                   at);
 }
 
 }  // namespace tcast::faults

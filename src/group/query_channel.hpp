@@ -47,9 +47,9 @@ struct BinQueryResult {
 };
 
 /// Frame-level fault hooks a packet-tier channel may expose (see
-/// faults/FaultyChannel and faults/TraceChannel). Where the abstract tier
-/// injects faults at query granularity, a channel implementing this
-/// interface takes them below the query layer, onto the sim clock: a failed
+/// faults/FaultyChannel). Where the abstract tier injects faults at query
+/// granularity, a channel implementing this interface takes them below the
+/// query layer, onto the sim clock: a failed
 /// node powers its radio off mid-exchange (it hears the poll, then dies
 /// before its HACK/reply fires) and a suppressed query loses every reply at
 /// the initiator's antenna. Faults scheduled here affect only radio state,

@@ -61,7 +61,7 @@ class Radio {
   /// bookkeeping) but drops every delivery and activity indication at the
   /// antenna. Unlike power_off this consumes no RNG and perturbs nothing at
   /// the channel level, which is what makes frame-level false-empty faults
-  /// replay bit-identically (faults/TraceChannel).
+  /// replay bit-identically (faults/FaultyChannel).
   void set_deaf(bool deaf) { deaf_ = deaf; }
   bool deaf() const { return deaf_; }
 

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/ddmin.hpp"
 #include "common/rng.hpp"
 #include "conformance/count_monitor.hpp"
 
@@ -440,29 +441,7 @@ std::vector<ServiceOp> shrink_service_ops(
     std::vector<ServiceOp> ops,
     const std::function<bool(std::span<const ServiceOp>)>& failing) {
   if (ops.empty() || !failing(ops)) return ops;
-  std::size_t granularity = 2;
-  while (ops.size() >= 2) {
-    const std::size_t chunk = (ops.size() + granularity - 1) / granularity;
-    bool reduced = false;
-    for (std::size_t start = 0; start < ops.size(); start += chunk) {
-      std::vector<ServiceOp> candidate;
-      candidate.reserve(ops.size());
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        if (i < start || i >= start + chunk) candidate.push_back(ops[i]);
-      }
-      if (!candidate.empty() && failing(candidate)) {
-        ops = std::move(candidate);
-        granularity = std::max<std::size_t>(granularity - 1, 2);
-        reduced = true;
-        break;
-      }
-    }
-    if (!reduced) {
-      if (granularity >= ops.size()) break;
-      granularity = std::min(ops.size(), granularity * 2);
-    }
-  }
-  return ops;
+  return ddmin(std::move(ops), failing);
 }
 
 ServiceCampaignResult run_service_campaign(const ServiceCampaignConfig& cfg) {

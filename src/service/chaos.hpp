@@ -18,9 +18,9 @@
 //
 // A campaign is a pure function of its seed: ops are pre-generated, time
 // is a ManualClock the ops advance, so a failing seed replays exactly.
-// Failing op lists shrink with the same ddmin idea as chaos::shrink, but
-// over service ops (that shrinker is FaultTrace-specific); ops serialize
-// to a line-based text trace so CI can upload minimized reproducers.
+// Failing op lists shrink with the same ddmin (common/ddmin.hpp) as
+// chaos::shrink; ops serialize to a line-based text trace so CI can upload
+// minimized reproducers.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +112,8 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
                                       const ServiceCampaignConfig& cfg);
 
 /// ddmin over op lists: smallest subsequence (locally minimal) for which
-/// `failing` still returns true. `failing(ops)` must be deterministic.
+/// `failing` still returns true; an input that does not fail comes back
+/// unchanged. `failing(ops)` must be deterministic.
 std::vector<ServiceOp> shrink_service_ops(
     std::vector<ServiceOp> ops,
     const std::function<bool(std::span<const ServiceOp>)>& failing);

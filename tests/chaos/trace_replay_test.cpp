@@ -1,9 +1,9 @@
 // Record/replay fidelity: the tentpole guarantee that a FaultTrace
 // recorded from a live FaultyChannel run replays bit-identically through a
-// TraceChannel — same outcome, query count, fault log, and next raw RNG
-// word — on the exact tier, on the packet tier (where the same trace
-// drives frame-level crash/reboot/loss), and across tiers for crash
-// schedules.
+// FaultyChannel built from the trace — same outcome, query count, fault
+// log, and next raw RNG word — on the exact tier, on the packet tier
+// (where the same trace drives frame-level crash/reboot/loss), and across
+// tiers for crash schedules.
 #include <gtest/gtest.h>
 
 #include "chaos/chaos_engine.hpp"
@@ -111,6 +111,30 @@ TEST(TraceReplay, CrashTraceReplaysIdenticalVerdictAcrossTiers) {
     EXPECT_EQ(exact_replay.outcome.queries, packet_replay.outcome.queries)
         << "seed " << seed;
     EXPECT_EQ(exact_replay.trace, packet_replay.trace) << "seed " << seed;
+  }
+}
+
+TEST(TraceReplay, EventsNamingNonParticipantsAreIgnored) {
+  // Hand-edited traces may name a node outside the world. Such a crash or
+  // reboot is neither applied nor logged, on either tier: the replay equals
+  // one of the bare lossy=1 trace.
+  for (const Tier tier : {Tier::kExact, Tier::kPacket}) {
+    ChaosScenario sc;
+    sc.algorithm = "2tbins";
+    sc.n = 8;
+    sc.x = 4;
+    sc.t = 3;
+    sc.tier = tier;
+    sc.seed = 2;
+    const auto bare =
+        replay_session(sc, *faults::FaultTrace::parse("lossy=1"));
+    for (const char* spec : {"lossy=1,0:cr:99", "lossy=1,0:rb:99"}) {
+      const auto rep = replay_session(sc, *faults::FaultTrace::parse(spec));
+      EXPECT_TRUE(rep.trace.events.empty()) << to_string(tier) << " " << spec;
+      EXPECT_EQ(rep.outcome.decision, bare.outcome.decision);
+      EXPECT_EQ(rep.outcome.queries, bare.outcome.queries);
+      EXPECT_EQ(rep.algo_rng_probe, bare.algo_rng_probe);
+    }
   }
 }
 

@@ -33,7 +33,7 @@ class ForcedLevel {
 };
 
 // Word counts that straddle every vector geometry in play: 0; scalar-only
-// tails; exactly one AVX2 block (4) and one AVX-512 block (8) with ±1
+// tails; exactly one 256-bit block (4) and one AVX-512 block (8) with ±1
 // neighbours; and multi-block spans with and without tails.
 const std::size_t kWordCounts[] = {0,  1,  2,  3,  4,  5,  7,  8,
                                    9,  15, 16, 17, 24, 31, 32, 33};

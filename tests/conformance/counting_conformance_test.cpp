@@ -15,6 +15,7 @@
 
 #include "conformance/count_monitor.hpp"
 #include "conformance/harness.hpp"
+#include "faults/faulty_channel.hpp"
 #include "group/exact_channel.hpp"
 
 namespace tcast::conformance {
@@ -66,7 +67,8 @@ TEST(CountingConformance, AdaptersAgreeWithDirectAlgorithmsCleanChannels) {
 TEST(CountingConformance, CheckedChannelRefusesExactnessClaimsUnderLoss) {
   RngStream rng(0xc044);
   auto exact = group::ExactChannel::with_random_positives(16, 4, rng);
-  LossyChannel lossy(exact, 0.2, rng);
+  faults::FaultyChannel lossy(exact, exact.all_nodes(),
+                              *faults::FaultPlan::parse("iid=0.2"));
   CheckedChannel::Config cfg;
   cfg.exact_semantics = false;
   cfg.two_plus_activity_counts_two = false;

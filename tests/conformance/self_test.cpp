@@ -168,9 +168,9 @@ TEST(ConformanceSelfTest, CatchesLyingChannels) {
 // A channel that declares lossy(); configuring the ≥2-activity inference
 // on it is itself a conformance violation — the engine's soundness gate
 // should have cleared the bit before the run ever started.
-class DeclaredLossyChannel final : public group::QueryChannel {
+class LossDeclaringChannel final : public group::QueryChannel {
  public:
-  explicit DeclaredLossyChannel(group::ExactChannel& truth)
+  explicit LossDeclaringChannel(group::ExactChannel& truth)
       : QueryChannel(truth.model()), truth_(&truth) {}
 
   bool lossy() const override { return true; }
@@ -189,13 +189,13 @@ class DeclaredLossyChannel final : public group::QueryChannel {
   group::ExactChannel* truth_;
 };
 
-TEST(ConformanceSelfTest, CatchesCountsTwoClaimedOnLossyChannels) {
+TEST(ConformanceSelfTest, CatchesCountsTwoClaimedUnderLoss) {
   RngStream rng(13, 0);
   group::ExactChannel::Config ecfg;
   ecfg.model = group::CollisionModel::kTwoPlus;
   auto exact =
       group::ExactChannel::with_random_positives(10, 6, rng, ecfg);
-  DeclaredLossyChannel lossy(exact);
+  LossDeclaringChannel lossy(exact);
 
   CheckedChannel::Config ccfg;
   ccfg.exact_semantics = false;

@@ -7,7 +7,6 @@
 
 #include "core/registry.hpp"
 #include "faults/faulty_channel.hpp"
-#include "faults/trace_channel.hpp"
 #include "group/exact_channel.hpp"
 
 namespace tcast::faults {
@@ -207,7 +206,7 @@ TEST(FaultyChannel, RebootFiresExactlyAtRebootAfter) {
   }
 }
 
-TEST(TraceChannel, CrashOfJustCapturedNodeSilencesIt) {
+TEST(FaultyChannel, ReplayedCrashOfJustCapturedNodeSilencesIt) {
   // Boundary: the node captured at query q crashes at query q+1. The
   // capture already confirmed it; the crash must only silence it from
   // later queries, not resurrect or double-count it.
@@ -216,7 +215,7 @@ TEST(TraceChannel, CrashOfJustCapturedNodeSilencesIt) {
                           group::CollisionModel::kTwoPlus);
   const auto nodes = exact.all_nodes();
   const auto trace = *FaultTrace::parse("lossy=1,1:cr:2");
-  TraceChannel traced(exact, trace);
+  FaultyChannel traced(exact, nodes, trace);
   const auto first = traced.query_set(nodes);  // q0: lone positive captured
   ASSERT_EQ(first.kind, group::BinQueryResult::Kind::kCaptured);
   EXPECT_EQ(first.captured, NodeId{2});

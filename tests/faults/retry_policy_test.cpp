@@ -114,7 +114,7 @@ class AlwaysActivityChannel final : public group::QueryChannel {
   bool lossy_;
 };
 
-TEST(RetryPolicy, SoundnessGateDisablesActivityCountsTwoOnLossyChannels) {
+TEST(RetryPolicy, SoundnessGateDisablesActivityCountsTwoUnderLoss) {
   const auto* spec = find_algorithm("2tbins");
   ASSERT_NE(spec, nullptr);
   const std::vector<NodeId> nodes = {0, 1, 2, 3, 4, 5, 6, 7};

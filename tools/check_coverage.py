@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Line-coverage gate for the core libraries, built on bare gcov.
+"""Line-coverage gate for the core and fault libraries, built on bare gcov.
 
 Walks a build tree for .gcda files, runs `gcov --json-format --stdout` on
-each, and aggregates executable/executed line counts per source file. Two
-subjects are gated: src/common and src/core. Their combined line coverage
-must not drop below the committed baseline (tools/coverage_baseline.json)
-by more than --tolerance; a run that *gains* coverage prints a hint to
-re-record the baseline but never fails.
+each, and aggregates executable/executed line counts per source file. The
+gated subjects are the directories in GATED_PREFIXES. Their combined line
+coverage must not drop below the committed baseline
+(tools/coverage_baseline.json) by more than --tolerance; a run that *gains*
+coverage prints a hint to re-record the baseline but never fails.
 
 No gcovr/lcov dependency — CI containers only carry the compiler, and
 gcov's JSON mode (GCC ≥ 9) has everything a line gate needs. Also emits a
@@ -28,7 +28,8 @@ import subprocess
 import sys
 
 # Repo-relative directory prefixes whose combined line coverage is gated.
-GATED_PREFIXES = ("src/common/", "src/core/")
+GATED_PREFIXES = ("src/common/", "src/core/", "src/faults/", "src/chaos/")
+GATED_LABEL = " + ".join(p.rstrip("/") for p in GATED_PREFIXES)
 
 
 def find_gcda(build_dir):
@@ -144,7 +145,7 @@ def render_html(per_file, gated_covered, gated_total, out_path):
  .headline {{ font-size: 1.2em; margin-bottom: 1em; }}
 </style></head><body>
 <h1>tcast line coverage</h1>
-<p class="headline">Gated subjects (src/common + src/core, marked *):
+<p class="headline">Gated subjects ({GATED_LABEL}, marked *):
 <b>{gated_covered}/{gated_total} lines
 ({pct(gated_covered, gated_total):.2f}%)</b></p>
 <table><tr><th>source</th><th>lines</th><th>coverage</th></tr>
@@ -186,7 +187,7 @@ def main(argv=None):
                          f"({', '.join(GATED_PREFIXES)}) in the gcov output")
 
     fraction = gated_covered / gated_total
-    print(f"check_coverage: src/common + src/core line coverage "
+    print(f"check_coverage: {GATED_LABEL} line coverage "
           f"{gated_covered}/{gated_total} = {fraction:.2%}")
 
     if args.html_out:

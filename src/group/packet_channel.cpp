@@ -134,8 +134,13 @@ void PacketChannel::ensure_announced(
 }
 
 void PacketChannel::do_announce(const BinAssignment& a) {
+  // The assignment announced last is not serialised again (every assign_*
+  // bumps version()); a new version is, and is re-broadcast only if its
+  // wire differs, so an identical re-binning still costs no announcement.
+  if (a.version() != 0 && a.version() == announced_version_) return;
   a.to_wire_into(positive_.size(), scratch_wire_);
   ensure_announced(scratch_wire_);
+  announced_version_ = a.version();
 }
 
 void PacketChannel::fail_node(NodeId id) {
@@ -150,6 +155,7 @@ void PacketChannel::restore_node(NodeId id) {
   // re-arms. Announcements are free in the paper's cost model, so query
   // accounting is unchanged.
   announced_wire_.clear();
+  announced_version_ = 0;
 }
 
 void PacketChannel::suppress_next_query() { suppress_query_ = true; }
@@ -242,8 +248,7 @@ bool PacketChannel::lossy() const {
 
 BinQueryResult PacketChannel::do_query_bin(const BinAssignment& a,
                                            std::size_t idx) {
-  a.to_wire_into(positive_.size(), scratch_wire_);
-  ensure_announced(scratch_wire_);
+  do_announce(a);
   if (!suppress_query_) return poll(static_cast<std::uint16_t>(idx));
   // Frame-level false-empty: the initiator is deaf for this one query's
   // exchange (re-polls included) — every reply is lost at its antenna.
@@ -260,6 +265,7 @@ BinQueryResult PacketChannel::do_query_set(std::span<const NodeId> nodes) {
   for (const NodeId id : nodes)
     scratch_wire_.at(static_cast<std::size_t>(id)) = 0;
   ensure_announced(scratch_wire_);
+  announced_version_ = 0;  // the announced wire is no assignment's
   if (!suppress_query_) return poll(0);
   suppress_query_ = false;
   initiator_radio_->set_deaf(true);

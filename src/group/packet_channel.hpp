@@ -132,6 +132,8 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
   std::unique_ptr<radio::InterferenceSource> interference_;
   std::vector<std::unique_ptr<Participant>> participants_;
   std::vector<std::uint16_t> announced_wire_;
+  /// BinAssignment::version() whose wire is announced_wire_; 0 = none.
+  std::uint64_t announced_version_ = 0;
   /// Per-poll wire scratch: do_query_bin/do_query_set serialise the bin
   /// structure here instead of allocating a fresh vector per query.
   std::vector<std::uint16_t> scratch_wire_;

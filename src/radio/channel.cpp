@@ -1,6 +1,7 @@
 #include "radio/channel.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/check.hpp"
 #include "radio/radio.hpp"
@@ -13,18 +14,21 @@ Channel::Channel(sim::Simulator& simulator, ChannelConfig cfg)
 }
 
 void Channel::attach(Radio& r) {
-  TCAST_CHECK(std::find(radios_.begin(), radios_.end(), &r) == radios_.end());
-  radios_.push_back(&r);
-  receptions_.emplace_back(&r, Reception{});
+  TCAST_CHECK(slot_of(r) == slots_.end());
+  slots_.push_back(Slot{.radio = &r});
 }
 
 void Channel::detach(Radio& r) {
-  std::erase(radios_, &r);
-  for (auto& [radio, rec] : receptions_)
-    if (radio == &r)
-      for (Tx* t : rec.frames) release_tx(t);
-  std::erase_if(receptions_,
-                [&r](const auto& entry) { return entry.first == &r; });
+  const auto it = slot_of(r);
+  if (it == slots_.end()) return;
+  if (it->on_air > 0) --open_;
+  slots_.erase(it);
+}
+
+std::vector<Channel::Slot>::const_iterator Channel::slot_of(
+    const Radio& r) const {
+  return std::find_if(slots_.begin(), slots_.end(),
+                      [&r](const Slot& s) { return s.radio == &r; });
 }
 
 Channel::Tx* Channel::acquire_tx() {
@@ -40,13 +44,6 @@ void Channel::release_tx(Tx* tx) {
   if (--tx->refs == 0) tx_free_.push_back(tx);
 }
 
-Channel::Reception& Channel::reception(Radio& r) {
-  for (auto& [radio, rec] : receptions_)
-    if (radio == &r) return rec;
-  TCAST_CHECK_MSG(false, "radio is not attached to this channel");
-  return receptions_.front().second;  // unreachable
-}
-
 bool Channel::in_range(const Radio& a, const Radio& b) const {
   if (cfg_.range <= 0.0) return true;
   const double dx = a.pos_x() - b.pos_x();
@@ -55,9 +52,8 @@ bool Channel::in_range(const Radio& a, const Radio& b) const {
 }
 
 bool Channel::busy_near(const Radio& listener) const {
-  for (const auto& [radio, rec] : receptions_)
-    if (radio == &listener) return rec.on_air > 0;
-  return false;
+  const auto it = slot_of(listener);
+  return it != slots_.end() && it->on_air > 0;
 }
 
 bool Channel::tx_audible(const Tx& tx, const Radio& r) const {
@@ -90,25 +86,26 @@ void Channel::launch(Tx* tx) {
   const SimTime now = sim_->now();
   tx->start = now;
   tx->end = now + airtime(tx->frame);
-  tx->refs = 1;  // the pending end event
+  tx->refs = 2;  // the pending end event and the log entry
   ++active_;
+  const std::uint64_t pos = log_base_ + log_.size();
+  log_.push_back(tx);
   // Fold the frame into the busy period of every radio that can hear it.
-  for (auto& [radio, rec] : receptions_) {
-    if (radio == tx->sender) {
+  for (Slot& s : slots_) {
+    if (s.radio == tx->sender) {
       // A transmitter talking into its own open period corrupts it.
-      if (rec.on_air > 0) rec.sent_own = true;
+      if (s.on_air > 0) s.sent_own = true;
       continue;
     }
-    if (!tx_audible(*tx, *radio)) continue;
-    if (rec.on_air == 0 && rec.frames.empty()) {
-      rec.start = now;
-      rec.sent_own = radio->transmitting();
-    } else if (radio->transmitting()) {
-      rec.sent_own = true;
+    if (!tx_audible(*tx, *s.radio)) continue;
+    if (s.on_air++ == 0) {
+      ++open_;
+      s.start = now;
+      s.first = pos;
+      s.sent_own = s.radio->transmitting();
+    } else if (s.radio->transmitting()) {
+      s.sent_own = true;
     }
-    rec.frames.push_back(tx);
-    ++tx->refs;
-    ++rec.on_air;
   }
   // [this, tx] fits std::function's inline buffer — a by-value Tx (or a
   // shared_ptr) would cost one heap closure per transmission.
@@ -120,66 +117,110 @@ void Channel::on_transmission_end(Tx* tx) {
   --active_;
   if (active_ == 0) ++clusters_resolved_;  // a global busy period drained
   if (tx->sender != nullptr) tx->sender->channel_tx_done();
-  for (auto& [radio, rec] : receptions_) {
-    if (radio == tx->sender || !tx_audible(*tx, *radio)) continue;
-    TCAST_CHECK(rec.on_air > 0);
-    --rec.on_air;
-    if (rec.on_air == 0) {
-      // Swap the drained period out before resolving (delivery handlers may
-      // transmit and open a fresh period on this very radio), then park the
-      // frame vector in the spare so the next period reuses its capacity.
-      Reception finished = std::move(spare_rec_);
-      std::swap(finished, rec);
-      resolve_reception(*radio, finished);
-      for (Tx* t : finished.frames) release_tx(t);
-      finished.frames.clear();
-      finished.start = 0;
-      finished.on_air = 0;
-      finished.sent_own = false;
-      spare_rec_ = std::move(finished);
+  const SimTime now = sim_->now();
+  // Receivers draw from a register copy of the simulator's stream, synced
+  // around every call out of the channel: handlers and the capture model
+  // draw from the stream too.
+  RngStream& stream = sim_->rng();
+  RngStream rng = stream;
+  const auto call_out = [&](auto&& fn) {
+    stream = rng;
+    fn();
+    rng = stream;
+  };
+  // By index over the radios attached now: a handler may attach another.
+  for (std::size_t i = 0, n = slots_.size(); i < n; ++i) {
+    Slot& s = slots_[i];
+    if (s.radio == tx->sender || !tx_audible(*tx, *s.radio)) continue;
+    TCAST_CHECK(s.on_air > 0);
+    if (--s.on_air > 0) continue;
+    // The period is closed (on_air == 0) before it is resolved: a handler
+    // may transmit and reopen this very slot, so work from a copy.
+    --open_;
+    const Slot period = s;
+    Radio& r = *period.radio;
+    if (r.state() != RadioState::kRx) continue;  // off or mid-transmission
+    if (!r.deaf() && r.has_activity_handler())
+      call_out([&] { r.channel_activity(period.start, now); });
+    if (period.sent_own) continue;  // half-duplex: sensed energy only
+
+    // With infinite range every receiver that did not transmit into the
+    // window hears all of it: reuse the summary of the same log positions.
+    const std::uint64_t end = log_base_ + log_.size();
+    const Window& w = cfg_.range <= 0.0 && cached_.first == period.first &&
+                              cached_.end == end
+                          ? cached_
+                          : summarize(r, period.first, end);
+    const Frame* heard = w.front;
+    const bool collision = !w.identical_hacks && w.k > 1;
+    if (!collision) {
+      // A lone frame, or k identical HACKs superposed: one draw decides.
+      if (rng.bernoulli(w.loss)) continue;
+    } else {
+      // Destructive collision of distinct frames: the capture effect may
+      // hand the receiver one of them.
+      std::optional<std::size_t> idx;
+      call_out([&] { idx = cfg_.capture->captured_index(w.k, stream); });
+      if (!idx) continue;
+      heard = &window_frame(r, period.first, *idx);
     }
+    if (r.state() != RadioState::kRx || r.deaf() ||
+        !r.address_accepts(*heard))
+      continue;
+    const RxInfo info{.superposed = collision ? 1 : w.k,
+                      .contenders = w.k,
+                      .captured = collision,
+                      .start = period.start,
+                      .end = now};
+    call_out([&] { r.channel_deliver(*heard, info); });
   }
+  stream = rng;
   release_tx(tx);
+  trim_log();
 }
 
-void Channel::resolve_reception(Radio& r, Reception& rec) {
-  if (rec.frames.empty()) return;
-  if (r.state() != RadioState::kRx) return;  // off or mid-transmission
-  const SimTime end = sim_->now();
-  r.channel_activity(rec.start, end);
-  if (rec.sent_own) return;  // half-duplex: sensed energy, decoded nothing
-
-  const std::size_t k = rec.frames.size();
-  RngStream& rng = sim_->rng();
-  const bool all_identical_hacks =
-      std::all_of(rec.frames.begin(), rec.frames.end(), [&](const Tx* tx) {
-        return hacks_identical(tx->frame, rec.frames.front()->frame);
-      });
-  if (all_identical_hacks && k > 1) {
-    if (cfg_.hack.decodes(k, rng)) {
-      RxInfo info{.superposed = k, .contenders = k, .captured = false,
-                  .start = rec.start, .end = end};
-      r.channel_deliver(rec.frames.front()->frame, info);
-    }
-  } else if (k == 1) {
-    const Frame& frame = rec.frames.front()->frame;
-    const bool is_hack = frame.type == FrameType::kHack;
-    const bool lost = is_hack ? !cfg_.hack.decodes(1, rng)
-                              : rng.bernoulli(cfg_.clean_loss);
-    if (!lost) {
-      RxInfo info{.superposed = 1, .contenders = 1, .captured = false,
-                  .start = rec.start, .end = end};
-      r.channel_deliver(frame, info);
-    }
-  } else {
-    // Destructive collision of distinct frames: capture effect may hand the
-    // receiver one of them.
-    if (const auto idx = cfg_.capture->captured_index(k, rng)) {
-      RxInfo info{.superposed = 1, .contenders = k, .captured = true,
-                  .start = rec.start, .end = end};
-      r.channel_deliver(rec.frames[*idx]->frame, info);
+const Channel::Window& Channel::summarize(const Radio& r, std::uint64_t first,
+                                          std::uint64_t end) {
+  cached_ = Window{.first = first, .end = end};
+  for (std::uint64_t p = first; p < end; ++p) {
+    const Tx& t = *log_[p - log_base_];
+    if (t.sender == &r || !tx_audible(t, r)) continue;
+    if (cached_.k++ == 0) {
+      cached_.front = &t.frame;
+      cached_.identical_hacks = t.frame.type == FrameType::kHack;
+    } else if (!hacks_identical(t.frame, *cached_.front)) {
+      cached_.identical_hacks = false;
     }
   }
+  TCAST_CHECK(cached_.k > 0);  // the opening frame is always heard
+  cached_.loss = cached_.identical_hacks
+                     ? cfg_.hack.miss_probability(cached_.k)
+                     : cfg_.clean_loss;
+  return cached_;
+}
+
+const Frame& Channel::window_frame(const Radio& r, std::uint64_t first,
+                                   std::size_t index) const {
+  for (std::uint64_t p = first;; ++p) {
+    const Tx& t = *log_[p - log_base_];
+    if (t.sender == &r || !tx_audible(t, r)) continue;
+    if (index-- == 0) return t.frame;
+  }
+}
+
+void Channel::trim_log() {
+  std::uint64_t keep_from = log_base_ + log_.size();
+  if (open_ > 0) {
+    // Partial trims scan every slot; do one only when the log has doubled.
+    if (log_.size() < trim_at_) return;
+    for (const Slot& s : slots_)
+      if (s.on_air > 0) keep_from = std::min(keep_from, s.first);
+  }
+  const auto drop = static_cast<std::size_t>(keep_from - log_base_);
+  for (std::size_t i = 0; i < drop; ++i) release_tx(log_[i]);
+  log_.erase(log_.begin(), log_.begin() + static_cast<std::ptrdiff_t>(drop));
+  log_base_ = keep_from;
+  trim_at_ = std::max(kMinTrim, 2 * log_.size());
 }
 
 }  // namespace tcast::radio

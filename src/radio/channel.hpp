@@ -2,7 +2,7 @@
 //
 // Reception is resolved per receiver over its *busy period*: the maximal
 // interval of continuous audible energy at that radio. When a busy period
-// drains, the audible frames it accumulated are adjudicated:
+// drains, the audible frames it accumulated (its *window*) are adjudicated:
 //
 //   1 frame                → clean delivery (subject to i.i.d. link loss;
 //                            a lone HACK passes the HACK-miss model)
@@ -16,6 +16,33 @@
 // signal pollcast's receiver-side collision detection is built on. A radio
 // that transmitted during the period senses energy but decodes nothing
 // (half-duplex).
+//
+// Draw-order contract. Every simulated output rests on the order in which
+// receivers consume the simulator's one RNG stream
+// (tests/radio/channel_contract_test.cpp pins it):
+//   1. receivers drain in attach order;
+//   2. a draining receiver in kRx raises activity first;
+//   3. unless it transmitted during its period, it then makes exactly one
+//      bernoulli draw for a lone frame or k identical HACKs (deaf radios and
+//      radios whose address filter rejects the frame draw too), or the
+//      capture model's own draws for k distinct frames;
+//   4. its delivery happens before the next receiver draws, because
+//      handlers may draw from the RNG or transmit synchronously;
+//   5. a frame launched mid-drain joins the period of every receiver that
+//      has not drained yet.
+//
+// Bookkeeping. Frames go into one shared log of the busy period in launch
+// order; each attached radio owns one slot holding where its period opened
+// in that log, how many audible foreign frames are still on the air, and
+// whether it transmitted meanwhile. A receiver's window is the log from its
+// opening frame to the drain, less frames it cannot hear or sent itself.
+// With infinite range a receiver that did not transmit hears every one of
+// those frames, so receivers draining together share one window: its
+// summary (frame count, identical-HACK flag, loss probability) is computed
+// once and reused, and each of them costs one RNG draw, made on a register
+// copy of the stream that is synced only around calls out of the channel.
+// The log keeps only what open periods still reference, so it stays
+// bounded even when the medium never goes idle.
 //
 // With the default infinite range all radios share every busy period — the
 // paper's singlehop model. A finite unit-disk `range` makes audibility,
@@ -126,45 +153,71 @@ class Channel {
     double y = 0.0;
     SimTime start = 0;
     SimTime end = 0;
-    std::uint32_t refs = 0;  ///< pending end event + receptions holding it
+    std::uint32_t refs = 0;  ///< pending end event + the log entry
   };
 
-  /// Per-receiver busy-period state.
-  struct Reception {
-    SimTime start = 0;
-    std::size_t on_air = 0;   ///< audible foreign frames still transmitting
-    bool sent_own = false;    ///< this radio transmitted during the period
-    std::vector<Tx*> frames;  ///< pool-owned; ref-held until resolved
+  /// One attached radio and its busy period, open while on_air > 0.
+  struct Slot {
+    Radio* radio = nullptr;
+    SimTime start = 0;         ///< when the period began
+    std::uint64_t first = 0;   ///< log position of the frame that opened it
+    std::uint32_t on_air = 0;  ///< audible foreign frames still transmitting
+    bool sent_own = false;     ///< this radio transmitted during the period
+  };
+
+  /// What a drained window holds, as far as reception is concerned.
+  struct Window {
+    std::uint64_t first = 0;        ///< log positions [first, end)
+    std::uint64_t end = 0;
+    std::size_t k = 0;              ///< frames the receiver heard
+    bool identical_hacks = false;   ///< all k are one HACK, superposed
+    double loss = 0.0;              ///< P(lost) unless a capture decides
+    const Frame* front = nullptr;   ///< the first frame heard
   };
 
   Tx* acquire_tx();
   void release_tx(Tx* tx);
-  /// Folds a prepared Tx (sender/frame/position set) into every audible
-  /// busy period and schedules its end. Shared by local and ghost paths.
+  /// Appends a prepared Tx (sender/frame/position set) to the log, folds it
+  /// into every audible busy period and schedules its end. Shared by local
+  /// and ghost paths.
   void launch(Tx* tx);
   bool tx_audible(const Tx& tx, const Radio& r) const;
   void on_transmission_end(Tx* tx);
-  void resolve_reception(Radio& r, Reception& rec);
+  /// Summarises the window of log positions [first, end) as `r` heard it
+  /// into cached_.
+  const Window& summarize(const Radio& r, std::uint64_t first,
+                          std::uint64_t end);
+  /// The `index`-th frame of that window (capture's pick).
+  const Frame& window_frame(const Radio& r, std::uint64_t first,
+                            std::size_t index) const;
+  /// Drops log entries no open period can reference any more.
+  void trim_log();
 
   sim::Simulator* sim_;
   ChannelConfig cfg_;
   TxTap tx_tap_;
-  std::vector<Radio*> radios_;
-  std::vector<std::pair<Radio*, Reception>> receptions_;  ///< by attach order
-  std::size_t active_ = 0;  ///< transmissions on the air anywhere
+  std::vector<Slot> slots_;  ///< one per attached radio, in attach order
+  std::size_t open_ = 0;     ///< slots with an open busy period
+  std::size_t active_ = 0;   ///< transmissions on the air anywhere
   std::uint64_t clusters_resolved_ = 0;
+
+  // The busy-period log: log_[i] is at log position log_base_ + i.
+  // Positions are never reused, so (first, end) names a window for good.
+  static constexpr std::size_t kMinTrim = 64;
+  std::vector<Tx*> log_;
+  std::uint64_t log_base_ = 0;
+  std::size_t trim_at_ = kMinTrim;  ///< log size that triggers a partial trim
+  Window cached_;  ///< the last window summarised
 
   // Transmission pool: Tx objects (and their frames' payload capacity) are
   // recycled through a free list instead of allocated per transmission, and
-  // a drained busy period parks its frame vector in `spare_rec_` so the
-  // next period reuses the capacity. Together with the event queue's slot
-  // pool this keeps the steady-state poll exchange heap-silent — audited
-  // by tests/perf/alloc_audit_test.cpp.
+  // the log keeps its capacity. Together with the event queue's slot pool
+  // this keeps the steady-state poll exchange heap-silent — audited by
+  // tests/perf/alloc_audit_test.cpp.
   std::vector<std::unique_ptr<Tx>> tx_pool_;
   std::vector<Tx*> tx_free_;
-  Reception spare_rec_;
 
-  Reception& reception(Radio& r);
+  std::vector<Slot>::const_iterator slot_of(const Radio& r) const;
 };
 
 }  // namespace tcast::radio

@@ -51,11 +51,6 @@ std::string Frame::to_string() const {
   return buf;
 }
 
-bool hacks_identical(const Frame& a, const Frame& b) {
-  return a.type == FrameType::kHack && b.type == FrameType::kHack &&
-         a.seq == b.seq;
-}
-
 Frame make_hack(const Frame& acked) { return make_hack(acked.seq, acked.src); }
 
 Frame make_hack(std::uint8_t seq, ShortAddr dest) {

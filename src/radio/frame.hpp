@@ -63,7 +63,10 @@ struct Frame {
 
 /// Two HACKs superpose non-destructively iff they are bit-identical, i.e.
 /// same sequence number (802.15.4 ACKs carry no source address).
-bool hacks_identical(const Frame& a, const Frame& b);
+inline bool hacks_identical(const Frame& a, const Frame& b) {
+  return a.type == FrameType::kHack && b.type == FrameType::kHack &&
+         a.seq == b.seq;
+}
 
 /// Builds the hardware ACK for a received frame.
 Frame make_hack(const Frame& acked);

@@ -2,23 +2,17 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
-
 namespace tcast::radio {
 
 HackReceptionModel::HackReceptionModel(double fn1, double beta)
     : fn1_(fn1), beta_(beta) {
   TCAST_CHECK(fn1 >= 0.0 && fn1 <= 1.0);
   TCAST_CHECK(beta >= 0.0 && beta <= 1.0);
+  for (std::size_t k = 1; k <= kTabulated; ++k) miss_[k - 1] = miss_formula(k);
 }
 
-double HackReceptionModel::miss_probability(std::size_t k) const {
-  TCAST_CHECK(k >= 1);
+double HackReceptionModel::miss_formula(std::size_t k) const {
   return fn1_ * std::pow(beta_, static_cast<double>(k - 1));
-}
-
-bool HackReceptionModel::decodes(std::size_t k, RngStream& rng) const {
-  return !rng.bernoulli(miss_probability(k));
 }
 
 }  // namespace tcast::radio

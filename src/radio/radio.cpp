@@ -33,17 +33,7 @@ void Radio::channel_tx_done() {
   if (state_ == RadioState::kTx) set_state(RadioState::kRx);
 }
 
-bool Radio::address_accepts(const Frame& f) const {
-  if (f.dest == kBroadcastAddr) return true;
-  if (f.dest == short_addr_) return true;
-  if (alt_addr_.has_value() && f.dest == *alt_addr_) return true;
-  return ext_alt_addr_.has_value() && f.dest == *ext_alt_addr_;
-}
-
 void Radio::channel_deliver(const Frame& f, const RxInfo& info) {
-  if (state_ != RadioState::kRx) return;
-  if (deaf_) return;
-  if (!address_accepts(f)) return;
   ++frames_received_;
   // Hardware acknowledgement: below software, after one turnaround, for
   // accepted non-ACK frames that request it. This is what backcast leans on:
@@ -60,12 +50,6 @@ void Radio::channel_deliver(const Frame& f, const RxInfo& info) {
                          });
   }
   if (on_receive_) on_receive_(f, info);
-}
-
-void Radio::channel_activity(SimTime start, SimTime end) {
-  if (state_ != RadioState::kRx) return;
-  if (deaf_) return;
-  if (on_activity_) on_activity_(start, end);
 }
 
 void Radio::set_state(RadioState s) {

@@ -59,9 +59,10 @@ class Radio {
   /// Fault-injection hook: a deaf radio keeps its state machine (it still
   /// transmits, still counts as kRx for the channel's busy-period
   /// bookkeeping) but drops every delivery and activity indication at the
-  /// antenna. Unlike power_off this consumes no RNG and perturbs nothing at
-  /// the channel level, which is what makes frame-level false-empty faults
-  /// replay bit-identically (faults/FaultyChannel).
+  /// antenna. Unlike power_off it changes no channel draw (a deaf radio
+  /// still makes its reception draw) and perturbs nothing at the channel
+  /// level, which is what makes frame-level false-empty faults replay
+  /// bit-identically (faults/FaultyChannel).
   void set_deaf(bool deaf) { deaf_ = deaf; }
   bool deaf() const { return deaf_; }
 
@@ -101,12 +102,25 @@ class Radio {
   std::uint64_t frames_received() const { return frames_received_; }
 
   // --- Channel-facing interface (not for protocol code) ---
+  // For every listening receiver of every busy period the channel checks
+  // state(), deaf() and the two inline predicates below; it calls
+  // channel_activity / channel_deliver only for radios that pass them.
+  bool has_activity_handler() const { return static_cast<bool>(on_activity_); }
+  /// Hardware address recognition.
+  bool address_accepts(const Frame& f) const {
+    return f.dest == kBroadcastAddr || f.dest == short_addr_ ||
+           (alt_addr_.has_value() && f.dest == *alt_addr_) ||
+           (ext_alt_addr_.has_value() && f.dest == *ext_alt_addr_);
+  }
+  void channel_activity(SimTime start, SimTime end) {
+    on_activity_(start, end);
+  }
+  /// A frame that passed address recognition on a listening radio: counts
+  /// it, schedules the hardware ACK, hands it to the receive handler.
   void channel_deliver(const Frame& f, const RxInfo& info);
-  void channel_activity(SimTime start, SimTime end);
   void channel_tx_done();
 
  private:
-  bool address_accepts(const Frame& f) const;
   void set_state(RadioState s);
 
   Channel* channel_;

@@ -24,16 +24,21 @@ bool PollcastResponder::on_frame(const radio::Frame& f) {
     }
     case radio::FrameType::kPoll: {
       if (!positive_ || !my_bin_ || *my_bin_ != f.bin_index) return true;
-      radio::Frame reply;
-      reply.type = radio::FrameType::kReply;
-      reply.src = participant_addr(radio_->owner());
-      reply.dest = f.src;  // whoever polled collects the votes
-      reply.seq = f.seq;
-      reply.session = f.session;
-      sim_->schedule_after(radio_->phy().sifs, [this, reply] {
-        if (radio_->is_on() && !radio_->transmitting())
-          radio_->transmit(reply);
-      });
+      // Capture only the fields the reply derives from (15 bytes): a
+      // by-value Frame would push the closure past std::function's inline
+      // buffer and cost one heap allocation per reply.
+      sim_->schedule_after(
+          radio_->phy().sifs,
+          [this, session = f.session, dest = f.src, seq = f.seq] {
+            if (!radio_->is_on() || radio_->transmitting()) return;
+            radio::Frame reply;
+            reply.type = radio::FrameType::kReply;
+            reply.src = participant_addr(radio_->owner());
+            reply.dest = dest;  // whoever polled collects the votes
+            reply.seq = seq;
+            reply.session = session;
+            radio_->transmit(std::move(reply));
+          });
       return true;
     }
     default:

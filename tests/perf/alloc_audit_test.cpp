@@ -161,24 +161,31 @@ TEST(AllocAudit, PacketTierQueriesAreAllocationFree) {
   if (kSanitized) GTEST_SKIP() << "sanitizer allocator interposed";
   std::vector<bool> truth(48, false);
   for (std::size_t i = 0; i < 48; i += 5) truth[i] = true;
-  group::PacketChannel::Config cfg;
-  cfg.model = group::CollisionModel::kOnePlus;
-  cfg.channel.hack = radio::HackReceptionModel::ideal();
-  group::PacketChannel channel(truth, cfg);
+  // 1+ runs backcast (HACK superposition); 2+ runs pollcast, whose
+  // positive members each schedule a reply frame per poll.
+  for (const auto model :
+       {group::CollisionModel::kOnePlus, group::CollisionModel::kTwoPlus}) {
+    group::PacketChannel::Config cfg;
+    cfg.model = model;
+    cfg.channel.hack = radio::HackReceptionModel::ideal();
+    group::PacketChannel channel(truth, cfg);
 
-  group::BinAssignment a;
-  a.assign_contiguous(channel.all_nodes(), 8);
-  channel.announce(a);
-  // Warm-up: every bin once (grows the wire map, frame buffers, and the
-  // simulator's event queue to their steady-state capacity).
-  for (std::size_t idx = 0; idx < a.bin_count(); ++idx)
-    (void)channel.query_bin(a, idx);
-
-  const std::uint64_t before = news();
-  for (std::size_t rep = 0; rep < 20; ++rep)
+    group::BinAssignment a;
+    a.assign_contiguous(channel.all_nodes(), 8);
+    channel.announce(a);
+    // Warm-up: every bin once (grows the wire map, frame buffers, and the
+    // simulator's event queue to their steady-state capacity).
     for (std::size_t idx = 0; idx < a.bin_count(); ++idx)
       (void)channel.query_bin(a, idx);
-  EXPECT_EQ(news(), before) << "packet-tier query touched the heap";
+
+    const std::uint64_t before = news();
+    for (std::size_t rep = 0; rep < 20; ++rep)
+      for (std::size_t idx = 0; idx < a.bin_count(); ++idx)
+        (void)channel.query_bin(a, idx);
+    EXPECT_EQ(news(), before)
+        << (model == group::CollisionModel::kOnePlus ? "1+" : "2+")
+        << " packet-tier query touched the heap";
+  }
 }
 
 }  // namespace

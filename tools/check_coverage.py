@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Line-coverage gate for the core and fault libraries, built on bare gcov.
+"""Line-coverage gate for the core, fault and packet-tier libraries, built on
+bare gcov.
 
 Walks a build tree for .gcda files, runs `gcov --json-format --stdout` on
 each, and aggregates executable/executed line counts per source file. The
@@ -28,7 +29,8 @@ import subprocess
 import sys
 
 # Repo-relative directory prefixes whose combined line coverage is gated.
-GATED_PREFIXES = ("src/common/", "src/core/", "src/faults/", "src/chaos/")
+GATED_PREFIXES = ("src/common/", "src/core/", "src/faults/", "src/chaos/",
+                  "src/radio/", "src/rcd/", "src/group/")
 GATED_LABEL = " + ".join(p.rstrip("/") for p in GATED_PREFIXES)
 
 
@@ -123,6 +125,17 @@ def summarize(coverage):
     return per_file, gated_covered, gated_total
 
 
+def per_prefix(per_file):
+    """{prefix: (covered, total)} over the gated prefixes."""
+    out = {p: (0, 0) for p in GATED_PREFIXES}
+    for src, (covered, total) in per_file.items():
+        for p in GATED_PREFIXES:
+            if src.startswith(p):
+                c, t = out[p]
+                out[p] = (c + covered, t + total)
+    return out
+
+
 def render_html(per_file, gated_covered, gated_total, out_path):
     def pct(c, t):
         return 100.0 * c / t if t else 0.0
@@ -187,6 +200,9 @@ def main(argv=None):
                          f"({', '.join(GATED_PREFIXES)}) in the gcov output")
 
     fraction = gated_covered / gated_total
+    for prefix, (covered, total) in per_prefix(per_file).items():
+        print(f"check_coverage:   {prefix:14} {covered}/{total}"
+              + (f" = {covered / total:.2%}" if total else ""))
     print(f"check_coverage: {GATED_LABEL} line coverage "
           f"{gated_covered}/{gated_total} = {fraction:.2%}")
 

@@ -1,18 +1,24 @@
-// Drive the emulated TelosB bench exactly like the paper's laptop did
-// (Sec. IV-D): configure motes over serial, stimulate the initiator, and
-// collect results — through real backcast exchanges with radio
-// irregularity, not the abstract channel.
+// Run 2tBins on the emulated TelosB bench of the paper's Fig. 4 (Sec. IV-D):
+// one initiator and 12 participants on a packet-level world, where every
+// query is a real backcast exchange with radio irregularity, not the
+// abstract channel. Predicates are set afresh before each session.
 #include <cstdio>
 
-#include "testbed/controller.hpp"
+#include "core/two_t_bins.hpp"
+#include "group/packet_channel.hpp"
 
 int main() {
   using namespace tcast;
 
-  testbed::Testbed::Config cfg;
-  cfg.participants = 12;
+  group::PacketChannel::Config cfg;
   cfg.seed = 42;
-  testbed::Testbed bench(cfg);
+  cfg.channel.hack = radio::HackReceptionModel();  // calibrated
+  group::PacketChannel bench(std::vector<bool>(12, false), cfg);
+  // Bins are drawn from a stream of their own, apart from the radio's.
+  RngStream binning(cfg.seed ^ 0x5eedb1a5u, cfg.stream + 1);
+  core::EngineOptions opts;
+  opts.ordering = core::BinOrdering::kInOrder;
+  opts.two_plus_activity_counts_two = false;
 
   std::printf("emulated bench: 1 initiator + %zu TelosB participants\n\n",
               bench.participant_count());
@@ -22,22 +28,19 @@ int main() {
               "queries", "sim-time");
   for (const std::size_t t : {2u, 4u, 6u}) {
     for (const std::size_t x : {1u, 4u, 8u, 12u}) {
-      bench.reboot_all();
-      std::vector<bool> positive(bench.participant_count(), false);
+      for (const NodeId id : bench.all_nodes()) bench.set_positive(id, false);
       for (const NodeId id :
            workload.sample_subset(bench.participant_count(), x))
-        positive[static_cast<std::size_t>(id)] = true;
-      bench.configure_predicates(positive);
+        bench.set_positive(id, true);
 
-      const auto start = bench.simulator().now();
-      const auto result = bench.run_query(t);
-      const auto elapsed_ms =
-          static_cast<double>(bench.simulator().now() - start) /
-          static_cast<double>(kMillisecond);
+      const auto start = bench.elapsed();
+      const auto outcome =
+          core::run_two_t_bins(bench, bench.all_nodes(), t, binning, opts);
+      const auto elapsed_ms = static_cast<double>(bench.elapsed() - start) /
+                              static_cast<double>(kMillisecond);
       std::printf("%4zu %4zu %8s %8s %8llu %8.1fms\n", t, x,
-                  result.outcome.decision ? "yes" : "no",
-                  result.truth ? "yes" : "no",
-                  static_cast<unsigned long long>(result.outcome.queries),
+                  outcome.decision ? "yes" : "no", x >= t ? "yes" : "no",
+                  static_cast<unsigned long long>(outcome.queries),
                   elapsed_ms);
     }
   }

@@ -1,5 +1,5 @@
 // Fixed-width-bin histogram used for distribution figures (Fig. 11) and for
-// diagnostics (per-bin HACK counts in the testbed).
+// diagnostics (the conformance harness's wrong-answer-by-loss tally).
 #pragma once
 
 #include <cstddef>

@@ -2,8 +2,9 @@
 //
 // Wraps any QueryChannel; used by tests to assert algorithm behaviour
 // (bin sizes, round structure, soundness of every inference against ground
-// truth) and by examples for tracing. The inner channel's own counter still
-// advances — read the decorator's counter.
+// truth), and by the Fig-4 driver (testbed/experiment) for its bin-level
+// error census. The inner channel's own counter still advances — read the
+// decorator's counter.
 #pragma once
 
 #include <vector>

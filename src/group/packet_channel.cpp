@@ -117,6 +117,14 @@ std::uint64_t PacketChannel::interference_frames() const {
   return interference_ ? interference_->frames_emitted() : 0;
 }
 
+void PacketChannel::set_positive(NodeId id, bool value) {
+  positive_.at(static_cast<std::size_t>(id)) = value;
+  // Every responder evaluated the predicate when the current assignment was
+  // announced; forget that assignment so the next query re-arms them.
+  announced_wire_.clear();
+  announced_version_ = 0;
+}
+
 void PacketChannel::ensure_announced(
     const std::vector<std::uint16_t>& wire) {
   if (wire == announced_wire_) return;

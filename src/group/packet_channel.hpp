@@ -72,9 +72,9 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
   std::size_t participant_count() const { return positive_.size(); }
   /// All participant ids [0, n); aliases a member cached at construction.
   std::span<const NodeId> all_nodes() const { return nodes_; }
-  void set_positive(NodeId id, bool value) {
-    positive_.at(static_cast<std::size_t>(id)) = value;
-  }
+  /// Changes participant `id`'s predicate. Responders read it when an
+  /// assignment is announced, so the next query re-announces.
+  void set_positive(NodeId id, bool value);
 
   sim::Simulator& simulator() { return *sim_; }
   SimTime elapsed() const { return sim_->now(); }

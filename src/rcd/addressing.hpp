@@ -1,4 +1,5 @@
-// Address-space conventions shared by the RCD primitives and the testbed.
+// Address-space conventions shared by the RCD primitives and the packet
+// tier's PacketChannel.
 #pragma once
 
 #include "common/types.hpp"

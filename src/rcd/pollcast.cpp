@@ -20,9 +20,11 @@ bool PollcastResponder::on_frame(const radio::Frame& f) {
       if (me < f.assignment.size()) bin = f.assignment[me];
       positive_ = bin != kNotInRound && eval_(f.predicate_id);
       my_bin_ = positive_ ? std::optional<std::uint16_t>(bin) : std::nullopt;
+      session_ = f.session;
       return true;
     }
     case radio::FrameType::kPoll: {
+      if (f.session != session_) return true;
       if (!positive_ || !my_bin_ || *my_bin_ != f.bin_index) return true;
       // Capture only the fields the reply derives from (15 bytes): a
       // by-value Frame would push the closure past std::function's inline

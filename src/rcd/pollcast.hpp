@@ -48,6 +48,9 @@ class PollcastResponder {
   PredicateEval eval_;
   bool positive_ = false;
   std::optional<std::uint16_t> my_bin_;  ///< set iff positive and in round
+  /// Session of the Predicate frame my_bin_ came from. A node that missed a
+  /// later announce must not answer that session's polls from a stale bin.
+  std::uint32_t session_ = 0;
 };
 
 /// Initiator-side pollcast.

@@ -1,6 +1,6 @@
 // The discrete-event simulator: a clock, an event set, and a model RNG.
 //
-// One Simulator instance is one simulated world (one testbed run, one CSMA
+// One Simulator instance is one simulated world (one PacketChannel, one CSMA
 // feedback session, ...). Determinism contract: given the same seed and the
 // same sequence of schedule calls, every run is bit-identical.
 #pragma once

@@ -1,6 +1,7 @@
 // The Fig-4 mote experiment (Sec. IV-D): 2tBins on an emulated bench of 12
 // participant TelosB motes, thresholds t ∈ {2, 4, 6}, 100 runs per (t, x)
-// point, with every mote rebooted between runs. Reports the query-count
+// point, with fresh predicates on every mote for each run. Each threshold
+// gets its own backcast PacketChannel world. Reports the query-count
 // series plus the error census the paper reports in prose (102 / 7,200
 // false-negative tcasts, none positive, majority at single-HACK bins).
 #pragma once
@@ -9,7 +10,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "testbed/controller.hpp"
 
 namespace tcast::testbed {
 

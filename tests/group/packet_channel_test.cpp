@@ -119,6 +119,18 @@ TEST(PacketChannel, AnnounceIsFreeQueriesAreCounted) {
   EXPECT_EQ(ch.queries_used(), 2u);
 }
 
+TEST(PacketChannel, SetPositiveTakesEffectOnTheNextQuery) {
+  for (const auto model :
+       {CollisionModel::kOnePlus, CollisionModel::kTwoPlus}) {
+    PacketChannel ch({true, false, false}, ideal_config(model));
+    const std::vector<NodeId> set = {0, 1};
+    EXPECT_TRUE(ch.query_set(set).nonempty()) << to_string(model);
+    // The same set again: no new assignment, but node 0 is now negative.
+    ch.set_positive(0, false);
+    EXPECT_FALSE(ch.query_set(set).nonempty()) << to_string(model);
+  }
+}
+
 TEST(PacketChannel, NoOracleOnThePacketTier) {
   PacketChannel ch(random_truth(8, 2, 6),
                    ideal_config(CollisionModel::kOnePlus));

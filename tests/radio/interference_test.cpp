@@ -1,6 +1,8 @@
 // Interference source + the Sec. III-B robustness claims.
 #include <gtest/gtest.h>
 
+#include "core/two_t_bins.hpp"
+#include "group/instrumented_channel.hpp"
 #include "group/packet_channel.hpp"
 #include "radio/interference.hpp"
 
@@ -108,6 +110,27 @@ TEST(Interference, NoInterferenceNoErrorsEitherPrimitive) {
     const auto full = measure(primitive, 0.0, 4, 11);
     EXPECT_EQ(empty.false_positive, 0.0);
     EXPECT_EQ(full.false_negative, 0.0);
+  }
+}
+
+TEST(Interference, BackcastSessionsOnANegativeWorldNeverSayYes) {
+  // Whole 2tBins sessions under 25% cross-traffic terminate, and backcast
+  // conjures no positive out of foreign noise: every bin reads empty.
+  group::PacketChannel::Config cfg;
+  cfg.channel.hack = HackReceptionModel::ideal();
+  cfg.interference_duty = 0.25;
+  cfg.seed = 2;
+  group::PacketChannel ch(std::vector<bool>(8, false), cfg);
+  group::InstrumentedChannel traced(ch);
+  RngStream rng(cfg.seed);
+  core::EngineOptions opts;
+  opts.ordering = core::BinOrdering::kInOrder;
+  for (int run = 0; run < 15; ++run) {
+    traced.clear();
+    EXPECT_FALSE(
+        core::run_two_t_bins(traced, ch.all_nodes(), 2, rng, opts).decision);
+    for (const auto& record : traced.transcript())
+      EXPECT_FALSE(record.result.nonempty());
   }
 }
 

@@ -40,9 +40,10 @@ struct PollcastWorld {
     }
   }
 
-  void announce(const std::vector<std::uint16_t>& wire) {
+  void announce(const std::vector<std::uint16_t>& wire,
+                std::uint32_t session = 1) {
     bool done = false;
-    initiator->announce(1, 1, wire, [&done] { done = true; });
+    initiator->announce(1, session, wire, [&done] { done = true; });
     sim.run();
     ASSERT_TRUE(done);
   }
@@ -136,6 +137,21 @@ TEST(Pollcast, RepeatedPollsAreIndependent) {
     EXPECT_TRUE(w.poll(0).activity);
     EXPECT_FALSE(w.poll(1).activity);
   }
+}
+
+TEST(Pollcast, NodeThatMissedTheAnnounceStaysSilent) {
+  PollcastWorld w(2);
+  w.positive = {true, false};
+  w.announce({0, 1});
+  // Node 0 sleeps through session 2's announce, which moves it to bin 1.
+  w.radios[0]->power_off();
+  w.announce({1, 0}, /*session=*/2);
+  w.radios[0]->power_on();
+  // Session 2's bin 0 holds only node 1, which is negative; node 0's bin 0
+  // is session 1's and must not answer.
+  const auto r = w.poll(0);
+  EXPECT_FALSE(r.activity);
+  EXPECT_FALSE(r.captured.has_value());
 }
 
 }  // namespace

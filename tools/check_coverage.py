@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Line-coverage gate for the core, fault and packet-tier libraries, built on
-bare gcov.
+"""Line-coverage gate for the core, fault, packet-tier, simulation and service
+libraries, built on bare gcov.
 
 Walks a build tree for .gcda files, runs `gcov --json-format --stdout` on
 each, and aggregates executable/executed line counts per source file. The
@@ -30,7 +30,8 @@ import sys
 
 # Repo-relative directory prefixes whose combined line coverage is gated.
 GATED_PREFIXES = ("src/common/", "src/core/", "src/faults/", "src/chaos/",
-                  "src/radio/", "src/rcd/", "src/group/")
+                  "src/radio/", "src/mac/", "src/rcd/", "src/group/",
+                  "src/testbed/", "src/sim/", "src/service/")
 GATED_LABEL = " + ".join(p.rstrip("/") for p in GATED_PREFIXES)
 
 

@@ -12,7 +12,7 @@ namespace tcast::bench {
 
 void register_faults_benches(perf::BenchRegistry& registry) {
   registry.add(perf::Benchmark{
-      "faults/trace_channel/replay",
+      "faults/faulty_channel/replay",
       "run",
       {},
       [](bool quick) -> std::uint64_t {

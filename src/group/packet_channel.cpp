@@ -5,10 +5,15 @@
 
 namespace tcast::group {
 
+/// One mote: its radio and the responder of the channel's primitive. It
+/// never moves, so the radio's receive handler may point at the responder.
 struct PacketChannel::Participant {
-  std::unique_ptr<radio::Radio> radio;
-  std::unique_ptr<rcd::BackcastResponder> backcast;
-  std::unique_ptr<rcd::PollcastResponder> pollcast;
+  Participant(radio::Channel& channel, NodeId id)
+      : radio(channel, id, rcd::participant_addr(id)) {}
+
+  radio::Radio radio;
+  std::optional<rcd::BackcastResponder> backcast;
+  std::optional<rcd::PollcastResponder> pollcast;
 };
 
 namespace {
@@ -28,11 +33,14 @@ RcdPrimitive resolve_primitive(const PacketChannel::Config& cfg) {
 
 PacketChannel::PacketChannel(std::vector<bool> positive, Config cfg)
     : QueryChannel(cfg.model), positive_(std::move(positive)), cfg_(cfg) {
-  nodes_.resize(positive_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    nodes_[i] = static_cast<NodeId>(i);
+  const std::size_t n = positive_.size();
+  nodes_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) nodes_[i] = static_cast<NodeId>(i);
   sim_ = std::make_unique<sim::Simulator>(cfg_.seed, cfg_.stream);
   channel_ = std::make_unique<radio::Channel>(*sim_, cfg_.channel);
+  // Attach order is the channel's draw order: the initiator, participants
+  // 0..N-1, then the interferer.
+  channel_->reserve(1 + n + (cfg_.interference_duty > 0.0 ? 1 : 0));
   initiator_radio_ = std::make_unique<radio::Radio>(
       *channel_, kNoNode, rcd::kInitiatorAddr);
   initiator_radio_->set_position(cfg_.initiator_pos.first,
@@ -57,36 +65,31 @@ PacketChannel::PacketChannel(std::vector<bool> positive, Config cfg)
         [this](SimTime s, SimTime e) { pollcast_->on_activity(s, e); });
   }
 
-  participants_.reserve(positive_.size());
-  for (std::size_t i = 0; i < positive_.size(); ++i) {
-    auto p = std::make_unique<Participant>();
-    const auto id = static_cast<NodeId>(i);
-    p->radio = std::make_unique<radio::Radio>(*channel_, id,
-                                              rcd::participant_addr(id));
+  participants_ = std::make_unique<std::optional<Participant>[]>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Participant& p =
+        participants_[i].emplace(*channel_, static_cast<NodeId>(i));
     const auto pos = i < cfg_.participant_positions.size()
                          ? cfg_.participant_positions[i]
                          : cfg_.initiator_pos;
-    p->radio->set_position(pos.first, pos.second);
-    p->radio->power_on();
+    p.radio.set_position(pos.first, pos.second);
+    p.radio.power_on();
     auto eval = [this, i](std::uint8_t pred) {
       return pred == cfg_.predicate_id && positive_[i];
     };
     if (use_backcast) {
-      p->backcast = std::make_unique<rcd::BackcastResponder>(*p->radio, eval);
-      auto* responder = p->backcast.get();
-      p->radio->set_receive_handler(
+      auto* responder = &p.backcast.emplace(p.radio, eval);
+      p.radio.set_receive_handler(
           [responder](const radio::Frame& f, const radio::RxInfo&) {
             responder->on_frame(f);
           });
     } else {
-      p->pollcast = std::make_unique<rcd::PollcastResponder>(*p->radio, eval);
-      auto* responder = p->pollcast.get();
-      p->radio->set_receive_handler(
+      auto* responder = &p.pollcast.emplace(p.radio, eval);
+      p.radio.set_receive_handler(
           [responder](const radio::Frame& f, const radio::RxInfo&) {
             responder->on_frame(f);
           });
     }
-    participants_.push_back(std::move(p));
   }
 
   if (cfg_.interference_duty > 0.0) {
@@ -102,13 +105,25 @@ PacketChannel::PacketChannel(std::vector<bool> positive, Config cfg)
 
 PacketChannel::~PacketChannel() = default;
 
+std::size_t PacketChannel::max_bins(const Config& cfg) {
+  return resolve_primitive(cfg) == RcdPrimitive::kBackcast
+             ? rcd::max_bins(rcd::AddressSlot::kShort)
+             : std::size_t{rcd::kNotInRound};
+}
+
 double PacketChannel::initiator_energy_mj() {
   initiator_radio_->energy().settle(sim_->now());
   return initiator_radio_->energy().energy_mj();
 }
 
+radio::Radio& PacketChannel::participant_radio(NodeId id) const {
+  const auto i = static_cast<std::size_t>(id);
+  TCAST_CHECK(i < participant_count());
+  return participants_[i]->radio;
+}
+
 double PacketChannel::participant_energy_mj(NodeId id) {
-  auto& r = *participants_.at(static_cast<std::size_t>(id))->radio;
+  auto& r = participant_radio(id);
   r.energy().settle(sim_->now());
   return r.energy().energy_mj();
 }
@@ -146,18 +161,20 @@ void PacketChannel::do_announce(const BinAssignment& a) {
   // bumps version()); a new version is, and is re-broadcast only if its
   // wire differs, so an identical re-binning still costs no announcement.
   if (a.version() != 0 && a.version() == announced_version_) return;
+  TCAST_CHECK_MSG(a.bin_count() <= max_bins(cfg_),
+                  "more bins than the primitive can address");
   a.to_wire_into(positive_.size(), scratch_wire_);
   ensure_announced(scratch_wire_);
   announced_version_ = a.version();
 }
 
 void PacketChannel::fail_node(NodeId id) {
-  TCAST_CHECK(static_cast<std::size_t>(id) < participants_.size());
+  TCAST_CHECK(static_cast<std::size_t>(id) < participant_count());
   pending_failures_.push_back(id);
 }
 
 void PacketChannel::restore_node(NodeId id) {
-  participants_.at(static_cast<std::size_t>(id))->radio->power_on();
+  participant_radio(id).power_on();
   // The mote slept through any announcements; forget the announced wire so
   // the next query re-broadcasts the assignment and the rebooted node
   // re-arms. Announcements are free in the paper's cost model, so query
@@ -169,7 +186,7 @@ void PacketChannel::restore_node(NodeId id) {
 void PacketChannel::suppress_next_query() { suppress_query_ = true; }
 
 bool PacketChannel::node_is_down(NodeId id) const {
-  return !participants_.at(static_cast<std::size_t>(id))->radio->is_on();
+  return !participant_radio(id).is_on();
 }
 
 BinQueryResult PacketChannel::poll_once(std::uint16_t bin) {
@@ -216,7 +233,7 @@ BinQueryResult PacketChannel::poll_once(std::uint16_t bin) {
     const SimTime die_at =
         channel_->airtime(probe) + channel_->phy().turnaround / 2;
     for (const NodeId id : pending_failures_) {
-      auto* radio = participants_[static_cast<std::size_t>(id)]->radio.get();
+      auto* radio = &participant_radio(id);
       sim_->schedule_after(die_at, [radio] { radio->power_off(); });
     }
     pending_failures_.clear();

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -69,6 +70,13 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
   PacketChannel(std::vector<bool> positive, Config cfg);
   ~PacketChannel() override;
 
+  /// Most bins one announced assignment may hold on a channel built from
+  /// `cfg`. Backcast polls bin g at a hardware address of the short slot's
+  /// ephemeral block (rcd::max_bins); pollcast carries g in a 16-bit field
+  /// where rcd::kNotInRound is taken. Announcing more bins is a checked
+  /// error; an engine may use up to n bins on n participants.
+  static std::size_t max_bins(const Config& cfg);
+
   std::size_t participant_count() const { return positive_.size(); }
   /// All participant ids [0, n); aliases a member cached at construction.
   std::span<const NodeId> all_nodes() const { return nodes_; }
@@ -117,6 +125,7 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
  private:
   struct Participant;
 
+  radio::Radio& participant_radio(NodeId id) const;
   BinQueryResult poll(std::uint16_t bin);
   BinQueryResult poll_once(std::uint16_t bin);
   void ensure_announced(const std::vector<std::uint16_t>& wire);
@@ -129,8 +138,12 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
   std::unique_ptr<radio::Radio> initiator_radio_;
   std::unique_ptr<rcd::BackcastInitiator> backcast_;
   std::unique_ptr<rcd::PollcastInitiator> pollcast_;
+  /// Participant i at index i, built in place in one block. The array's
+  /// delete destroys them last-first, the reverse of attach order, and the
+  /// interferer (attached after them) is declared after them so it goes
+  /// first: every radio detaches from the back of the channel's slots.
+  std::unique_ptr<std::optional<Participant>[]> participants_;
   std::unique_ptr<radio::InterferenceSource> interference_;
-  std::vector<std::unique_ptr<Participant>> participants_;
   std::vector<std::uint16_t> announced_wire_;
   /// BinAssignment::version() whose wire is announced_wire_; 0 = none.
   std::uint64_t announced_version_ = 0;

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/check.hpp"
-#include "perf/hw_counters.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <time.h>
@@ -113,11 +112,6 @@ JsonValue BenchResult::to_json() const {
     for (const auto& [k, v] : percentiles) pct.emplace(k, v);
     obj.emplace("percentiles", std::move(pct));
   }
-  if (!counters.empty()) {
-    JsonValue::Object ctr;
-    for (const auto& [k, v] : counters) ctr.emplace(k, v);
-    obj.emplace("counters", std::move(ctr));
-  }
   return JsonValue(std::move(obj));
 }
 
@@ -166,11 +160,6 @@ std::optional<BenchResult> BenchResult::from_json(const JsonValue& v) {
     for (const auto& [k, pv] : pct->as_object())
       if (pv.is_number()) r.percentiles.emplace(k, pv.as_number());
   }
-  if (const JsonValue* ctr = v.find("counters");
-      ctr != nullptr && ctr->is_object()) {
-    for (const auto& [k, cv] : ctr->as_object())
-      if (cv.is_number()) r.counters.emplace(k, cv.as_number());
-  }
   return r;
 }
 
@@ -207,17 +196,6 @@ std::vector<BenchResult> BenchRegistry::run(const RunOptions& opts,
     res.params = b.params;
     res.items = items;
     res.timing = summarize(samples);
-    // One extra *counted* repetition for the families whose regressions
-    // are usually cache/branch stories. Untimed, optional, never gating:
-    // on hosts where perf_event_open is denied this silently does nothing.
-    if (b.name.starts_with("core/") || b.name.starts_with("sim/")) {
-      HwCounters hw;
-      if (hw.available()) {
-        hw.start();
-        b.body(opts.quick);
-        res.counters = hw.stop();
-      }
-    }
     if (progress) {
       char line[160];
       std::snprintf(line, sizeof line,

@@ -69,12 +69,6 @@ struct BenchResult {
   /// these inversely: larger is a regression). Empty for throughput-only
   /// benchmarks; round-trips through BENCH_tcast.json untouched.
   std::map<std::string, double> percentiles;
-  /// Optional hardware counters ("llc_misses", "branch_misses") from one
-  /// extra counted repetition (perf/hw_counters.hpp), collected for the
-  /// `core/` and `sim/` families when perf_event_open is permitted.
-  /// Diagnostic only: compare_bench reports them and never gates on them;
-  /// empty on hosts where the PMU is unavailable.
-  std::map<std::string, double> counters;
 
   /// Throughput at the median repetition (the headline number).
   double items_per_s() const;

@@ -1,6 +1,7 @@
 #include "radio/channel.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 #include "common/check.hpp"
@@ -13,16 +14,14 @@ Channel::Channel(sim::Simulator& simulator, ChannelConfig cfg)
   if (!cfg_.capture) cfg_.capture = std::make_shared<NoCaptureModel>();
 }
 
-void Channel::attach(Radio& r) {
-  TCAST_CHECK(slot_of(r) == slots_.end());
-  slots_.push_back(Slot{.radio = &r});
-}
+void Channel::attach(Radio& r) { slots_.push_back(Slot{.radio = &r}); }
 
 void Channel::detach(Radio& r) {
-  const auto it = slot_of(r);
-  if (it == slots_.end()) return;
+  const auto it = std::find_if(slots_.rbegin(), slots_.rend(),
+                               [&r](const Slot& s) { return s.radio == &r; });
+  TCAST_CHECK(it != slots_.rend());
   if (it->on_air > 0) --open_;
-  slots_.erase(it);
+  slots_.erase(std::next(it).base());
 }
 
 std::vector<Channel::Slot>::const_iterator Channel::slot_of(

@@ -112,8 +112,9 @@ class Channel {
   sim::Simulator& simulator() { return *sim_; }
   const PhyParams& phy() const { return cfg_.phy; }
 
-  void attach(Radio& r);
-  void detach(Radio& r);
+  /// Sizes the slot array for `radios` attached radios, so a world that
+  /// knows its size attaches them without regrowing it.
+  void reserve(std::size_t radios) { slots_.reserve(radios); }
 
   /// Starts a transmission; the frame occupies the medium for airtime(f).
   /// Called by Radio::transmit.
@@ -218,6 +219,13 @@ class Channel {
   std::vector<Tx*> tx_free_;
 
   std::vector<Slot>::const_iterator slot_of(const Radio& r) const;
+
+  // A Radio attaches itself in its constructor and detaches in its
+  // destructor, so a radio is attached at most once. Worlds tear down
+  // last-attached-first, so detach searches from the back.
+  friend class Radio;
+  void attach(Radio& r);
+  void detach(Radio& r);
 };
 
 }  // namespace tcast::radio

@@ -2,6 +2,8 @@
 // tier's PacketChannel.
 #pragma once
 
+#include <cstddef>
+
 #include "common/types.hpp"
 #include "radio/frame.hpp"
 
@@ -40,6 +42,17 @@ enum class AddressSlot : std::uint8_t {
 inline radio::ShortAddr ephemeral_base(AddressSlot slot) {
   return slot == AddressSlot::kShort ? radio::kEphemeralBase
                                      : kEphemeralBaseExt;
+}
+
+/// How many bins a backcast session on `slot` can poll: bin g answers to
+/// ephemeral_base(slot) + g, so the block ends at the next reserved address
+/// — kSecondInitiatorAddr (below broadcast) for the short slot, the short
+/// block's base for the extended one. A bin past it would land on another
+/// radio's address, and that radio HACKs the poll.
+inline std::size_t max_bins(AddressSlot slot) {
+  return slot == AddressSlot::kShort
+             ? std::size_t{kSecondInitiatorAddr} - radio::kEphemeralBase
+             : std::size_t{radio::kEphemeralBase} - kEphemeralBaseExt;
 }
 
 }  // namespace tcast::rcd

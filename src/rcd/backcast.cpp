@@ -72,6 +72,8 @@ void BackcastInitiator::announce(std::uint8_t predicate_id,
 void BackcastInitiator::poll_bin(std::uint16_t bin,
                                  std::function<void(PollResult)> done) {
   TCAST_CHECK_MSG(!awaiting_hack_, "one poll at a time");
+  TCAST_CHECK_MSG(bin < max_bins(cfg_.slot),
+                  "bin beyond the slot's ephemeral address block");
   radio::Frame f;
   f.type = radio::FrameType::kPoll;
   f.src = radio_->short_address();

@@ -227,6 +227,18 @@ Response Shard::do_load(const Request& req) {
                    std::to_string(cfg_.max_population) + " and x <= n";
     return resp;
   }
+  group::PacketChannel::Config pcfg;
+  pcfg.model = req.model;
+  pcfg.seed = req.seed;
+  // An engine may use up to n bins, and a packet world can address only so
+  // many (backcast: the radios' ephemeral address block).
+  const std::size_t max_bins = group::PacketChannel::max_bins(pcfg);
+  if (req.tier == BackendTier::kPacket && req.n > max_bins) {
+    resp.status = StatusCode::kInvalidArgument;
+    resp.message = "packet-tier load of this model requires n <= " +
+                   std::to_string(max_bins);
+    return resp;
+  }
 
   Population pop;
   pop.n = req.n;
@@ -257,9 +269,6 @@ Response Shard::do_load(const Request& req) {
         std::move(positive), *pop.channel_rng, std::move(ecfg));
     pop.oracle_capable = true;
   } else {
-    group::PacketChannel::Config pcfg;
-    pcfg.model = req.model;
-    pcfg.seed = req.seed;
     pop.channel = std::make_unique<group::PacketChannel>(std::move(positive),
                                                          std::move(pcfg));
     pop.oracle_capable = false;

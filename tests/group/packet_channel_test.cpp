@@ -137,5 +137,20 @@ TEST(PacketChannel, NoOracleOnThePacketTier) {
   EXPECT_FALSE(ch.oracle_positive_count(ch.all_nodes()).has_value());
 }
 
+TEST(PacketChannelDeathTest, BackcastBinBeyondTheAddressBlockIsRefused) {
+  // Bin g is polled at kEphemeralBase + g in 16 bits, so bin 8193 wraps
+  // onto participant 0's short address: its radio would HACK the poll and
+  // an empty bin would read as active.
+  const auto cfg = ideal_config(CollisionModel::kOnePlus);
+  ASSERT_EQ(PacketChannel::max_bins(cfg), 8176u);  // 0xE000..0xFFEF
+  PacketChannel ch(std::vector<bool>(16, false), cfg);
+  BinAssignment a;
+  a.assign_contiguous(ch.all_nodes(), PacketChannel::max_bins(cfg));
+  EXPECT_FALSE(ch.query_bin(a, 8175).nonempty());  // the block's last bin
+  a.assign_contiguous(ch.all_nodes(), 8200);
+  EXPECT_DEATH((void)ch.query_bin(a, 8193),
+               "more bins than the primitive can address");
+}
+
 }  // namespace
 }  // namespace tcast::group

@@ -5,7 +5,8 @@
 // free uniform_below reciprocal cache) and on the packet tier (the full
 // PHY/MAC exchange per query). Heap traffic per query is how "fast" code
 // quietly regresses: capacity churn is invisible to differential tests and
-// ruins the sweep throughput the figures are built on.
+// ruins the sweep throughput the figures are built on. Building a packet
+// world must cost a number of allocations that does not grow with N.
 //
 // The audit counts every global operator new/delete. Sanitizer builds
 // interpose the allocator and add their own bookkeeping allocations, so
@@ -185,6 +186,34 @@ TEST(AllocAudit, PacketTierQueriesAreAllocationFree) {
     EXPECT_EQ(news(), before)
         << (model == group::CollisionModel::kOnePlus ? "1+" : "2+")
         << " packet-tier query touched the heap";
+  }
+}
+
+TEST(AllocAudit, PacketWorldBuildIsConstantInN) {
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocator interposed";
+  // Every fresh-world session (Fig. 4's reboot between runs, a chaos
+  // session, a tcastd packet load) builds and tears down a PacketChannel.
+  // Its participants live in one block, so the heap traffic of a world
+  // must not grow with N.
+  const auto build_and_destroy = [](group::CollisionModel model,
+                                    std::size_t n) {
+    std::vector<bool> truth(n, false);
+    for (std::size_t i = 0; i < n; i += 3) truth[i] = true;
+    group::PacketChannel::Config cfg;
+    cfg.model = model;
+    const std::uint64_t before = news();
+    { group::PacketChannel world(std::move(truth), cfg); }
+    return news() - before;
+  };
+  for (const auto model :
+       {group::CollisionModel::kOnePlus, group::CollisionModel::kTwoPlus}) {
+    const char* name =
+        model == group::CollisionModel::kOnePlus ? "1+" : "2+";
+    const std::uint64_t small = build_and_destroy(model, 32);
+    const std::uint64_t large = build_and_destroy(model, 128);
+    EXPECT_EQ(small, large) << name << " world allocations grow with N";
+    EXPECT_LE(large, 20u) << name << " world build allocates " << large
+                          << " times";
   }
 }
 

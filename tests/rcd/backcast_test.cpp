@@ -156,5 +156,18 @@ TEST(Backcast, StaleHackFromPreviousPollIgnored) {
   EXPECT_FALSE(w.poll(0).nonempty);
 }
 
+TEST(BackcastDeathTest, PollBeyondTheAddressBlockAborts) {
+  // The short slot's block is 0xE000..0xFFEF: bin 8176 would be polled at
+  // the second initiator's address and bin 8191 at broadcast. The extended
+  // block stops where the short one starts.
+  EXPECT_EQ(max_bins(AddressSlot::kShort), 8176u);
+  EXPECT_EQ(max_bins(AddressSlot::kExtended), 4096u);
+  BackcastWorld w(2);
+  w.positive = {true, false};
+  w.announce({0, 1});
+  EXPECT_FALSE(w.poll(8175).nonempty);
+  EXPECT_DEATH(w.poll(8176), "ephemeral address block");
+}
+
 }  // namespace
 }  // namespace tcast::rcd

@@ -399,5 +399,19 @@ TEST(Shard, PacketTierServesVerdicts) {
   EXPECT_TRUE(out.at(1)->decision);  // x=25 >= t=10
 }
 
+TEST(Shard, PacketLoadBeyondTheBackcastBinLimitIsInvalid) {
+  // A 1+ packet world polls bin g at a hardware address of backcast's
+  // ephemeral block, which holds 8,176 bins; an engine may use up to n.
+  ManualClock clock;
+  Shard shard(config(clock));
+  Collector out;
+  Request load = load_req("big", 8200, 4099);
+  load.tier = BackendTier::kPacket;
+  out.submit(shard, std::move(load));
+  shard.drain();
+  ASSERT_TRUE(out.at(0).has_value());
+  EXPECT_EQ(out.at(0)->status, StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace tcast::service

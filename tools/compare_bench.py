@@ -86,26 +86,6 @@ def latency_by_name(report):
     return out
 
 
-def counters_by_name(report):
-    """Maps "bench [llc_misses]"-style metric names to hardware-counter
-    values (the optional `counters` object on core/ and sim/ benchmarks).
-    Informational only — counters are absent wherever perf_event_open is
-    denied and vary wildly across microarchitectures, so they are NEVER
-    gated; the comparison table just makes cache/branch behaviour drift
-    visible next to the throughput it explains."""
-    out = {}
-    for bench in report.get("benchmarks", []):
-        name = bench.get("name")
-        counters = bench.get("counters") or {}
-        if not name:
-            continue
-        for key in sorted(counters):
-            value = counters[key]
-            if value > 0.0:
-                out[f"{name} [{key}]"] = value
-    return out
-
-
 def host_summary(report, label):
     """One line of topology context: scaling benchmarks (sim/parallel/*)
     are meaningless without knowing how many CPUs the run could actually
@@ -298,21 +278,6 @@ def main(argv=None):
         print(render_text(latency_rows, args.max_latency_regression,
                           args.min_improvement, unit="us"))
 
-    # Hardware counters ride along purely informationally: every status is
-    # forced to "ok" so the gate can never see a counter row, whatever the
-    # drift — see counters_by_name().
-    counter_rows = [
-        (name, base_v, cur_v, ratio,
-         STATUS_OK if status in (STATUS_REGRESSION, STATUS_IMPROVED,
-                                 STATUS_OK) else status)
-        for name, base_v, cur_v, ratio, status in compare_latency(
-            counters_by_name(baseline), counters_by_name(current),
-            args.max_latency_regression, args.min_improvement)]
-    if counter_rows:
-        print("\n  hardware counters (informational, never gated):")
-        print(render_text(counter_rows, args.max_latency_regression,
-                          args.min_improvement, unit="count"))
-
     if args.summary_out:
         with open(args.summary_out, "a", encoding="utf-8") as f:
             f.write(render_markdown(rows) + "\n")
@@ -320,10 +285,6 @@ def main(argv=None):
                 f.write(render_markdown(latency_rows, unit="us",
                                         title="Tail latency comparison") +
                         "\n")
-            if counter_rows:
-                f.write(render_markdown(
-                    counter_rows, unit="count",
-                    title="Hardware counters (informational)") + "\n")
 
     improved = sum(1 for r in rows + latency_rows
                    if r[4] == STATUS_IMPROVED)

@@ -67,20 +67,6 @@ void register_common_benches(perf::BenchRegistry& registry) {
         });
         return n + sink.load();
       }});
-
-  registry.add(perf::Benchmark{
-      "common/thread_pool/submit_drain",
-      "task",
-      {},
-      [](bool quick) -> std::uint64_t {
-        const std::size_t n = quick ? 2'000 : 20'000;
-        ThreadPool& pool = ThreadPool::global();
-        std::atomic<std::uint64_t> done{0};
-        for (std::size_t i = 0; i < n; ++i)
-          pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-        pool.wait_idle();
-        return done.load();
-      }});
 }
 
 }  // namespace tcast::bench

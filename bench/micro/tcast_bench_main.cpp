@@ -1,4 +1,4 @@
-// tcast_bench — the self-timing benchmark suite behind BENCH_tcast.json.
+// tcast_bench — the self-timing microbenchmark suite.
 //
 // Usage:
 //   tcast_bench [--quick] [--filter SUBSTR] [--json PATH] [--reps N]
@@ -7,8 +7,8 @@
 // Runs every registered benchmark (optionally filtered by substring),
 // prints a progress line per benchmark, and writes the machine-readable
 // report (schema tcast-bench-v1) to PATH (default BENCH_tcast.json in the
-// current directory). --quick shrinks workloads ~10x for CI smoke runs;
-// tools/compare_bench.py gates regressions against a committed baseline.
+// current directory). --quick shrinks workloads ~10x for CI runs;
+// tools/perf_gate.py compares the reports of two builds on one machine.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
   }
 
   perf::Report report;
-  report.git_sha = perf::current_git_sha();
   report.host = perf::host_info();
   report.quick = opts.quick;
   report.results = registry.run(opts, &std::cout);
@@ -101,8 +100,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   out << report.to_json_string();
-  std::printf("%zu benchmark(s) -> %s (sha %s%s)\n", report.results.size(),
-              json_path.c_str(), report.git_sha.c_str(),
-              opts.quick ? ", quick" : "");
+  std::printf("%zu benchmark(s) -> %s%s\n", report.results.size(),
+              json_path.c_str(), opts.quick ? " (quick)" : "");
   return 0;
 }

@@ -1,8 +1,8 @@
 // service_bench — closed- and open-loop load rigs against an in-process
 // TcastService, emitting latency percentiles into the perf trajectory.
 //
-//   service_bench [--quick] [--json PATH] [--merge-into BENCH_tcast.json]
-//                 [--shards N] [--workers W] [--queries Q] [--seed S]
+//   service_bench [--quick] [--json PATH] [--shards N] [--workers W]
+//                 [--queries Q] [--seed S]
 //
 // Two rigs, both over a Bonifati-style skewed workload (Zipf-hot
 // populations, thresholds clustered at the decision boundary — the mix a
@@ -18,8 +18,8 @@
 //     or a typed error) is asserted here too — a load rig that tolerates
 //     silent drops would be measuring a broken service.
 //
-// Results land in BENCH_tcast.json entries with a `percentiles` object;
-// tools/compare_bench.py gates p99/p999 growth the same way it gates
+// Results are tcast-bench-v1 entries with a `percentiles` object;
+// tools/perf_gate.py gates p99/p999 growth the same way it gates
 // throughput drops (inverted: larger latency = regression).
 #include <algorithm>
 #include <atomic>
@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -290,59 +289,11 @@ RigOutcome run_open_loop(const RigConfig& cfg, const Workload& w,
   return out;
 }
 
-int merge_into(const std::string& path,
-               const std::vector<perf::BenchResult>& fresh) {
-  perf::Report report;
-  std::ifstream in(path);
-  if (in) {
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const auto parsed = perf::parse_json(buf.str());
-    if (!parsed) {
-      std::fprintf(stderr, "cannot parse %s\n", path.c_str());
-      return 1;
-    }
-    const auto existing = perf::Report::from_json(*parsed);
-    if (!existing) {
-      std::fprintf(stderr, "%s is not a tcast-bench-v1 report\n",
-                   path.c_str());
-      return 1;
-    }
-    report = *existing;
-  } else {
-    report.git_sha = perf::current_git_sha();
-    report.host = perf::host_info();
-  }
-
-  for (const auto& r : fresh) {
-    bool replaced = false;
-    for (auto& old : report.results) {
-      if (old.name == r.name) {
-        old = r;
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) report.results.push_back(r);
-  }
-
-  std::ofstream outf(path);
-  if (!outf) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  outf << report.to_json_string();
-  std::printf("merged %zu service result(s) into %s\n", fresh.size(),
-              path.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   RigConfig cfg;
   std::string json_path = "BENCH_service.json";
-  std::string merge_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -353,8 +304,6 @@ int main(int argc, char** argv) {
       cfg.quick = true;
     } else if (arg == "--json") {
       if (const char* v = next()) json_path = v;
-    } else if (arg == "--merge-into") {
-      if (const char* v = next()) merge_path = v;
     } else if (arg == "--shards") {
       if (const char* v = next()) cfg.shards = std::stoul(v);
     } else if (arg == "--workers") {
@@ -422,16 +371,15 @@ int main(int argc, char** argv) {
   }
 
   perf::Report report;
-  report.git_sha = perf::current_git_sha();
   report.host = perf::host_info();
   report.quick = cfg.quick;
   report.results = results;
   std::ofstream outf(json_path);
-  if (outf) {
-    outf << report.to_json_string();
-    std::printf("%zu result(s) -> %s\n", results.size(), json_path.c_str());
+  if (!outf) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    return 1;
   }
-
-  if (!merge_path.empty()) return merge_into(merge_path, results);
+  outf << report.to_json_string();
+  std::printf("%zu result(s) -> %s\n", results.size(), json_path.c_str());
   return 0;
 }

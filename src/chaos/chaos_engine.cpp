@@ -1,9 +1,9 @@
 #include "chaos/chaos_engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 #include "conformance/harness.hpp"
 #include "core/registry.hpp"
 #include "faults/faulty_channel.hpp"
@@ -12,26 +12,6 @@
 
 namespace tcast::chaos {
 namespace {
-
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  while (true) {
-    const auto pos = text.find(sep);
-    parts.push_back(text.substr(0, pos));
-    if (pos == std::string_view::npos) break;
-    text.remove_prefix(pos + 1);
-  }
-  return parts;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  const std::string buf(text);
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
-  return v;
-}
 
 /// Gives an oracle view (and a forwarded ChannelFaultControl) to a channel
 /// that lacks one — the packet tier. Ground truth is the positive vector
@@ -198,10 +178,8 @@ std::optional<ChaosScenario> ChaosScenario::parse(std::string_view text) {
       if (value.empty()) return std::nullopt;
       sc.algorithm = std::string(value);
     } else if (key == "n" || key == "x" || key == "t") {
-      const auto v = parse_u64(value);
-      if (!v) return std::nullopt;
-      (key == "n" ? sc.n : key == "x" ? sc.x : sc.t) =
-          static_cast<std::size_t>(*v);
+      if (!parse_int(value, key == "n" ? sc.n : key == "x" ? sc.x : sc.t))
+        return std::nullopt;
     } else if (key == "model") {
       if (value == "1+") {
         sc.model = group::CollisionModel::kOnePlus;
@@ -215,9 +193,7 @@ std::optional<ChaosScenario> ChaosScenario::parse(std::string_view text) {
       if (!tier) return std::nullopt;
       sc.tier = *tier;
     } else if (key == "seed") {
-      const auto v = parse_u64(value);
-      if (!v) return std::nullopt;
-      sc.seed = *v;
+      if (!parse_int(value, sc.seed)) return std::nullopt;
     } else if (key == "plan") {
       const auto plan = faults::FaultPlan::parse(value);
       if (!plan) return std::nullopt;

@@ -7,8 +7,8 @@
 namespace tcast {
 
 namespace {
-/// Set for the lifetime of a worker thread; lets wait_idle()/run_batch()
-/// detect (and loudly reject) nested waits that would deadlock the pool.
+/// Set for the lifetime of a worker thread; lets run_batch() detect (and
+/// loudly reject) nested waits that would deadlock the pool.
 thread_local const ThreadPool* t_worker_of = nullptr;
 /// Set while an external thread is inside run_batch(): it helps drain the
 /// batch, so a batch body can execute on it and must not re-enter the pool
@@ -36,25 +36,6 @@ bool ThreadPool::on_worker_thread() const { return t_worker_of == this; }
 
 bool ThreadPool::in_batch_on_this_thread() const {
   return t_worker_of == this || t_batch_caller_of == this;
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lk(mu_);
-    TCAST_CHECK_MSG(!stop_, "submit on a stopped pool");
-    tasks_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  TCAST_CHECK_MSG(!on_worker_thread(),
-                  "wait_idle from a worker of this pool: a task that submits "
-                  "work and then blocks on it deadlocks the pool (no "
-                  "nested-wait support)");
-  std::unique_lock lk(mu_);
-  cv_idle_.wait(lk, [this] { return in_flight_ == 0; });
 }
 
 std::size_t ThreadPool::drain_batch(BatchFn fn, void* ctx, std::size_t end) {
@@ -109,22 +90,7 @@ void ThreadPool::worker_loop() {
   t_worker_of = this;
   std::unique_lock lk(mu_);
   for (;;) {
-    cv_task_.wait(lk, [this] {
-      return stop_ || task_head_ < tasks_.size() || batch_pending_locked();
-    });
-    if (task_head_ < tasks_.size()) {
-      std::function<void()> task = std::move(tasks_[task_head_++]);
-      if (task_head_ == tasks_.size()) {
-        tasks_.clear();  // keeps capacity: the buffer is reused
-        task_head_ = 0;
-      }
-      lk.unlock();
-      task();
-      lk.lock();
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-      continue;
-    }
+    cv_task_.wait(lk, [this] { return stop_ || batch_pending_locked(); });
     if (batch_pending_locked()) {
       const BatchFn fn = batch_fn_;
       void* ctx = batch_ctx_;
@@ -146,11 +112,6 @@ void ThreadPool::worker_loop() {
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  ThreadPool* pool) {
-  parallel_for<const std::function<void(std::size_t)>&>(n, body, pool);
 }
 
 }  // namespace tcast

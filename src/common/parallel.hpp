@@ -5,26 +5,22 @@
 // worker count (including 1). The pool uses static chunking — trials are
 // near-uniform cost, so work stealing would buy nothing here.
 //
-// Two execution paths:
-//  * submit()/wait_idle() — general void() closures, kept for irregular
-//    work. The pending set is a reusable vector + cursor (capacity persists
-//    across drain cycles), not a queue of individually heap-allocated nodes.
-//  * run_batch() — the hot path under parallel_for: ONE type-erased callable
-//    (a raw function pointer + context, no std::function, no allocation)
-//    shared by every worker, with chunk indices handed out through an atomic
-//    counter. The calling thread participates in draining the batch.
+// One execution path, run_batch(), under parallel_for: ONE type-erased
+// callable (a raw function pointer + context, no std::function, no
+// allocation) shared by every worker, with chunk indices handed out through
+// an atomic counter. The calling thread participates in draining the batch.
 //
-// Nested waiting is a hard error, not a documented footgun: wait_idle() and
-// run_batch() called from a worker thread of the same pool TCAST_CHECK-fail
-// loudly instead of deadlocking. parallel_for called from a worker degrades
-// to an inline sequential loop (same results — chunking never affects
-// observable output).
+// Nested waiting is a hard error, not a documented footgun: run_batch()
+// called from a worker thread of the same pool TCAST_CHECK-fails loudly
+// instead of deadlocking. parallel_for called from a worker degrades to an
+// inline sequential loop (same results — chunking never affects observable
+// output).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -32,7 +28,7 @@
 
 namespace tcast {
 
-/// Fixed-size worker pool. Tasks are void() closures.
+/// Fixed-size worker pool that runs one index batch at a time.
 class ThreadPool {
  public:
   /// Type-erased index callable used by run_batch: fn(ctx, index).
@@ -46,15 +42,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t worker_count() const { return threads_.size(); }
-
-  /// Enqueues a task. Tasks may submit further tasks, but must never block
-  /// on them: wait_idle() from a worker thread fails a TCAST_CHECK.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished. Calling this from one
-  /// of this pool's own worker threads would deadlock (the worker cannot
-  /// drain the work it is waiting on), so it fails a TCAST_CHECK instead.
-  void wait_idle();
 
   /// Runs fn(ctx, i) for every i in [0, count), fanned out across the
   /// workers plus the calling thread; blocks until the batch completes.
@@ -90,11 +77,6 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
-  // Reusable pending-task buffer: drained front-to-back via task_head_, then
-  // cleared keeping capacity — no per-node allocation churn under load.
-  std::vector<std::function<void()>> tasks_;
-  std::size_t task_head_ = 0;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 
   // Active-batch state. batch_mu_ serializes external run_batch callers;
@@ -142,10 +124,5 @@ void parallel_for(std::size_t n, Body&& body, ThreadPool* pool = nullptr) {
       },
       &ctx);
 }
-
-/// Type-erased compatibility shim (pre-existing API); prefer the template,
-/// which avoids the per-index indirect call.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  ThreadPool* pool);
 
 }  // namespace tcast

@@ -21,7 +21,7 @@ CheckedChannel::CheckedChannel(group::QueryChannel& inner,
                                std::span<const NodeId> participants,
                                Config cfg)
     : QueryChannel(inner.model()),
-      instr_(inner),
+      inner_(&inner),
       cfg_(cfg),
       participants_(participants.begin(), participants.end()) {
   // The ≥2-activity inference is only sound when a lone reply always
@@ -86,7 +86,7 @@ void CheckedChannel::do_announce(const group::BinAssignment& a) {
       }
     }
   }
-  instr_.announce(a);
+  inner_->announce(a);
 }
 
 group::BinQueryResult CheckedChannel::check_result(
@@ -181,13 +181,13 @@ group::BinQueryResult CheckedChannel::check_result(
 
 group::BinQueryResult CheckedChannel::do_query_bin(
     const group::BinAssignment& a, std::size_t idx) {
-  return check_result(a.bin(idx), instr_.query_bin(a, idx),
+  return check_result(a.bin(idx), inner_->query_bin(a, idx),
                       /*announced_bin=*/true);
 }
 
 group::BinQueryResult CheckedChannel::do_query_set(
     std::span<const NodeId> nodes) {
-  return check_result(nodes, instr_.query_set(nodes),
+  return check_result(nodes, inner_->query_set(nodes),
                       /*announced_bin=*/false);
 }
 

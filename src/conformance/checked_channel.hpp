@@ -1,9 +1,9 @@
 // CheckedChannel: an online invariant-asserting decorator.
 //
-// Layered on InstrumentedChannel (so the full transcript stays available),
-// it mirrors every sound inference a threshold algorithm is allowed to make
-// and records a Violation the moment the algorithm — or the channel —
-// steps outside them:
+// Forwards every announce and query to the inner channel, mirrors every
+// sound inference a threshold algorithm is allowed to make, and records a
+// Violation the moment the algorithm — or the channel — steps outside them
+// (wrap the inner channel in an InstrumentedChannel to keep a transcript):
 //
 //   * partition   — an announced BinAssignment must not place a node in two
 //                   bins, and must only contain known participants;
@@ -32,7 +32,7 @@
 
 #include "core/counting.hpp"
 #include "core/round_engine.hpp"
-#include "group/instrumented_channel.hpp"
+#include "group/query_channel.hpp"
 
 namespace tcast::conformance {
 
@@ -88,16 +88,13 @@ class CheckedChannel final : public group::QueryChannel {
   /// statistical monitor's job (conformance/count_monitor).
   void check_count_outcome(const core::CountOutcome& out);
 
-  /// The underlying transcript (bin structures included).
-  const group::InstrumentedChannel& instrumented() const { return instr_; }
-
   std::size_t true_positive_count() const { return truth_positive_count_; }
 
-  bool lossy() const override { return instr_.lossy(); }
+  bool lossy() const override { return inner_->lossy(); }
 
   std::optional<std::size_t> oracle_positive_count(
       std::span<const NodeId> nodes) const override {
-    return instr_.oracle_positive_count(nodes);
+    return inner_->oracle_positive_count(nodes);
   }
 
  protected:
@@ -120,7 +117,7 @@ class CheckedChannel final : public group::QueryChannel {
                                      bool announced_bin);
   NodeState& state_of(NodeId id) { return state_.at(static_cast<std::size_t>(id)); }
 
-  group::InstrumentedChannel instr_;
+  group::QueryChannel* inner_;
   Config cfg_;
   std::vector<NodeId> participants_;
   std::vector<NodeState> state_;   ///< indexed by NodeId

@@ -3,40 +3,32 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace tcast::core {
 
 std::optional<RetryPolicy> RetryPolicy::parse(std::string_view text) {
-  const auto number = [](std::string_view v) -> std::optional<double> {
-    if (v.empty()) return std::nullopt;
-    const std::string buf(v);
-    char* end = nullptr;
-    const double d = std::strtod(buf.c_str(), &end);
-    if (end != buf.c_str() + buf.size()) return std::nullopt;
-    return d;
-  };
   if (text == "none") return none();
   if (text.starts_with("fixed:")) {
-    const auto r = number(text.substr(6));
-    if (!r || *r < 0 || *r != std::floor(*r)) return std::nullopt;
-    return fixed(static_cast<std::size_t>(*r));
+    std::size_t retries = 0;
+    if (!parse_int(text.substr(6), retries)) return std::nullopt;
+    return fixed(retries);
   }
   if (text.starts_with("adaptive:")) {
     auto rest = text.substr(9);
     const auto colon = rest.find(':');
-    const auto target = number(rest.substr(0, colon));
-    if (!target || *target <= 0.0 || *target >= 1.0) return std::nullopt;
+    double target = 0.0;
+    if (!parse_double(rest.substr(0, colon), target) || !(target > 0.0) ||
+        target >= 1.0)
+      return std::nullopt;
     std::size_t cap = 8;
-    if (colon != std::string_view::npos) {
-      const auto c = number(rest.substr(colon + 1));
-      if (!c || *c < 1 || *c != std::floor(*c)) return std::nullopt;
-      cap = static_cast<std::size_t>(*c);
-    }
-    return adaptive(*target, cap);
+    if (colon != std::string_view::npos &&
+        (!parse_int(rest.substr(colon + 1), cap) || cap < 1))
+      return std::nullopt;
+    return adaptive(target, cap);
   }
   return std::nullopt;
 }

@@ -2,42 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
+
+#include "common/parse.hpp"
 
 namespace tcast::faults {
 namespace {
 
-bool valid_prob(double p) { return p >= 0.0 && p <= 1.0; }
-
-/// Parses a double out of `text`, demanding full consumption.
-std::optional<double> parse_double(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  const std::string buf(text);
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
-  return v;
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  const std::string buf(text);
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(buf.c_str(), &end, 10);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
-  return v;
-}
-
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  while (true) {
-    const auto pos = text.find(sep);
-    parts.push_back(text.substr(0, pos));
-    if (pos == std::string_view::npos) break;
-    text.remove_prefix(pos + 1);
-  }
-  return parts;
+/// A probability in [0, 1]; NaN fails the range test.
+bool parse_prob(std::string_view text, double& out) {
+  return parse_double(text, out) && out >= 0.0 && out <= 1.0;
 }
 
 std::string format_prob(double p) {
@@ -47,7 +20,8 @@ std::string format_prob(double p) {
   // doubles — fall back to max_digits10 so spec() always round-trips.
   char buf[40];
   std::snprintf(buf, sizeof buf, "%g", p);
-  if (std::strtod(buf, nullptr) != p)
+  double back = 0.0;
+  if (!parse_double(buf, back) || back != p)
     std::snprintf(buf, sizeof buf, "%.17g", p);
   return buf;
 }
@@ -110,44 +84,26 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text) {
     const auto key = token.substr(0, eq);
     const auto value = token.substr(eq + 1);
     if (key == "iid") {
-      const auto p = parse_double(value);
-      if (!p || !valid_prob(*p)) return std::nullopt;
+      if (!parse_prob(value, plan.loss)) return std::nullopt;
       plan.process = LossProcess::kIid;
-      plan.loss = *p;
     } else if (key == "ge") {
       const auto parts = split(value, ':');
-      if (parts.size() != 4) return std::nullopt;
-      double vals[4];
-      for (std::size_t i = 0; i < 4; ++i) {
-        const auto p = parse_double(parts[i]);
-        if (!p || !valid_prob(*p)) return std::nullopt;
-        vals[i] = *p;
-      }
+      if (parts.size() != 4 || !parse_prob(parts[0], plan.ge_enter_bad) ||
+          !parse_prob(parts[1], plan.ge_exit_bad) ||
+          !parse_prob(parts[2], plan.ge_loss_good) ||
+          !parse_prob(parts[3], plan.ge_loss_bad))
+        return std::nullopt;
       plan.process = LossProcess::kGilbertElliott;
-      plan.ge_enter_bad = vals[0];
-      plan.ge_exit_bad = vals[1];
-      plan.ge_loss_good = vals[2];
-      plan.ge_loss_bad = vals[3];
     } else if (key == "downgrade") {
-      const auto p = parse_double(value);
-      if (!p || !valid_prob(*p)) return std::nullopt;
-      plan.capture_downgrade = *p;
+      if (!parse_prob(value, plan.capture_downgrade)) return std::nullopt;
     } else if (key == "spurious") {
-      const auto p = parse_double(value);
-      if (!p || !valid_prob(*p)) return std::nullopt;
-      plan.spurious_activity = *p;
+      if (!parse_prob(value, plan.spurious_activity)) return std::nullopt;
     } else if (key == "crash") {
-      const auto p = parse_double(value);
-      if (!p || !valid_prob(*p)) return std::nullopt;
-      plan.crash_rate = *p;
+      if (!parse_prob(value, plan.crash_rate)) return std::nullopt;
     } else if (key == "reboot") {
-      const auto v = parse_u64(value);
-      if (!v) return std::nullopt;
-      plan.reboot_after = static_cast<std::size_t>(*v);
+      if (!parse_int(value, plan.reboot_after)) return std::nullopt;
     } else if (key == "seed") {
-      const auto v = parse_u64(value);
-      if (!v) return std::nullopt;
-      plan.seed = *v;
+      if (!parse_int(value, plan.seed)) return std::nullopt;
     } else {
       return std::nullopt;
     }

@@ -18,6 +18,13 @@ struct PacketChannel::Participant {
 
 namespace {
 
+/// The one predicate every announce carries and every responder serves.
+constexpr std::uint8_t kPredicateId = 1;
+/// Size of a foreign cross-traffic frame (Config::interference_duty).
+constexpr std::size_t kInterferenceFrameBytes = 32;
+/// Gap before the first re-poll of a silent bin; it doubles per re-poll.
+constexpr SimTime kPollBackoff = 960 * kMicrosecond;
+
 RcdPrimitive resolve_primitive(const PacketChannel::Config& cfg) {
   if (cfg.primitive != RcdPrimitive::kAuto) {
     TCAST_CHECK_MSG(!(cfg.primitive == RcdPrimitive::kBackcast &&
@@ -75,7 +82,7 @@ PacketChannel::PacketChannel(std::vector<bool> positive, Config cfg)
     p.radio.set_position(pos.first, pos.second);
     p.radio.power_on();
     auto eval = [this, i](std::uint8_t pred) {
-      return pred == cfg_.predicate_id && positive_[i];
+      return pred == kPredicateId && positive_[i];
     };
     if (use_backcast) {
       auto* responder = &p.backcast.emplace(p.radio, eval);
@@ -95,7 +102,7 @@ PacketChannel::PacketChannel(std::vector<bool> positive, Config cfg)
   if (cfg_.interference_duty > 0.0) {
     radio::InterferenceSource::Config icfg;
     icfg.duty = cfg_.interference_duty;
-    icfg.frame_bytes = cfg_.interference_frame_bytes;
+    icfg.frame_bytes = kInterferenceFrameBytes;
     icfg.position = cfg_.interferer_pos;
     interference_ =
         std::make_unique<radio::InterferenceSource>(*channel_, icfg);
@@ -147,9 +154,9 @@ void PacketChannel::ensure_announced(
   bool done = false;
   auto on_done = [&done] { done = true; };
   if (backcast_) {
-    backcast_->announce(cfg_.predicate_id, session_, wire, on_done);
+    backcast_->announce(kPredicateId, session_, wire, on_done);
   } else {
-    pollcast_->announce(cfg_.predicate_id, session_, wire, on_done);
+    pollcast_->announce(kPredicateId, session_, wire, on_done);
   }
   sim_->run_until_flag([&done] { return done; });
   TCAST_CHECK_MSG(done, "announce did not complete");
@@ -248,7 +255,7 @@ BinQueryResult PacketChannel::poll(std::uint16_t bin) {
   // A silent bin is indistinguishable from a poll frame lost on the air;
   // when re-polling is configured, back off exponentially and try again
   // before reporting silence. Non-empty results are accepted immediately.
-  SimTime backoff = cfg_.poll_backoff;
+  SimTime backoff = kPollBackoff;
   for (std::size_t attempt = 1;
        attempt < cfg_.poll_attempts &&
        result.kind == BinQueryResult::Kind::kEmpty;
@@ -256,8 +263,7 @@ BinQueryResult PacketChannel::poll(std::uint16_t bin) {
     bool waited = false;
     sim_->schedule_after(backoff, [&waited] { waited = true; });
     sim_->run_until_flag([&waited] { return waited; });
-    backoff = static_cast<SimTime>(static_cast<double>(backoff) *
-                                   cfg_.poll_backoff_multiplier);
+    backoff *= 2;
     ++repolls_;
     count_extra_query();
     result = poll_once(bin);

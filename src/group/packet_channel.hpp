@@ -43,20 +43,16 @@ class PacketChannel final : public QueryChannel, public ChannelFaultControl {
     radio::ChannelConfig channel;  ///< HACK model, capture model, loss
     std::uint64_t seed = 1;
     std::uint64_t stream = 0;
-    std::uint8_t predicate_id = 1;
     /// Fraction of air time occupied by foreign cross-traffic (multihop
-    /// interference model, Sec. III-B). 0 disables it.
+    /// interference model, Sec. III-B; 32-byte frames). 0 disables it.
     double interference_duty = 0.0;
-    std::size_t interference_frame_bytes = 32;
 
     /// Loss robustness at the packet tier: a silent poll is re-issued after
-    /// an exponentially growing backoff (a lost poll frame is
-    /// indistinguishable from an empty bin; re-polling restores delivery).
-    /// Every re-poll occupies a slot and is counted as a query — the
-    /// paper's cost accounting stays honest. 1 = a single poll (off).
+    /// a backoff of 960 us that doubles with each re-poll (a lost poll frame
+    /// is indistinguishable from an empty bin; re-polling restores
+    /// delivery). Every re-poll occupies a slot and is counted as a query —
+    /// the paper's cost accounting stays honest. 1 = a single poll (off).
     std::size_t poll_attempts = 1;
-    SimTime poll_backoff = 960 * kMicrosecond;  ///< gap before 1st re-poll
-    double poll_backoff_multiplier = 2.0;       ///< growth per re-poll
 
     /// Spatial layout (only meaningful when channel.range > 0): initiator
     /// placement, per-participant placements (defaults to the initiator's

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "common/check.hpp"
@@ -115,54 +114,6 @@ JsonValue BenchResult::to_json() const {
   return JsonValue(std::move(obj));
 }
 
-namespace {
-
-bool read_number(const JsonValue& v, std::string_view key, double* out) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr || !f->is_number()) return false;
-  *out = f->as_number();
-  return true;
-}
-
-bool read_string(const JsonValue& v, std::string_view key, std::string* out) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr || !f->is_string()) return false;
-  *out = f->as_string();
-  return true;
-}
-
-}  // namespace
-
-std::optional<BenchResult> BenchResult::from_json(const JsonValue& v) {
-  BenchResult r;
-  double items = 0.0, reps = 0.0;
-  if (!read_string(v, "name", &r.name) || !read_string(v, "unit", &r.unit) ||
-      !read_number(v, "items", &items) || !read_number(v, "reps", &reps))
-    return std::nullopt;
-  r.items = static_cast<std::uint64_t>(items);
-  r.timing.reps = static_cast<std::size_t>(reps);
-  const JsonValue* stats = v.find("stats");
-  if (stats == nullptr || !stats->is_object()) return std::nullopt;
-  if (!read_number(*stats, "wall_min_s", &r.timing.wall_min_s) ||
-      !read_number(*stats, "wall_median_s", &r.timing.wall_median_s) ||
-      !read_number(*stats, "wall_mad_s", &r.timing.wall_mad_s) ||
-      !read_number(*stats, "cpu_min_s", &r.timing.cpu_min_s) ||
-      !read_number(*stats, "cpu_median_s", &r.timing.cpu_median_s) ||
-      !read_number(*stats, "cpu_mad_s", &r.timing.cpu_mad_s))
-    return std::nullopt;
-  if (const JsonValue* params = v.find("params");
-      params != nullptr && params->is_object()) {
-    for (const auto& [k, pv] : params->as_object())
-      if (pv.is_number()) r.params.emplace(k, pv.as_number());
-  }
-  if (const JsonValue* pct = v.find("percentiles");
-      pct != nullptr && pct->is_object()) {
-    for (const auto& [k, pv] : pct->as_object())
-      if (pv.is_number()) r.percentiles.emplace(k, pv.as_number());
-  }
-  return r;
-}
-
 void BenchRegistry::add(Benchmark b) {
   TCAST_CHECK_MSG(!b.name.empty(), "benchmark needs a name");
   TCAST_CHECK(b.body != nullptr);
@@ -237,31 +188,12 @@ HostInfo host_info() {
   return h;
 }
 
-std::string current_git_sha() {
-  if (const char* env = std::getenv("TCAST_GIT_SHA");
-      env != nullptr && env[0] != '\0')
-    return env;
-#if defined(__unix__) || defined(__APPLE__)
-  if (FILE* p = popen("git rev-parse HEAD 2>/dev/null", "r")) {
-    char buf[64] = {};
-    const std::size_t n = fread(buf, 1, sizeof buf - 1, p);
-    const int status = pclose(p);
-    std::string sha(buf, n);
-    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
-      sha.pop_back();
-    if (status == 0 && sha.size() >= 7) return sha;
-  }
-#endif
-  return "unknown";
-}
-
 JsonValue Report::to_json() const {
   JsonValue::Array arr;
   arr.reserve(results.size());
   for (const BenchResult& r : results) arr.push_back(r.to_json());
   return JsonValue(JsonValue::Object{
       {"schema", schema},
-      {"git_sha", git_sha},
       {"quick", quick},
       {"host",
        JsonValue::Object{
@@ -272,35 +204,6 @@ JsonValue Report::to_json() const {
        }},
       {"benchmarks", std::move(arr)},
   });
-}
-
-std::optional<Report> Report::from_json(const JsonValue& v) {
-  Report rep;
-  if (!read_string(v, "schema", &rep.schema) ||
-      rep.schema != "tcast-bench-v1" ||
-      !read_string(v, "git_sha", &rep.git_sha))
-    return std::nullopt;
-  if (const JsonValue* q = v.find("quick"); q != nullptr && q->is_bool())
-    rep.quick = q->as_bool();
-  if (const JsonValue* host = v.find("host");
-      host != nullptr && host->is_object()) {
-    read_string(*host, "compiler", &rep.host.compiler);
-    read_string(*host, "build_type", &rep.host.build_type);
-    double threads = 0.0;
-    if (read_number(*host, "hardware_threads", &threads))
-      rep.host.hardware_threads = static_cast<unsigned>(threads);
-    double affinity = 0.0;
-    if (read_number(*host, "affinity_cpus", &affinity))
-      rep.host.affinity_cpus = static_cast<unsigned>(affinity);
-  }
-  const JsonValue* arr = v.find("benchmarks");
-  if (arr == nullptr || !arr->is_array()) return std::nullopt;
-  for (const JsonValue& rv : arr->as_array()) {
-    auto r = BenchResult::from_json(rv);
-    if (!r) return std::nullopt;
-    rep.results.push_back(std::move(*r));
-  }
-  return rep;
 }
 
 }  // namespace tcast::perf

@@ -7,16 +7,15 @@
 // robust statistics: min, median, and MAD (median absolute deviation) —
 // the right summary for timing samples, whose noise is one-sided.
 //
-// Reports serialise to BENCH_tcast.json (schema `tcast-bench-v1`: name,
-// params, unit, items, reps, wall/cpu stats, throughput, git sha, host
-// info) so every PR extends a machine-readable perf trajectory and CI can
-// gate on regressions (tools/compare_bench.py). See docs/PERFORMANCE.md.
+// Reports serialise to JSON (schema `tcast-bench-v1`: name, params, unit,
+// items, reps, wall/cpu stats, throughput, host info). tools/perf_gate.py
+// reads them from two builds on one machine and gates regressions; see
+// docs/PERFORMANCE.md.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -64,10 +63,9 @@ struct BenchResult {
   std::uint64_t items = 0;               ///< items processed per repetition
   Summary timing;
   /// Optional latency-distribution entries ("p50_us", "p99_us", "p999_us",
-  /// ...) for service/load-rig benchmarks where tail latency — not
-  /// throughput — is the gated quantity (tools/compare_bench.py treats
-  /// these inversely: larger is a regression). Empty for throughput-only
-  /// benchmarks; round-trips through BENCH_tcast.json untouched.
+  /// ...) for the service load rigs, whose tail latency is gated next to
+  /// throughput (tools/perf_gate.py: larger is a regression). Empty for
+  /// throughput-only benchmarks.
   std::map<std::string, double> percentiles;
 
   /// Throughput at the median repetition (the headline number).
@@ -76,7 +74,6 @@ struct BenchResult {
   double items_per_s_best() const;
 
   JsonValue to_json() const;
-  static std::optional<BenchResult> from_json(const JsonValue& v);
 };
 
 struct RunOptions {
@@ -128,21 +125,15 @@ struct HostInfo {
 };
 HostInfo host_info();
 
-/// Commit under measurement: $TCAST_GIT_SHA, else `git rev-parse HEAD`,
-/// else "unknown".
-std::string current_git_sha();
-
-/// A full harness run: everything BENCH_tcast.json holds.
+/// A full harness run: everything a report file holds.
 struct Report {
   std::string schema = "tcast-bench-v1";
-  std::string git_sha;
   HostInfo host;
   bool quick = false;
   std::vector<BenchResult> results;
 
   JsonValue to_json() const;
   std::string to_json_string() const { return to_json().dump(2) + "\n"; }
-  static std::optional<Report> from_json(const JsonValue& v);
 };
 
 }  // namespace tcast::perf

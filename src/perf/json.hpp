@@ -1,17 +1,12 @@
-// Minimal JSON value model for the benchmark harness.
-//
-// The perf trajectory (BENCH_tcast.json) must be machine-readable by CI
-// tooling and round-trippable by the harness's own self-tests, so this is a
-// real (small) parser + serialiser, not printf-only: objects, arrays,
-// strings with escapes, doubles (%.17g — bit-exact round-trip), bools,
-// null. No external dependencies.
+// Minimal JSON writer for the benchmark reports (tcast_bench, service_bench
+// and the end-to-end benchmark): objects, arrays, strings with escapes,
+// doubles (%.17g, so every finite double reads back bit-exact), bools,
+// null. The reports are read by Python tools, so there is no C++ parser.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -40,36 +35,20 @@ class JsonValue {
   bool is_number() const { return std::holds_alternative<double>(v_); }
   bool is_string() const { return std::holds_alternative<std::string>(v_); }
   bool is_array() const { return std::holds_alternative<Array>(v_); }
-  bool is_object() const { return std::holds_alternative<Object>(v_); }
 
   bool as_bool() const { return std::get<bool>(v_); }
   double as_number() const { return std::get<double>(v_); }
   const std::string& as_string() const { return std::get<std::string>(v_); }
   const Array& as_array() const { return std::get<Array>(v_); }
-  Array& as_array() { return std::get<Array>(v_); }
   const Object& as_object() const { return std::get<Object>(v_); }
-  Object& as_object() { return std::get<Object>(v_); }
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* find(std::string_view key) const;
 
   /// Serialises; `indent` > 0 pretty-prints with that many spaces.
   std::string dump(int indent = 0) const;
-
-  bool operator==(const JsonValue& o) const { return v_ == o.v_; }
 
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
 };
-
-/// Escapes `s` for embedding in a JSON string literal (no quotes added).
-std::string json_escape(std::string_view s);
-
-/// Parses one JSON document. Returns nullopt on malformed input and, when
-/// `error` is non-null, a human-readable reason with an offset.
-std::optional<JsonValue> parse_json(std::string_view text,
-                                    std::string* error = nullptr);
 
 }  // namespace tcast::perf

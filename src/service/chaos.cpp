@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/ddmin.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "conformance/count_monitor.hpp"
 
@@ -80,35 +81,33 @@ std::optional<ServiceOp> ServiceOp::parse(std::string_view line) {
   while (is >> word) {
     const auto eq = word.find('=');
     if (eq == std::string::npos || eq == 0) return std::nullopt;
-    const std::string key = word.substr(0, eq);
-    const std::string value = word.substr(eq + 1);
-    try {
-      if (key == "pop") {
-        op.pop = value;
-      } else if (key == "n") {
-        op.n = std::stoull(value);
-      } else if (key == "x") {
-        op.x = std::stoull(value);
-      } else if (key == "seed") {
-        op.seed = std::stoull(value);
-      } else if (key == "t") {
-        op.t = std::stoull(value);
-      } else if (key == "deadline-ms") {
-        op.deadline_ms = std::stoull(value);
-      } else if (key == "approx") {
-        const auto mode = parse_approx_mode(value);
-        if (!mode) return std::nullopt;
-        op.approx = *mode;
-      } else if (key == "shard") {
-        op.shard = std::stoull(value);
-      } else if (key == "us") {
-        op.advance_us = std::stoull(value);
-      } else {
-        return std::nullopt;
-      }
-    } catch (...) {
-      return std::nullopt;
+    const std::string_view key = std::string_view(word).substr(0, eq);
+    const std::string_view value = std::string_view(word).substr(eq + 1);
+    bool ok = true;
+    if (key == "pop") {
+      op.pop = value;
+    } else if (key == "n") {
+      ok = parse_int(value, op.n);
+    } else if (key == "x") {
+      ok = parse_int(value, op.x);
+    } else if (key == "seed") {
+      ok = parse_int(value, op.seed);
+    } else if (key == "t") {
+      ok = parse_int(value, op.t);
+    } else if (key == "deadline-ms") {
+      ok = parse_int(value, op.deadline_ms);
+    } else if (key == "approx") {
+      const auto mode = parse_approx_mode(value);
+      ok = mode.has_value();
+      if (ok) op.approx = *mode;
+    } else if (key == "shard") {
+      ok = parse_int(value, op.shard);
+    } else if (key == "us") {
+      ok = parse_int(value, op.advance_us);
+    } else {
+      ok = false;
     }
+    if (!ok) return std::nullopt;
   }
   return op;
 }

@@ -1,9 +1,9 @@
 #include "service/protocol.hpp"
 
-#include <charconv>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
+
+#include "common/parse.hpp"
 
 namespace tcast::service {
 namespace {
@@ -31,23 +31,6 @@ std::optional<Token> split_kv(std::string_view word) {
   const auto eq = word.find('=');
   if (eq == std::string_view::npos || eq == 0) return std::nullopt;
   return Token{word.substr(0, eq), word.substr(eq + 1)};
-}
-
-template <typename Int>
-bool parse_int(std::string_view text, Int& out) {
-  const auto* begin = text.data();
-  const auto* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
-bool parse_double(std::string_view text, double& out) {
-  // Population names exclude spaces, so values never contain them; a plain
-  // strtod on a NUL-terminated copy is the portable float path.
-  const std::string copy(text);
-  char* endp = nullptr;
-  out = std::strtod(copy.c_str(), &endp);
-  return endp == copy.c_str() + copy.size() && !copy.empty();
 }
 
 bool parse_bool(std::string_view text, bool& out) {

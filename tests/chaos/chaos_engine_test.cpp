@@ -47,6 +47,9 @@ TEST(ChaosScenario, ParseRejectsMalformedSpecs) {
       "algo=2tbins;n=4;x=9",    // x > n
       "algo=2tbins;what=1",     // unknown key
       "algo=2tbins;lp=1",       // retired key
+      "algo=2tbins;n=-1;x=0;t=1",  // negative count (was read as 2^64 - 1)
+      "algo=2tbins;seed=+5",    // explicit sign
+      "algo=2tbins;t= 4",       // leading space
   };
   for (const char* text : bad)
     EXPECT_FALSE(ChaosScenario::parse(text).has_value()) << text;

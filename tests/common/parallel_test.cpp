@@ -11,20 +11,6 @@
 namespace tcast {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) pool.submit([&counter] { ++counter; });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(1);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
 TEST(ThreadPool, WorkerCountRespected) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.worker_count(), 3u);
@@ -100,12 +86,36 @@ TEST(ThreadPool, OnWorkerThreadDistinguishesPools) {
   ThreadPool a(2);
   ThreadPool b(2);
   EXPECT_FALSE(a.on_worker_thread());
-  std::atomic<int> checks{0};
-  a.submit([&] {
-    if (a.on_worker_thread() && !b.on_worker_thread()) ++checks;
-  });
-  a.wait_idle();
-  EXPECT_EQ(checks.load(), 1);
+  // Two indices: the calling thread holds the one it claims until a worker
+  // of `a` has run the other, so both kinds of thread run a batch body.
+  struct Ctx {
+    ThreadPool* a;
+    ThreadPool* b;
+    std::thread::id caller;
+    std::atomic<bool> worker_ran{false};
+    std::atomic<int> checks{0};
+  } ctx{&a, &b, std::this_thread::get_id()};
+  a.run_batch(
+      2,
+      [](void* raw, std::size_t) {
+        auto& c = *static_cast<Ctx*>(raw);
+        const bool on_caller = std::this_thread::get_id() == c.caller;
+        if (c.a->on_worker_thread() != !on_caller || c.b->on_worker_thread())
+          return;
+        if (on_caller) {
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!c.worker_ran.load() &&
+                 std::chrono::steady_clock::now() < give_up)
+            std::this_thread::yield();
+        } else {
+          c.worker_ran.store(true);
+        }
+        ++c.checks;
+      },
+      &ctx);
+  EXPECT_TRUE(ctx.worker_ran.load());
+  EXPECT_EQ(ctx.checks.load(), 2);
 }
 
 TEST(ParallelFor, NestedCallRunsInlineInsteadOfDeadlocking) {
@@ -125,28 +135,24 @@ TEST(ParallelFor, NestedCallRunsInlineInsteadOfDeadlocking) {
 
 // Nested waiting is a programming error and must die loudly (TCAST_CHECK ->
 // abort), not deadlock. Death tests fork, so use the threadsafe style.
-TEST(ThreadPoolDeathTest, WaitIdleFromWorkerAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(2);
-        pool.submit([&pool] { pool.wait_idle(); });
-        // Give the worker time to hit the check; the abort tears us down.
-        std::this_thread::sleep_for(std::chrono::seconds(5));
-      },
-      "wait_idle from a worker");
-}
-
 TEST(ThreadPoolDeathTest, RunBatchFromWorkerAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
         ThreadPool pool(2);
-        pool.submit([&pool] {
-          pool.run_batch(
-              4, [](void*, std::size_t) {}, nullptr);
-        });
-        std::this_thread::sleep_for(std::chrono::seconds(5));
+        pool.run_batch(
+            2,
+            [](void* raw, std::size_t) {
+              auto& p = *static_cast<ThreadPool*>(raw);
+              if (p.on_worker_thread()) {
+                p.run_batch(4, [](void*, std::size_t) {}, nullptr);
+              } else {
+                // The caller holds its index so that a worker runs the
+                // other; the worker's abort tears us down.
+                std::this_thread::sleep_for(std::chrono::seconds(5));
+              }
+            },
+            &pool);
       },
       "run_batch from a worker");
 }

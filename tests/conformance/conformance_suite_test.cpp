@@ -8,6 +8,7 @@
 
 #include "conformance/harness.hpp"
 #include "group/exact_channel.hpp"
+#include "group/instrumented_channel.hpp"
 
 namespace tcast::conformance {
 namespace {
@@ -53,11 +54,12 @@ TEST(ConformanceSweep, CoversEveryRegisteredAlgorithm) {
 }
 
 TEST(CheckedChannelTranscript, AnnouncementsRecordFullBinStructure) {
-  // The satellite fix: InstrumentedChannel must keep the announced bin
-  // partition, not just a counter — the partition checks depend on it.
+  // InstrumentedChannel must keep the announced bin partition, not just a
+  // counter, and a CheckedChannel over it must forward every announce.
   RngStream rng(99, 0);
   auto exact = group::ExactChannel::with_random_positives(24, 10, rng);
-  CheckedChannel checked(exact, exact.all_nodes(), {});
+  group::InstrumentedChannel instr(exact);
+  CheckedChannel checked(instr, exact.all_nodes(), {});
   const auto* spec = core::find_algorithm("2tbins");
   ASSERT_NE(spec, nullptr);
   const auto out =
@@ -65,7 +67,7 @@ TEST(CheckedChannelTranscript, AnnouncementsRecordFullBinStructure) {
   EXPECT_TRUE(checked.ok());
   EXPECT_TRUE(out.decision);
 
-  const auto& announcements = checked.instrumented().announcements();
+  const auto& announcements = instr.announcements();
   ASSERT_FALSE(announcements.empty());
   // Every announcement carries the full partition: 2t bins in round one,
   // jointly covering all 24 candidates exactly once.
@@ -83,8 +85,7 @@ TEST(CheckedChannelTranscript, AnnouncementsRecordFullBinStructure) {
   }
   EXPECT_EQ(covered, 24u);
   // And the transcript still records per-query results alongside.
-  EXPECT_EQ(checked.instrumented().transcript().size(),
-            static_cast<std::size_t>(out.queries));
+  EXPECT_EQ(instr.transcript().size(), static_cast<std::size_t>(out.queries));
 }
 
 TEST(CheckedChannel, LossyRunsKeepOneSidedSoundness) {

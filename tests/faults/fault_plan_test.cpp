@@ -76,6 +76,11 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
       "seed=12x",         // trailing garbage
       "bogus=1",          // unknown key
       "iid=0.1,,seed=2",  // empty token
+      "reboot=-1",        // negative count (was read as 2^64 - 1)
+      "seed=+7",          // explicit sign
+      "iid=+0.05",        // explicit sign
+      "iid= 0.05",        // leading space
+      "iid=0x1p-4",       // hexadecimal
   };
   for (const char* text : bad)
     EXPECT_FALSE(FaultPlan::parse(text).has_value()) << text;

@@ -41,6 +41,10 @@ TEST(FaultTrace, RejectsMalformedSpecs) {
       "lossy=1,a:fe",     // non-numeric index
       "lossy=1,3:cr:x",   // non-numeric node
       "lossy=1,3:cr:1:2", // too many fields
+      "lossy=0, 3:fe,-1:cr:+2",  // space, negative index, signed node
+      "lossy=0, 3:fe",    // leading space
+      "lossy=1,-1:fe",    // negative index (was read as 2^64 - 1)
+      "lossy=1,3:cr:+2",  // explicit sign
   };
   for (const char* spec : bad)
     EXPECT_FALSE(FaultTrace::parse(spec).has_value()) << spec;

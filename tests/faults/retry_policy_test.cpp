@@ -45,9 +45,11 @@ TEST(RetryPolicy, SpecRoundTrips) {
 }
 
 TEST(RetryPolicy, RejectsMalformedSpecs) {
-  const char* bad[] = {"",         "fixed",        "fixed:",   "fixed:-1",
-                       "fixed:1.5", "adaptive:",   "adaptive:0",
-                       "adaptive:2", "adaptive:0.1:0", "bogus"};
+  const char* bad[] = {"",           "fixed",          "fixed:",
+                       "fixed:-1",   "fixed:1.5",      "fixed:+2",
+                       "fixed: 2",   "adaptive:",      "adaptive:0",
+                       "adaptive:2", "adaptive:nan",   "adaptive:0.1:0",
+                       "adaptive:0.1:+3", "bogus"};
   for (const char* text : bad)
     EXPECT_FALSE(RetryPolicy::parse(text).has_value()) << text;
 }

@@ -1,10 +1,11 @@
 // Self-tests for the benchmarking harness: the statistics it reports
-// (min/median/MAD), the tcast-bench-v1 JSON schema round-trip, and the
-// registry runner itself.
+// (min/median/MAD), the JSON writer and the tcast-bench-v1 report text, and
+// the registry runner itself.
 #include "perf/bench_harness.hpp"
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,40 +61,45 @@ TEST(BenchJson, ValueRoundTrip) {
       {"n", 0.1},  // not exactly representable: exercises %.17g
       {"list", JsonValue::Array{JsonValue(1.0), JsonValue("two")}},
   });
-  std::string error;
-  const auto parsed = parse_json(v.dump(2), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(*parsed, v);
-  // Compact form round-trips too.
-  const auto compact = parse_json(v.dump(0), &error);
-  ASSERT_TRUE(compact.has_value()) << error;
-  EXPECT_EQ(*compact, v);
-}
-
-TEST(BenchJson, StringEscapes) {
-  const JsonValue v(std::string("a\"b\\c\nd\te"));
-  std::string error;
-  const auto parsed = parse_json(v.dump(0), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(*parsed, v);
-  // \u escapes from foreign writers decode as UTF-8.
-  const auto esc = parse_json("\"\\u0041\\u00e9\"", &error);
-  ASSERT_TRUE(esc.has_value()) << error;
-  EXPECT_EQ(esc->as_string(), "A\xc3\xa9");
-}
-
-TEST(BenchJson, ParseErrorsAreReported) {
-  for (const char* bad : {"", "{", "[1,", "{\"a\" 1}", "tru", "1 2",
-                          "\"unterminated", "{\"a\":}", "nan"}) {
-    std::string error;
-    EXPECT_FALSE(parse_json(bad, &error).has_value()) << bad;
-    EXPECT_FALSE(error.empty()) << bad;
+  EXPECT_EQ(v.dump(0),
+            "{\"flag\":true,\"list\":[1,\"two\"],\"n\":0.10000000000000001,"
+            "\"name\":\"x/y\",\"nothing\":null}");
+  EXPECT_EQ(v.dump(2),
+            "{\n"
+            "  \"flag\": true,\n"
+            "  \"list\": [\n"
+            "    1,\n"
+            "    \"two\"\n"
+            "  ],\n"
+            "  \"n\": 0.10000000000000001,\n"
+            "  \"name\": \"x/y\",\n"
+            "  \"nothing\": null\n"
+            "}");
+  EXPECT_EQ(JsonValue(JsonValue::Array{}).dump(2), "[]");
+  EXPECT_EQ(JsonValue(JsonValue::Object{}).dump(2), "{}");
+  // %.17g text reads back as the identical double.
+  for (const double d : {0.1, 1.0 / 3.0, 2.5e-300, 123456789.123456789}) {
+    const std::string text = JsonValue(d).dump();
+    double back = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), back);
+    ASSERT_EQ(ec, std::errc{}) << text;
+    EXPECT_EQ(ptr, text.data() + text.size()) << text;
+    EXPECT_EQ(back, d) << text;
   }
 }
 
-BenchResult sample_result(const std::string& name) {
+TEST(BenchJson, StringEscapes) {
+  EXPECT_EQ(JsonValue(std::string("a\"b\\c\nd\te\rf\x01g")).dump(),
+            "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\"");
+  // Keys are escaped the same way.
+  EXPECT_EQ(JsonValue(JsonValue::Object{{"k\"", 1}}).dump(),
+            "{\"k\\\"\":1}");
+}
+
+TEST(BenchJson, BenchResultRoundTrip) {
   BenchResult r;
-  r.name = name;
+  r.name = "common/run_trials/fast";
   r.unit = "trial";
   r.params = {{"metrics", 3.0}, {"rng_draws_per_trial", 1.0}};
   r.items = 200000;
@@ -104,53 +110,83 @@ BenchResult sample_result(const std::string& name) {
   r.timing.cpu_min_s = 0.03;
   r.timing.cpu_median_s = 0.031;
   r.timing.cpu_mad_s = 0.0002;
-  return r;
+  // Every field reads back from the result's JSON value.
+  const JsonValue v = r.to_json();
+  const auto& o = v.as_object();
+  EXPECT_EQ(o.at("name").as_string(), r.name);
+  EXPECT_EQ(o.at("unit").as_string(), r.unit);
+  EXPECT_EQ(o.at("items").as_number(), static_cast<double>(r.items));
+  EXPECT_EQ(o.at("reps").as_number(), static_cast<double>(r.timing.reps));
+  EXPECT_EQ(o.at("params").as_object().at("metrics").as_number(), 3.0);
+  const auto& stats = o.at("stats").as_object();
+  EXPECT_EQ(stats.at("wall_median_s").as_number(), r.timing.wall_median_s);
+  EXPECT_EQ(stats.at("cpu_mad_s").as_number(), r.timing.cpu_mad_s);
+  EXPECT_EQ(o.at("items_per_s").as_number(), r.items_per_s());
+  EXPECT_EQ(o.at("items_per_s_best").as_number(), r.items_per_s_best());
+  // Throughput-only results carry no percentiles object.
+  EXPECT_EQ(o.count("percentiles"), 0u);
 }
 
-TEST(BenchJson, BenchResultRoundTrip) {
-  const BenchResult r = sample_result("common/run_trials/fast");
-  const auto back = BenchResult::from_json(r.to_json());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->name, r.name);
-  EXPECT_EQ(back->unit, r.unit);
-  EXPECT_EQ(back->items, r.items);
-  EXPECT_EQ(back->params, r.params);
-  EXPECT_EQ(back->timing.reps, r.timing.reps);
-  EXPECT_DOUBLE_EQ(back->timing.wall_median_s, r.timing.wall_median_s);
-  EXPECT_DOUBLE_EQ(back->timing.cpu_mad_s, r.timing.cpu_mad_s);
-  EXPECT_DOUBLE_EQ(back->items_per_s(), r.items_per_s());
-}
+// The schema tools/perf_gate.py and bench/e2e/noise.py read.
+TEST(BenchJson, ReportMatchesExpectedText) {
+  BenchResult r;
+  r.name = "service/closed_loop";
+  r.unit = "query";
+  r.params = {{"queries", 400.0}};
+  r.items = 200000;
+  r.timing.reps = 5;
+  r.timing.wall_min_s = 0.125;
+  r.timing.wall_median_s = 0.25;
+  r.timing.wall_mad_s = 0.0625;
+  r.timing.cpu_min_s = 0.5;
+  r.timing.cpu_median_s = 0.5;
+  r.timing.cpu_mad_s = 0.0;
+  r.percentiles = {{"p99_us", 12.5}};
+  EXPECT_DOUBLE_EQ(r.items_per_s(), 800000.0);
+  EXPECT_DOUBLE_EQ(r.items_per_s_best(), 1600000.0);
 
-TEST(BenchJson, ReportRoundTripThroughText) {
   Report rep;
-  rep.git_sha = "0123456789abcdef";
   rep.quick = true;
-  rep.host = host_info();
-  rep.results.push_back(sample_result("common/run_trials/fast"));
-  rep.results.push_back(sample_result("sim/event_queue/schedule_pop"));
-
-  std::string error;
-  const auto parsed = parse_json(rep.to_json_string(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  const auto back = Report::from_json(*parsed);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->schema, "tcast-bench-v1");
-  EXPECT_EQ(back->git_sha, rep.git_sha);
-  EXPECT_TRUE(back->quick);
-  EXPECT_EQ(back->host.compiler, rep.host.compiler);
-  EXPECT_EQ(back->host.build_type, rep.host.build_type);
-  EXPECT_EQ(back->host.hardware_threads, rep.host.hardware_threads);
-  ASSERT_EQ(back->results.size(), 2u);
-  EXPECT_EQ(back->results[0].name, "common/run_trials/fast");
-  EXPECT_EQ(back->results[1].name, "sim/event_queue/schedule_pop");
-}
-
-TEST(BenchJson, ReportRejectsWrongSchema) {
-  Report rep;
-  rep.results.push_back(sample_result("x"));
-  JsonValue v = rep.to_json();
-  v.as_object().insert_or_assign("schema", JsonValue("tcast-bench-v999"));
-  EXPECT_FALSE(Report::from_json(v).has_value());
+  rep.host.compiler = "gcc";
+  rep.host.build_type = "Release";
+  rep.host.hardware_threads = 4;
+  rep.host.affinity_cpus = 2;
+  rep.results.push_back(r);
+  EXPECT_EQ(rep.to_json_string(),
+            "{\n"
+            "  \"benchmarks\": [\n"
+            "    {\n"
+            "      \"items\": 200000,\n"
+            "      \"items_per_s\": 800000,\n"
+            "      \"items_per_s_best\": 1600000,\n"
+            "      \"name\": \"service/closed_loop\",\n"
+            "      \"params\": {\n"
+            "        \"queries\": 400\n"
+            "      },\n"
+            "      \"percentiles\": {\n"
+            "        \"p99_us\": 12.5\n"
+            "      },\n"
+            "      \"reps\": 5,\n"
+            "      \"stats\": {\n"
+            "        \"cpu_mad_s\": 0,\n"
+            "        \"cpu_median_s\": 0.5,\n"
+            "        \"cpu_min_s\": 0.5,\n"
+            "        \"wall_mad_s\": 0.0625,\n"
+            "        \"wall_median_s\": 0.25,\n"
+            "        \"wall_min_s\": 0.125\n"
+            "      },\n"
+            "      \"unit\": \"query\"\n"
+            "    }\n"
+            "  ],\n"
+            "  \"host\": {\n"
+            "    \"affinity_cpus\": 2,\n"
+            "    \"build_type\": \"Release\",\n"
+            "    \"compiler\": \"gcc\",\n"
+            "    \"hardware_threads\": 4\n"
+            "  },\n"
+            "  \"quick\": true,\n"
+            "  \"schema\": \"tcast-bench-v1\"\n"
+            "}\n");
 }
 
 TEST(BenchRegistry, RunsBodiesAndReportsItems) {

@@ -66,6 +66,25 @@ TEST(ServiceOpCodec, EveryKindRoundTrips) {
   EXPECT_EQ(*trace, ops);
 }
 
+TEST(ServiceOpCodec, RejectsMalformedOps) {
+  const char* bad[] = {
+      "",
+      "explode",
+      "load pop=p n=12abc x=1 seed=1",  // trailing garbage (was read as 12)
+      "load pop=p n=-1 x=0 seed=1",     // negative count
+      "load pop=p n=+4 x=0 seed=1",     // explicit sign
+      "load pop=p n=4 x=0 seed=99999999999999999999999",  // overflow
+      "query pop=p t=",                 // empty value
+      "advance us=1e3",                 // not an integer
+      "kill shard",                     // no '='
+      "kill =1",                        // no key
+      "reboot shard=1 bogus=2",         // unknown key
+      "query pop=p t=4 approx=maybe",   // unknown mode
+  };
+  for (const char* line : bad)
+    EXPECT_FALSE(ServiceOp::parse(line).has_value()) << line;
+}
+
 TEST(ServiceChaos, OpGenerationIsAPureFunctionOfTheSeed) {
   ServiceCampaignConfig cfg;
   cfg.seed = 42;

@@ -9,7 +9,6 @@ namespace tcast::bench {
 
 void register_common_benches(perf::BenchRegistry& registry);
 void register_sim_benches(perf::BenchRegistry& registry);
-void register_parallel_benches(perf::BenchRegistry& registry);
 void register_group_benches(perf::BenchRegistry& registry);
 void register_core_benches(perf::BenchRegistry& registry);
 void register_counting_benches(perf::BenchRegistry& registry);

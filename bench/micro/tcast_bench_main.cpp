@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
   auto& registry = perf::BenchRegistry::global();
   bench::register_common_benches(registry);
   bench::register_sim_benches(registry);
-  bench::register_parallel_benches(registry);
   bench::register_group_benches(registry);
   bench::register_core_benches(registry);
   bench::register_counting_benches(registry);

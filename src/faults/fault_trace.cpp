@@ -69,8 +69,14 @@ std::optional<FaultTrace> FaultTrace::parse(std::string_view text) {
 std::string FaultTrace::to_spec() const {
   std::string s = lossy ? "lossy=1" : "lossy=0";
   for (const auto& e : events) {
-    s += "," + std::to_string(e.at_query) + ":" + kind_code(e.kind);
-    if (e.node != kNoNode) s += ":" + std::to_string(e.node);
+    s += ',';
+    s += std::to_string(e.at_query);
+    s += ':';
+    s += kind_code(e.kind);
+    if (e.node != kNoNode) {
+      s += ':';
+      s += std::to_string(e.node);
+    }
   }
   return s;
 }

@@ -63,35 +63,19 @@ bool Channel::tx_audible(const Tx& tx, const Radio& r) const {
 }
 
 void Channel::begin_transmission(Radio& sender, Frame f) {
+  const SimTime now = sim_->now();
   Tx* tx = acquire_tx();
   tx->sender = &sender;
   tx->frame = std::move(f);
   tx->x = sender.pos_x();
   tx->y = sender.pos_y();
-  launch(tx);
-  if (tx_tap_) tx_tap_(tx->frame, sender, tx->start, tx->end);
-}
-
-void Channel::inject_transmission(Frame f, double x, double y) {
-  Tx* tx = acquire_tx();
-  tx->sender = nullptr;
-  tx->frame = std::move(f);
-  tx->x = x;
-  tx->y = y;
-  launch(tx);  // no tap: mirrored frames must not be re-mirrored
-}
-
-void Channel::launch(Tx* tx) {
-  const SimTime now = sim_->now();
-  tx->start = now;
-  tx->end = now + airtime(tx->frame);
   tx->refs = 2;  // the pending end event and the log entry
   ++active_;
   const std::uint64_t pos = log_base_ + log_.size();
   log_.push_back(tx);
   // Fold the frame into the busy period of every radio that can hear it.
   for (Slot& s : slots_) {
-    if (s.radio == tx->sender) {
+    if (s.radio == &sender) {
       // A transmitter talking into its own open period corrupts it.
       if (s.on_air > 0) s.sent_own = true;
       continue;
@@ -108,14 +92,15 @@ void Channel::launch(Tx* tx) {
   }
   // [this, tx] fits std::function's inline buffer — a by-value Tx (or a
   // shared_ptr) would cost one heap closure per transmission.
-  sim_->schedule_at(tx->end, [this, tx] { on_transmission_end(tx); });
+  sim_->schedule_at(now + airtime(tx->frame),
+                    [this, tx] { on_transmission_end(tx); });
 }
 
 void Channel::on_transmission_end(Tx* tx) {
   TCAST_CHECK(active_ > 0);
   --active_;
   if (active_ == 0) ++clusters_resolved_;  // a global busy period drained
-  if (tx->sender != nullptr) tx->sender->channel_tx_done();
+  tx->sender->channel_tx_done();
   const SimTime now = sim_->now();
   // Receivers draw from a register copy of the simulator's stream, synced
   // around every call out of the channel: handlers and the capture model

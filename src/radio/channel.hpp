@@ -52,7 +52,6 @@
 // air.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -99,14 +98,6 @@ struct RxInfo {
 
 class Channel {
  public:
-  /// Observes every *local* transmission as it starts — the LP-addressable
-  /// delivery hook: an LP-sharded world (sim/parallel) taps its cell's
-  /// channel and mirrors the frame into neighbouring cells as timestamped
-  /// cross-LP events instead of closing over one global queue. Ghost
-  /// (injected) transmissions are not re-tapped, so mirroring cannot echo.
-  using TxTap = std::function<void(const Frame& f, const Radio& sender,
-                                   SimTime start, SimTime end)>;
-
   Channel(sim::Simulator& simulator, ChannelConfig cfg);
 
   sim::Simulator& simulator() { return *sim_; }
@@ -119,15 +110,6 @@ class Channel {
   /// Starts a transmission; the frame occupies the medium for airtime(f).
   /// Called by Radio::transmit.
   void begin_transmission(Radio& sender, Frame f);
-
-  /// Injects a foreign transmission with no local sender radio: the frame
-  /// occupies the medium from now for airtime(f), raises CCA/activity,
-  /// collides with local frames and is delivered under the same reception
-  /// rules, as if transmitted by an unseen radio at (x, y). This is how a
-  /// neighbouring logical process's broadcast lands in this LP's world.
-  void inject_transmission(Frame f, double x, double y);
-
-  void set_tx_tap(TxTap tap) { tx_tap_ = std::move(tap); }
 
   /// True while any transmission is on the air anywhere (global view).
   bool busy() const { return active_ > 0; }
@@ -148,12 +130,10 @@ class Channel {
 
  private:
   struct Tx {
-    Radio* sender = nullptr;  ///< nullptr for injected (ghost) transmissions
+    Radio* sender = nullptr;
     Frame frame;
     double x = 0.0;  ///< transmit position, latched when the frame starts
     double y = 0.0;
-    SimTime start = 0;
-    SimTime end = 0;
     std::uint32_t refs = 0;  ///< pending end event + the log entry
   };
 
@@ -178,10 +158,6 @@ class Channel {
 
   Tx* acquire_tx();
   void release_tx(Tx* tx);
-  /// Appends a prepared Tx (sender/frame/position set) to the log, folds it
-  /// into every audible busy period and schedules its end. Shared by local
-  /// and ghost paths.
-  void launch(Tx* tx);
   bool tx_audible(const Tx& tx, const Radio& r) const;
   void on_transmission_end(Tx* tx);
   /// Summarises the window of log positions [first, end) as `r` heard it
@@ -196,7 +172,6 @@ class Channel {
 
   sim::Simulator* sim_;
   ChannelConfig cfg_;
-  TxTap tx_tap_;
   std::vector<Slot> slots_;  ///< one per attached radio, in attach order
   std::size_t open_ = 0;     ///< slots with an open busy period
   std::size_t active_ = 0;   ///< transmissions on the air anywhere

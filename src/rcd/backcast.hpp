@@ -27,9 +27,10 @@
 
 namespace tcast::rcd {
 
-/// Participant-side backcast logic. The owner (mote firmware) forwards
-/// frames from the radio receive handler; HACK emission itself is done by
-/// the radio hardware, this class only keeps the alternate address current.
+/// Participant-side backcast logic. The owner (a group::PacketChannel
+/// participant) forwards frames from the radio receive handler; HACK
+/// emission itself is done by the radio hardware, this class only keeps the
+/// alternate address current.
 class BackcastResponder {
  public:
   using PredicateEval = std::function<bool(std::uint8_t predicate_id)>;

@@ -54,10 +54,6 @@ void EventQueue::heap_pop_top() const {
 }
 
 EventId EventQueue::schedule(SimTime t, EventFn fn) {
-  return schedule(t, EventPriority{0}, std::move(fn));
-}
-
-EventId EventQueue::schedule(SimTime t, EventPriority priority, EventFn fn) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -71,7 +67,7 @@ EventId EventQueue::schedule(SimTime t, EventPriority priority, EventFn fn) {
   const EventId id = (next_seq_++ << kSlotBits) | slot;
   slots_[slot] = std::move(fn);
   slot_owner_[slot] = id;
-  heap_push(Entry{t, id, priority});
+  heap_push(Entry{t, id});
   ++live_;
   return id;
 }

@@ -1,11 +1,10 @@
 // Pending-event set for the discrete-event kernel.
 //
-// Ordering is (time, priority, sequence): events at equal times fire in
-// ascending priority value (default 0), ties in scheduling order, which
-// makes runs fully deterministic. Cancellation is lazy — the heap keeps a
-// tombstone and the closure slot is recycled immediately.
+// Ordering is (time, sequence): events at equal times fire in scheduling
+// order, which makes runs fully deterministic. Cancellation is lazy — the
+// heap keeps a tombstone and the closure slot is recycled immediately.
 //
-// The heap is a hand-rolled 4-ary min-heap over 24-byte entries in one
+// The heap is a hand-rolled 4-ary min-heap over 16-byte entries in one
 // pre-reserved flat vector: ~half the sift-down depth of a binary heap and
 // far better cache behavior than std::priority_queue's node compares, which
 // matters because the packet tier builds one EventQueue per Monte-Carlo
@@ -33,21 +32,14 @@ using EventFn = std::function<void()>;
 /// Opaque handle for cancellation. 0 is never issued.
 using EventId = std::uint64_t;
 
-/// Tie-break rank at equal times: lower fires first. Default 0.
-using EventPriority = std::int32_t;
-
 class EventQueue {
  public:
   EventQueue();
 
-  /// Schedules `fn` at absolute time `t` with default priority 0. `t` may
-  /// equal the time of the event currently executing (same-time follow-ups
-  /// run later this step).
+  /// Schedules `fn` at absolute time `t`. Events at equal `t` fire in
+  /// schedule order; `t` may equal the time of the event currently
+  /// executing (same-time follow-ups run later this step).
   EventId schedule(SimTime t, EventFn fn);
-
-  /// Schedules with an explicit same-time rank: at equal `t`, lower
-  /// `priority` fires first; equal (t, priority) fires in schedule order.
-  EventId schedule(SimTime t, EventPriority priority, EventFn fn);
 
   /// Cancels a pending event. Returns false if it already fired or was
   /// already cancelled.
@@ -71,11 +63,9 @@ class EventQueue {
   struct Entry {
     SimTime time;
     EventId id;  // high bits are the sequence number: schedule order
-    EventPriority priority;
   };
   static bool before(const Entry& a, const Entry& b) {
     if (a.time != b.time) return a.time < b.time;
-    if (a.priority != b.priority) return a.priority < b.priority;
     return a.id < b.id;  // sequence dominates the slot bits
   }
 

@@ -11,12 +11,6 @@ EventId Simulator::schedule_at(SimTime t, EventFn fn) {
   return queue_.schedule(t, std::move(fn));
 }
 
-EventId Simulator::schedule_at(SimTime t, EventPriority priority,
-                               EventFn fn) {
-  TCAST_CHECK_MSG(t >= now_, "cannot schedule into the past");
-  return queue_.schedule(t, priority, std::move(fn));
-}
-
 EventId Simulator::schedule_after(SimTime delay, EventFn fn) {
   TCAST_CHECK(delay >= 0);
   return queue_.schedule(now_ + delay, std::move(fn));
@@ -50,17 +44,6 @@ std::size_t Simulator::run_until(SimTime deadline) {
 
 std::size_t Simulator::run_steps(std::size_t max_events) {
   return drain(std::numeric_limits<SimTime>::max(), max_events);
-}
-
-std::size_t Simulator::run_before(SimTime horizon) {
-  std::size_t executed = 0;
-  while (!queue_.empty() && queue_.next_time() < horizon) {
-    auto fired = queue_.pop();
-    now_ = fired.time;
-    fired.fn();
-    ++executed;
-  }
-  return executed;
 }
 
 std::size_t Simulator::run_until_flag(const std::function<bool()>& done,

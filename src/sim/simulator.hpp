@@ -23,9 +23,6 @@ class Simulator {
   /// Schedules at an absolute time ≥ now().
   EventId schedule_at(SimTime t, EventFn fn);
 
-  /// Schedules with an explicit same-time rank (see EventQueue::schedule).
-  EventId schedule_at(SimTime t, EventPriority priority, EventFn fn);
-
   /// Schedules `delay ≥ 0` after now().
   EventId schedule_after(SimTime delay, EventFn fn);
 
@@ -46,18 +43,6 @@ class Simulator {
 
   bool pending() const { return !queue_.empty(); }
   std::size_t pending_count() const { return queue_.size(); }
-
-  /// Time of the earliest pending event. Precondition: pending(). The
-  /// parallel kernel (sim/parallel) reads this to compute conservative
-  /// safe-time horizons without popping.
-  SimTime next_event_time() const { return queue_.next_time(); }
-
-  /// Executes every event with time strictly below `horizon`, including
-  /// events scheduled during the drain that still land below it. Unlike
-  /// run_until, the clock follows executed events and never advances past
-  /// them — the caller (the parallel kernel) may deliver cross-LP events at
-  /// any time ≥ horizon afterwards. Returns events executed.
-  std::size_t run_before(SimTime horizon);
 
   /// World-model randomness (channel noise, jitter, backoff draws).
   RngStream& rng() { return rng_; }

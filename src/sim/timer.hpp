@@ -1,7 +1,8 @@
 // RAII one-shot / periodic timer bound to a Simulator.
 //
-// Mirrors the TinyOS Timer interface the mote firmware layer is written
-// against (startOneShot / startPeriodic / stop / isRunning).
+// Mirrors the TinyOS Timer interface (startOneShot / startPeriodic / stop /
+// isRunning); the rcd initiators' response windows and the interference
+// source run on it.
 #pragma once
 
 #include <functional>

@@ -221,8 +221,9 @@ TEST(SimdKernels, BinIntersectionCountsMatchesPerBinOracle) {
                 << "pos_words=" << pos_words << " wpb=" << wpb
                 << " bins=" << bins << " bin=" << b
                 << " level=" << to_string(level);
-          if (bins == 0)
+          if (bins == 0) {
             EXPECT_EQ(got[0], 0xdeadbeef) << "wrote past zero bins";
+          }
         }
       }
     }

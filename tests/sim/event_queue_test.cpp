@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <random>
 #include <set>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace tcast::sim {
@@ -76,53 +76,21 @@ TEST(EventQueue, PopReturnsTimeAndId) {
   EXPECT_EQ(fired.id, id);
 }
 
-TEST(EventQueue, LowerPriorityValueFiresFirstAtEqualTime) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.schedule(5, EventPriority{2}, [&] { fired.push_back(2); });
-  q.schedule(5, EventPriority{-1}, [&] { fired.push_back(-1); });
-  q.schedule(5, EventPriority{0}, [&] { fired.push_back(0); });
-  q.schedule(4, EventPriority{9}, [&] { fired.push_back(9); });
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(fired, (std::vector<int>{9, -1, 0, 2}));  // time beats priority
-}
-
-TEST(EventQueue, EqualTimeAndPriorityFiresInScheduleOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 16; ++i)
-    q.schedule(7, EventPriority{3}, [&fired, i] { fired.push_back(i); });
-  while (!q.empty()) q.pop().fn();
-  for (int i = 0; i < 16; ++i)
-    EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
-}
-
-TEST(EventQueue, DefaultScheduleIsPriorityZero) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.schedule(1, [&] { fired.push_back(0); });  // implicit priority 0
-  q.schedule(1, EventPriority{-5}, [&] { fired.push_back(-5); });
-  q.schedule(1, EventPriority{5}, [&] { fired.push_back(5); });
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(fired, (std::vector<int>{-5, 0, 5}));
-}
-
-// Cross-check the optimized 4-ary heap against a std::multiset oracle over
-// the full (time, priority, seq) total order, under 10k randomized
-// schedule/pop/cancel interleavings.
+// Cross-check the optimized 4-ary heap against a std::set oracle over the
+// full (time, seq) total order, under 10k randomized schedule/pop/cancel
+// interleavings.
 TEST(EventQueue, RandomizedInterleavingsMatchMultisetOracle) {
-  using Key = std::tuple<SimTime, EventPriority, EventId>;
+  using Key = std::pair<SimTime, EventId>;
   EventQueue q;
   std::set<Key> oracle;  // keys are unique: EventId is a tie-breaker
   std::vector<EventId> live;
   std::mt19937_64 rng(0x5eedu);
   std::uniform_int_distribution<int> op_dist(0, 9);
   std::uniform_int_distribution<SimTime> time_dist(0, 200);
-  std::uniform_int_distribution<EventPriority> prio_dist(-3, 3);
 
   const auto key_of = [&](EventId id) -> Key {
     for (const Key& k : oracle)
-      if (std::get<2>(k) == id) return k;
+      if (k.second == id) return k;
     ADD_FAILURE() << "id " << id << " missing from oracle";
     return {};
   };
@@ -131,9 +99,8 @@ TEST(EventQueue, RandomizedInterleavingsMatchMultisetOracle) {
     const int op = op_dist(rng);
     if (op < 5 || oracle.empty()) {  // schedule
       const SimTime t = time_dist(rng);
-      const EventPriority p = prio_dist(rng);
-      const EventId id = q.schedule(t, p, [] {});
-      oracle.insert(Key{t, p, id});
+      const EventId id = q.schedule(t, [] {});
+      oracle.insert(Key{t, id});
       live.push_back(id);
     } else if (op < 7) {  // cancel a random live event
       std::uniform_int_distribution<std::size_t> pick(0, live.size() - 1);
@@ -145,10 +112,10 @@ TEST(EventQueue, RandomizedInterleavingsMatchMultisetOracle) {
     } else {  // pop: must match the oracle's minimum exactly
       const Key expected = *oracle.begin();
       ASSERT_FALSE(q.empty());
-      EXPECT_EQ(q.next_time(), std::get<0>(expected));
+      EXPECT_EQ(q.next_time(), expected.first);
       const auto fired = q.pop();
-      EXPECT_EQ(fired.time, std::get<0>(expected));
-      EXPECT_EQ(fired.id, std::get<2>(expected));
+      EXPECT_EQ(fired.time, expected.first);
+      EXPECT_EQ(fired.id, expected.second);
       oracle.erase(oracle.begin());
       live.erase(std::find(live.begin(), live.end(), fired.id));
     }
@@ -159,112 +126,98 @@ TEST(EventQueue, RandomizedInterleavingsMatchMultisetOracle) {
   while (!oracle.empty()) {
     const Key expected = *oracle.begin();
     const auto fired = q.pop();
-    ASSERT_EQ(fired.time, std::get<0>(expected));
-    ASSERT_EQ(fired.id, std::get<2>(expected));
+    ASSERT_EQ(fired.time, expected.first);
+    ASSERT_EQ(fired.id, expected.second);
     oracle.erase(oracle.begin());
   }
   EXPECT_TRUE(q.empty());
 }
 
-// The parallel kernel's usage pattern, stressed against the oracle: one
-// queue per LP, windows that drain each queue strictly below a horizon,
-// MAC-style cancel+reschedule churn, and sorted cross-LP batch insertion
-// at the window barrier (exactly ParallelKernel::route_outboxes' order).
-// Every pop must still match the per-queue (time, priority, seq) oracle.
-TEST(EventQueue, LpShardedWindowsWithRescheduleChurnMatchOracle) {
-  using Key = std::tuple<SimTime, EventPriority, EventId>;
-  constexpr std::size_t kLps = 4;
-  struct Lp {
+// The CSMA pattern, stressed against the oracle on several independent
+// queues (one per world): windows that drain each queue up to a horizon,
+// cancel+reschedule churn, timeouts cancelled mid-drain, and bursts of
+// unsorted arrivals at each window edge. Every pop must still match the
+// per-queue (time, seq) oracle.
+TEST(EventQueue, ShardedWindowsWithRescheduleChurnMatchOracle) {
+  using Key = std::pair<SimTime, EventId>;
+  constexpr std::size_t kShards = 4;
+  struct Shard {
     EventQueue q;
     std::set<Key> oracle;
-    std::vector<Key> live;  // cancellable (non-barrier) events
+    std::vector<Key> live;  // cancellable events
     SimTime now = 0;
   };
-  std::vector<Lp> lps(kLps);
+  std::vector<Shard> shards(kShards);
   std::mt19937_64 rng(0xC3115u);
   std::uniform_int_distribution<SimTime> jitter(0, 40);
-  std::uniform_int_distribution<EventPriority> prio_dist(-2, 2);
 
-  const auto seed_events = [&](Lp& lp, int count) {
+  const auto schedule = [](Shard& sh, SimTime t) {
+    const EventId id = sh.q.schedule(t, [] {});
+    sh.oracle.insert(Key{t, id});
+    sh.live.push_back(Key{t, id});
+  };
+  const auto seed_events = [&](Shard& sh, int count) {
     std::uniform_int_distribution<int> churn(0, 3);
     for (int i = 0; i < count; ++i) {
-      const SimTime t = lp.now + 1 + jitter(rng);
-      const EventPriority p = prio_dist(rng);
-      const EventId id = lp.q.schedule(t, p, [] {});
-      lp.oracle.insert(Key{t, p, id});
-      lp.live.push_back(Key{t, p, id});
+      schedule(sh, sh.now + 1 + jitter(rng));
       // ~1 in 4 scheduled events is immediately rescheduled (the CSMA
       // backoff-restart pattern): cancel, then re-enter at a new time.
       if (churn(rng) == 0) {
-        lp.oracle.erase(Key{t, p, id});
-        lp.live.pop_back();
-        ASSERT_TRUE(lp.q.cancel(id));
-        const SimTime t2 = lp.now + 1 + jitter(rng);
-        const EventId id2 = lp.q.schedule(t2, p, [] {});
-        lp.oracle.insert(Key{t2, p, id2});
-        lp.live.push_back(Key{t2, p, id2});
+        const Key k = sh.live.back();
+        sh.oracle.erase(k);
+        sh.live.pop_back();
+        ASSERT_TRUE(sh.q.cancel(k.second));
+        schedule(sh, sh.now + 1 + jitter(rng));
       }
     }
   };
-  for (Lp& lp : lps) seed_events(lp, 40);
+  for (Shard& sh : shards) seed_events(sh, 40);
 
   for (int window = 0; window < 60; ++window) {
-    // Per-LP horizon, as compute_horizons would hand out.
-    for (Lp& lp : lps) {
-      const SimTime horizon = lp.now + 15;
-      while (!lp.q.empty() && lp.q.next_time() < horizon) {
-        const Key expected = *lp.oracle.begin();
-        const auto fired = lp.q.pop();
-        ASSERT_EQ(fired.time, std::get<0>(expected));
-        ASSERT_EQ(fired.id, std::get<2>(expected));
-        lp.oracle.erase(lp.oracle.begin());
-        std::erase_if(lp.live,
-                      [&](const Key& k) { return std::get<2>(k) == fired.id; });
-        lp.now = fired.time;
+    for (Shard& sh : shards) {
+      const SimTime horizon = sh.now + 15;
+      while (!sh.q.empty() && sh.q.next_time() < horizon) {
+        const Key expected = *sh.oracle.begin();
+        const auto fired = sh.q.pop();
+        ASSERT_EQ(fired.time, expected.first);
+        ASSERT_EQ(fired.id, expected.second);
+        sh.oracle.erase(sh.oracle.begin());
+        std::erase_if(sh.live,
+                      [&](const Key& k) { return k.second == fired.id; });
+        sh.now = fired.time;
         // Occasionally cancel a random still-live event mid-drain (a
         // reply arriving kills the pending timeout).
-        if (!lp.live.empty() && jitter(rng) < 8) {
+        if (!sh.live.empty() && jitter(rng) < 8) {
           std::uniform_int_distribution<std::size_t> pick(0,
-                                                          lp.live.size() - 1);
-          const Key victim = lp.live[pick(rng)];
-          ASSERT_TRUE(lp.q.cancel(std::get<2>(victim)));
-          lp.oracle.erase(victim);
-          std::erase_if(lp.live, [&](const Key& k) { return k == victim; });
+                                                          sh.live.size() - 1);
+          const Key victim = sh.live[pick(rng)];
+          ASSERT_TRUE(sh.q.cancel(victim.second));
+          sh.oracle.erase(victim);
+          std::erase_if(sh.live, [&](const Key& k) { return k == victim; });
         }
       }
-      lp.now = horizon;
+      sh.now = horizon;
+      // A burst of unsorted arrivals at the window edge, some at equal
+      // times: schedule order alone must break those ties.
+      std::uniform_int_distribution<int> burst(0, 5);
+      for (int i = burst(rng); i > 0; --i)
+        schedule(sh, sh.now + 1 + jitter(rng) / 8);
+      // Background churn keeps every queue busy across windows.
+      seed_events(sh, 3);
     }
-    // Barrier: each LP receives a batch of cross-LP messages, sorted by
-    // (time, priority) before insertion — schedule order then supplies
-    // the deterministic seq tie-break, as route_outboxes relies on.
-    for (std::size_t dst = 0; dst < kLps; ++dst) {
-      Lp& lp = lps[dst];
-      std::vector<std::pair<SimTime, EventPriority>> batch;
-      std::uniform_int_distribution<int> batch_size(0, 5);
-      for (int i = batch_size(rng); i > 0; --i)
-        batch.emplace_back(lp.now + 1 + jitter(rng), prio_dist(rng));
-      std::sort(batch.begin(), batch.end());
-      for (const auto& [t, p] : batch) {
-        const EventId id = lp.q.schedule(t, p, [] {});
-        lp.oracle.insert(Key{t, p, id});
-        lp.live.push_back(Key{t, p, id});
-      }
-    }
-    // Background churn keeps every queue busy across windows.
-    for (Lp& lp : lps) seed_events(lp, 3);
   }
 
-  // Final drain: full pop order equals the oracle order on every LP.
-  for (Lp& lp : lps) {
-    ASSERT_EQ(lp.q.size(), lp.oracle.size());
-    while (!lp.oracle.empty()) {
-      const Key expected = *lp.oracle.begin();
-      const auto fired = lp.q.pop();
-      ASSERT_EQ(fired.time, std::get<0>(expected));
-      ASSERT_EQ(fired.id, std::get<2>(expected));
-      lp.oracle.erase(lp.oracle.begin());
+  // Final drain: full pop order equals the oracle order on every queue.
+  for (Shard& sh : shards) {
+    ASSERT_EQ(sh.q.size(), sh.oracle.size());
+    while (!sh.oracle.empty()) {
+      const Key expected = *sh.oracle.begin();
+      const auto fired = sh.q.pop();
+      ASSERT_EQ(fired.time, expected.first);
+      ASSERT_EQ(fired.id, expected.second);
+      sh.oracle.erase(sh.oracle.begin());
     }
-    EXPECT_TRUE(lp.q.empty());
+    EXPECT_TRUE(sh.q.empty());
   }
 }
 

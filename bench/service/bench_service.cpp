@@ -99,7 +99,7 @@ Workload load_populations(TcastService& svc, RngStream& rng,
       cv.notify_one();
     });
   }
-  // The pump thread drains; drain_all() here would double-drive the shards.
+  // The shards' drain threads run the loads; this thread only waits.
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return done == count; });
   return w;
@@ -276,8 +276,8 @@ RigOutcome run_open_loop(const RigConfig& cfg, const Workload& w,
   }
 
   {
-    // Liveness check: every injected query must resolve (the pump thread is
-    // still running; we only wait, never double-drive the shards).
+    // Liveness check: every injected query must resolve (the drain threads
+    // are still running; this thread only waits).
     std::unique_lock<std::mutex> lock(mu);
     if (!cv.wait_for(lock, std::chrono::seconds(30),
                      [&] { return resolved == cfg.queries; })) {
@@ -326,10 +326,10 @@ int main(int argc, char** argv) {
   RigOutcome closed;
   {
     TcastService svc(make_service_config(cfg));
-    svc.start_pump_thread();
+    svc.start_drain_threads();
     const auto w = load_populations(svc, setup_rng, 6, 512);
     closed = run_closed_loop(cfg, w, svc);
-    svc.stop_pump_thread();
+    svc.stop_drain_threads();
     results.push_back(to_result("service/closed_loop", cfg, closed));
     std::printf(
         "closed_loop : %llu ok (%llu exact, %llu approx) in %.2fs  "
@@ -348,10 +348,10 @@ int main(int argc, char** argv) {
             : 1000.0;
     const double rate = std::max(100.0, 2.0 * capacity_qps);
     TcastService svc(make_service_config(cfg));
-    svc.start_pump_thread();
+    svc.start_drain_threads();
     const auto w = load_populations(svc, setup_rng, 6, 512);
     const auto open = run_open_loop(cfg, w, svc, rate);
-    svc.stop_pump_thread();
+    svc.stop_drain_threads();
     results.push_back(to_result("service/open_loop_overload", cfg, open));
     std::printf(
         "open_loop   : rate=%.0f/s  %llu ok (%llu approx), %llu overloaded, "

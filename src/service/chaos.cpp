@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <sstream>
 
 #include "common/ddmin.hpp"
@@ -272,7 +271,6 @@ std::string ServiceCampaignReport::summary() const {
 ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
                                       const ServiceCampaignConfig& cfg) {
   ManualClock clock;
-  ThreadPool pool(2);
   ServiceConfig scfg;
   scfg.shards = cfg.shards;
   scfg.queue_capacity = cfg.queue_capacity;
@@ -282,11 +280,9 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
   scfg.degrade_estimator = cfg.degrade_estimator;
   scfg.checked = cfg.checked;
   scfg.clock = &clock;
-  scfg.pool = &pool;
 
   ServiceCampaignReport report;
   std::vector<Observation> observations;
-  std::mutex obs_mu;
 
   {
     TcastService service(std::move(scfg));
@@ -297,7 +293,8 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
     // their own callback, not at submission: loads and queries to one
     // population share a FIFO shard queue, so callbacks fire in execution
     // order and the map at a query's callback is exactly the truth its
-    // engine run saw. Guarded by obs_mu (shards drain in parallel).
+    // engine run saw. Every callback fires on this thread: submit()
+    // resolves rejections inline, and pump()/drain_all() drain here.
     std::unordered_map<std::string, std::pair<std::size_t, std::size_t>>
         truth;
 
@@ -314,7 +311,6 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
           service.submit(
               std::move(req),
               [&, pop = op.pop, n = op.n, x = op.x](const Response& r) {
-                std::lock_guard<std::mutex> lock(obs_mu);
                 if (r.ok()) truth[pop] = {n, x};
                 observations.push_back(Observation{
                     Expectation{.kind = ServiceOp::Kind::kLoad}, r});
@@ -332,7 +328,6 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
           ++report.submitted;
           service.submit(
               std::move(req), [&, pop = op.pop, t = op.t](const Response& r) {
-                std::lock_guard<std::mutex> lock(obs_mu);
                 Expectation want;
                 want.kind = ServiceOp::Kind::kQuery;
                 if (const auto it = truth.find(pop); it != truth.end()) {

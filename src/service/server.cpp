@@ -102,10 +102,10 @@ void UnixServer::run() {
     }
 
     if (service_->shutting_down()) {
-      // Let queued work flush to typed kShuttingDown responses, give the
-      // write path a beat to deliver them, then exit.
+      // Flush queued work to typed kShuttingDown responses. Callbacks write
+      // their responses before they return, and drain_all() returns after
+      // the last callback, so every response is out before the fds close.
       service_->drain_all();
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
       break;
     }
   }
@@ -148,7 +148,7 @@ bool UnixServer::service_readable(const std::shared_ptr<Connection>& conn) {
       enqueue_response(conn, seq, bad);
       continue;
     }
-    // The callback may fire on this thread (control verbs) or a pump
+    // The callback may fire on this thread (control verbs) or a drain
     // thread later; the shared_ptr keeps the connection state alive even
     // if the socket closes first.
     service_->submit(*req, [conn, seq](const Response& resp) {
@@ -164,15 +164,16 @@ void UnixServer::enqueue_response(const std::shared_ptr<Connection>& conn,
   append_frame(wire, resp.encode());
 
   std::lock_guard<std::mutex> lock(conn->mu);
-  if (!conn->open.load(std::memory_order_acquire)) return;
+  if (!conn->writable) return;
   conn->out_of_order.emplace(seq, std::move(wire));
   // Flush the in-order prefix: responses leave in request order no matter
-  // which pump thread finished first.
+  // which drain thread finished first.
   while (true) {
     const auto it = conn->out_of_order.find(conn->next_send);
     if (it == conn->out_of_order.end()) break;
     if (!write_all(conn->fd, it->second.data(), it->second.size())) {
-      conn->open.store(false, std::memory_order_release);
+      // The peer is gone; the fd stays open until the loop closes it.
+      conn->writable = false;
       conn->out_of_order.clear();
       return;
     }
@@ -183,10 +184,9 @@ void UnixServer::enqueue_response(const std::shared_ptr<Connection>& conn,
 
 void UnixServer::close_connection(Connection& conn) {
   std::lock_guard<std::mutex> lock(conn.mu);
-  if (conn.fd >= 0 && conn.open.load(std::memory_order_acquire)) {
-    ::close(conn.fd);
-  }
-  conn.open.store(false, std::memory_order_release);
+  if (conn.fd >= 0) ::close(conn.fd);
+  conn.fd = -1;
+  conn.writable = false;
   conn.out_of_order.clear();
 }
 

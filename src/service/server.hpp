@@ -3,11 +3,11 @@
 //
 // One poll()-driven event-loop thread owns every fd (accept + reads);
 // query execution never blocks it — requests are handed to TcastService
-// and the responses come back on pump threads. Because a connection may
-// pipeline requests and the service resolves them out of order (different
-// shards, shed deadlines), each connection sequences its requests at read
-// time and buffers completed responses until they can be written back in
-// request order — the protocol stays correlation-id-free.
+// and the responses come back on the shards' drain threads. Because a
+// connection may pipeline requests and the service resolves them out of
+// order (different shards, shed deadlines), each connection sequences its
+// requests at read time and buffers completed responses until they can be
+// written back in request order — the protocol stays correlation-id-free.
 //
 // UnixClient is the matching blocking client: one call() per request,
 // with optional retry-with-backoff honoring server retry-after hints
@@ -55,13 +55,13 @@ class UnixServer {
 
  private:
   struct Connection {
-    int fd = -1;
+    int fd = -1;  ///< closed once, by close_connection(); -1 after
     FrameReader reader;
-    std::mutex mu;  ///< write ordering state below
+    std::mutex mu;  ///< fd, and the write ordering state below
     std::uint64_t next_submit = 0;
     std::uint64_t next_send = 0;
     std::map<std::uint64_t, std::string> out_of_order;
-    std::atomic<bool> open{true};
+    bool writable = true;  ///< false after a failed write or a close
   };
 
   void accept_one();

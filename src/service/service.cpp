@@ -1,6 +1,5 @@
 #include "service/service.hpp"
 
-#include <chrono>
 #include <sstream>
 
 namespace tcast::service {
@@ -37,7 +36,7 @@ TcastService::TcastService(ServiceConfig cfg) : cfg_(std::move(cfg)) {
 }
 
 TcastService::~TcastService() {
-  stop_pump_thread();
+  stop_drain_threads();
   for (auto& shard : shards_) shard->shutdown();
   drain_all();
 }
@@ -141,40 +140,23 @@ void TcastService::submit(Request req, Callback cb) {
 }
 
 void TcastService::pump() {
-  ThreadPool* pool = cfg_.pool != nullptr ? cfg_.pool : &ThreadPool::global();
-  struct Ctx {
-    std::vector<std::unique_ptr<Shard>>* shards;
-  } ctx{&shards_};
-  pool->run_batch(
-      shards_.size(),
-      [](void* raw, std::size_t i) {
-        (*static_cast<Ctx*>(raw)->shards)[i]->drain();
-      },
-      &ctx);
+  for (auto& shard : shards_) shard->drain();
 }
 
 void TcastService::drain_all() {
   while (total_queue_depth() > 0) pump();
+  // A drain thread may still be running jobs it dequeued before the queues
+  // emptied. drain() waits for the drain lock, so one more pump returns
+  // only after those jobs' callbacks have fired.
+  pump();
 }
 
-void TcastService::start_pump_thread() {
-  if (pump_thread_.joinable()) return;
-  pump_stop_.store(false, std::memory_order_release);
-  pump_thread_ = std::thread([this] {
-    while (!pump_stop_.load(std::memory_order_acquire)) {
-      if (total_queue_depth() == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        continue;
-      }
-      pump();
-    }
-  });
+void TcastService::start_drain_threads() {
+  for (auto& shard : shards_) shard->start_drain_thread();
 }
 
-void TcastService::stop_pump_thread() {
-  if (!pump_thread_.joinable()) return;
-  pump_stop_.store(true, std::memory_order_release);
-  pump_thread_.join();
+void TcastService::stop_drain_threads() {
+  for (auto& shard : shards_) shard->stop_drain_thread();
 }
 
 std::size_t TcastService::total_queue_depth() const {

@@ -1,11 +1,11 @@
 // TcastService: the in-process core of tcastd.
 //
-// Populations are sharded by FNV-1a of their name across S shards; every
-// shard is drained through ThreadPool::run_batch — one batch slot per
-// shard per pump — so shard execution is parallel across shards, serial
-// within one (which is what lets the shard's population/plan-cache state
-// go lock-free). The daemon (server.hpp) runs pump() on a dedicated
-// thread; deterministic tests call pump() by hand under a ManualClock, so
+// Populations are sharded by FNV-1a of their name across S shards. A
+// shard executes serially under its drain lock (shard.hpp), which lets its
+// population/plan-cache state go without other locking; different shards
+// execute in parallel. The daemon (server.hpp) gives every shard its own
+// drain thread, woken by submit(), so a long job holds back only its own
+// shard. Deterministic tests call pump() by hand under a ManualClock, so
 // "the deadline expired while queued" and "the shard died mid-round" are
 // scripted events, not races.
 #pragma once
@@ -17,10 +17,8 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "service/clock.hpp"
 #include "service/protocol.hpp"
 #include "service/shard.hpp"
@@ -38,8 +36,6 @@ struct ServiceConfig {
   std::size_t plan_cache_capacity = 64;
   std::size_t max_population = 1 << 16;
   const Clock* clock = &RealClock::instance();
-  /// Worker pool for pump(); nullptr = ThreadPool::global().
-  ThreadPool* pool = nullptr;
 };
 
 class TcastService {
@@ -54,19 +50,21 @@ class TcastService {
 
   /// Routes and (for control verbs) resolves a request. The callback fires
   /// exactly once for every submitted request — possibly synchronously
-  /// (ping/stats/rejections), possibly from a later pump.
+  /// (ping/stats/rejections), possibly from a later drain.
   void submit(Request req, Callback cb);
 
-  /// Drains every shard one batch; parallel across shards via the pool.
+  /// Drains every shard one batch, in index order, on the calling thread.
   void pump();
 
-  /// pump() repeatedly until every queue is empty (flushes killed /
-  /// shutting-down shards too — nothing is left hanging).
+  /// pump() until every queue is empty and no drain thread is mid-job
+  /// (flushes killed / shutting-down shards too — nothing is left
+  /// hanging). Every callback of a request admitted before the call has
+  /// fired when it returns, provided nothing submits meanwhile.
   void drain_all();
 
-  /// Background pump thread for daemon use; idles briefly when no work.
-  void start_pump_thread();
-  void stop_pump_thread();
+  /// One drain thread per shard, for daemon use (Shard::start_drain_thread).
+  void start_drain_threads();
+  void stop_drain_threads();
 
   /// Chaos / admin access.
   std::size_t shard_count() const { return shards_.size(); }
@@ -89,9 +87,6 @@ class TcastService {
 
   mutable std::mutex names_mu_;
   std::set<std::string> population_names_;
-
-  std::thread pump_thread_;
-  std::atomic<bool> pump_stop_{false};
 };
 
 }  // namespace tcast::service

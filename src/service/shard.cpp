@@ -31,6 +31,8 @@ std::size_t analytic_initial_bins(std::string_view algo, std::size_t n,
 Shard::Shard(ShardConfig cfg)
     : cfg_(std::move(cfg)), plans_(cfg_.plan_cache_capacity) {}
 
+Shard::~Shard() { stop_drain_thread(); }
+
 void Shard::submit(Request req, Callback cb) {
   const TimeUs now = cfg_.clock->now_us();
   Response reject;
@@ -61,10 +63,13 @@ void Shard::submit(Request req, Callback cb) {
   if (rejected) {
     reject.shard = cfg_.index;
     cb(reject);
+  } else {
+    work_cv_.notify_one();
   }
 }
 
 void Shard::drain() {
+  std::lock_guard<std::mutex> drain_lock(drain_mu_);
   for (std::size_t i = 0; i < cfg_.batch_max; ++i) {
     Job job;
     {
@@ -101,6 +106,33 @@ void Shard::drain() {
   update_degraded(queue_.size());
 }
 
+void Shard::start_drain_thread() {
+  if (drain_thread_.joinable()) return;
+  drain_thread_ = std::thread([this] { drain_loop(); });
+}
+
+void Shard::stop_drain_thread() {
+  if (!drain_thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    drain_stop_ = true;
+  }
+  work_cv_.notify_one();
+  drain_thread_.join();
+  drain_stop_ = false;
+}
+
+void Shard::drain_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [this] { return drain_stop_ || !queue_.empty(); });
+    if (drain_stop_) return;
+    lock.unlock();
+    drain();
+    lock.lock();
+  }
+}
+
 void Shard::kill() { killed_.store(true, std::memory_order_release); }
 
 void Shard::reboot() { killed_.store(false, std::memory_order_release); }
@@ -131,9 +163,9 @@ ShardStats Shard::stats() const {
   s.degrade_entries = degrade_entries_;
   s.errors = errors_;
   s.conformance_violations = conformance_violations_;
-  s.plan_hits = plans_.hits();
-  s.plan_misses = plans_.misses();
-  s.populations = populations_.size();
+  s.plan_hits = plan_hits_;
+  s.plan_misses = plan_misses_;
+  s.populations = populations_count_;
   s.ewma_service_us = ewma_service_us_;
   s.latency = latency_.summarize();
   return s;
@@ -145,6 +177,10 @@ void Shard::finish(const Job& job, Response resp) {
   resp.latency_us = now >= job.admit_us ? now - job.admit_us : 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // finish() runs under the drain lock, so it may read drain-path state.
+    plan_hits_ = plans_.hits();
+    plan_misses_ = plans_.misses();
+    populations_count_ = populations_.size();
     switch (resp.status) {
       case StatusCode::kOk:
         if (job.req.kind == RequestKind::kQuery) {

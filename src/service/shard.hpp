@@ -6,9 +6,10 @@
 //   * submit() / kill() / reboot() / shutdown() / stats() are thread-safe
 //     (server threads, chaos controller);
 //   * drain() — where populations, RNG streams and the plan cache live —
-//     is called by at most one thread at a time (the service pumps every
-//     shard through ThreadPool::run_batch, one batch slot per shard), so
-//     the execution path needs no locking around engine runs.
+//     holds the shard's drain lock, so one thread at a time drains it: the
+//     shard's own drain thread, or pump()/drain_all() on the caller's
+//     thread. The execution path needs no other locking around engine
+//     runs.
 //
 // The overload ladder, in order of escalation (docs/SERVICE.md):
 //   1. admission control — the queue is bounded; a full queue rejects with
@@ -26,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -33,6 +35,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "common/rng.hpp"
@@ -71,7 +74,9 @@ struct ShardConfig {
   /// <= exit. enter > exit keeps the mode from flapping per-request.
   std::size_t degrade_enter = 32;
   std::size_t degrade_exit = 8;
-  /// Max jobs executed per drain() call (pump fairness across shards).
+  /// Max jobs executed per drain() call: one pump() step, and how many
+  /// jobs the drain thread runs before it releases the drain lock and
+  /// checks for stop.
   std::size_t batch_max = 8;
   /// Counting estimator answering degraded queries (counting_registry name).
   std::string degrade_estimator = "nz-geom";
@@ -112,16 +117,27 @@ class Shard {
   using Callback = std::function<void(const Response&)>;
 
   explicit Shard(ShardConfig cfg);
+  ~Shard();
+
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
 
   /// Admits a request or resolves it immediately (kOverloaded when the
   /// queue is full, kShuttingDown after shutdown()). Every submitted
   /// request's callback is invoked exactly once, here or from drain().
+  /// Admitting a job wakes the drain thread.
   void submit(Request req, Callback cb);
 
   /// Executes up to batch_max queued jobs. A killed shard still drains —
   /// flushing its queue as kShardDown — so no request ever hangs.
-  /// Single-threaded by contract (see file comment).
+  /// Holds the drain lock throughout (see file comment).
   void drain();
+
+  /// The drain thread sleeps until submit() admits a job, then calls
+  /// drain() until the queue is empty. stop_drain_thread() joins it after
+  /// its current drain() call; jobs still queued wait for a later drain().
+  void start_drain_thread();
+  void stop_drain_thread();
 
   /// Chaos hooks. kill() trips the in-flight cancel token and turns the
   /// queue into kShardDown flushes; reboot() restores service (populations
@@ -166,6 +182,7 @@ class Shard {
     double abns_p_estimate = 0.0;
   };
 
+  void drain_loop();
   void finish(const Job& job, Response resp);
   void update_degraded(std::size_t depth);
   std::uint64_t retry_after_ms_locked(std::size_t depth) const;
@@ -186,6 +203,8 @@ class Shard {
   std::atomic<bool> degraded_{false};
 
   mutable std::mutex mu_;  ///< queue + counters + latency recorder
+  std::condition_variable work_cv_;  ///< on mu_: job admitted or stop
+  bool drain_stop_ = false;          ///< guarded by mu_
   std::deque<Job> queue_;
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_overload_ = 0;
@@ -199,10 +218,17 @@ class Shard {
   std::uint64_t conformance_violations_ = 0;
   double ewma_service_us_ = 0.0;
   perf::LatencyRecorder latency_{1 << 14};
+  // stats()'s copies of drain-path figures, refreshed by finish().
+  std::uint64_t plan_hits_ = 0;
+  std::uint64_t plan_misses_ = 0;
+  std::size_t populations_count_ = 0;
 
-  // Drain-path state (no locking; see concurrency contract).
+  // Drain-path state, guarded by drain_mu_ (see concurrency contract).
+  std::mutex drain_mu_;
   std::unordered_map<std::string, Population> populations_;
   PlanCache plans_;
+
+  std::thread drain_thread_;
 };
 
 }  // namespace tcast::service

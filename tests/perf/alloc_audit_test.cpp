@@ -14,11 +14,8 @@
 // anyway).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -30,49 +27,10 @@
 #include "group/packet_channel.hpp"
 #include "radio/hack_model.hpp"
 
-namespace {
-
-std::atomic<std::uint64_t> g_news{0};
-
-}  // namespace
-
-// Counting global allocator: route through malloc/free and tally news.
-// Deletes are uncounted — the audit asserts "no allocation", and every
-// alloc/free pair starts with a new.
-void* operator new(std::size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, std::max(static_cast<std::size_t>(align),
-                                  sizeof(void*)),
-                     size ? size : 1) != 0)
-    throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+// The counting global allocator (counting_allocator.cpp): operator new
+// calls since program start. Deletes are uncounted — the audit asserts "no
+// allocation", and every alloc/free pair starts with a new.
+std::uint64_t counted_news();
 
 namespace tcast {
 namespace {
@@ -90,7 +48,7 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-std::uint64_t news() { return g_news.load(std::memory_order_relaxed); }
+std::uint64_t news() { return counted_news(); }
 
 TEST(AllocAudit, CountingAllocatorSeesVectorGrowth) {
   // Fixture self-test: the counter must actually observe heap traffic.

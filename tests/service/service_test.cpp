@@ -1,12 +1,17 @@
 // TcastService routing and control-plane tests: sharded populations,
 // control verbs, kill/reboot via requests, shutdown flush. Pumped by hand
-// under a ManualClock — no pump thread, no races.
+// under a ManualClock — no drain threads, no races — except the last test,
+// which runs the drain threads on the real clock.
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace tcast::service {
@@ -165,6 +170,59 @@ TEST(Service, ShutdownFlushesAndRejects) {
   Request ping;
   ping.kind = RequestKind::kPing;
   EXPECT_EQ(h.roundtrip(std::move(ping))->status, StatusCode::kShuttingDown);
+}
+
+// Each shard drains on its own thread: a long job on one shard must not
+// delay a short one submitted to another while it runs.
+TEST(Service, BusyShardDoesNotHoldBackAnother) {
+  // Declared before the service, so they outlive its drain threads.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::string> finished;
+
+  TcastService svc(ServiceConfig{});
+  const std::string big = "big";
+  std::string small;
+  for (int i = 0; small.empty() || svc.shard_of(small) == svc.shard_of(big);
+       ++i) {
+    small = "small";
+    small += std::to_string(i);
+  }
+  svc.start_drain_threads();
+
+  const auto record = [&](std::string name) {
+    return [&, name](const Response& r) {
+      EXPECT_EQ(r.status, StatusCode::kOk) << name << ": " << r.message;
+      std::lock_guard<std::mutex> lock(mu);
+      finished.push_back(name);
+      cv.notify_all();
+    };
+  };
+  const auto wait_for = [&](std::size_t count) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(60),
+                       [&] { return finished.size() >= count; });
+  };
+
+  svc.submit(make_load(big, 1 << 16, 1 << 15), record("load big"));
+  svc.submit(make_load(small, 32, 8), record("load small"));
+  ASSERT_TRUE(wait_for(2));
+
+  // A census on N = 65536 keeps the big shard busy for tens of ms.
+  Request census = make_query(big, 1 << 15);
+  census.approx = ApproxMode::kRequire;
+  svc.submit(std::move(census), record("census big"));
+  Shard& busy = svc.shard(svc.shard_of(big));
+  while (busy.queue_depth() > 0)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+
+  svc.submit(make_query(small, 8), record("query small"));
+  ASSERT_TRUE(wait_for(4));
+  svc.stop_drain_threads();
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(finished[2], "query small");
+  EXPECT_EQ(finished[3], "census big");
 }
 
 }  // namespace

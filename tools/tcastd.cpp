@@ -78,9 +78,9 @@ int main(int argc, char** argv) {
               cfg.checked ? ", checked" : "");
   std::fflush(stdout);
 
-  service.start_pump_thread();
+  service.start_drain_threads();
   server.run();
-  service.stop_pump_thread();
+  service.stop_drain_threads();
   service.drain_all();
 
   std::printf("tcastd: stopped\n");

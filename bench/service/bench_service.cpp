@@ -141,10 +141,10 @@ perf::BenchResult to_result(const std::string& name, const RigConfig& cfg,
 ServiceConfig make_service_config(const RigConfig& cfg) {
   ServiceConfig scfg;
   scfg.shards = cfg.shards;
-  scfg.queue_capacity = 64;
-  scfg.degrade_enter = 48;
-  scfg.degrade_exit = 16;
-  scfg.batch_max = 16;
+  scfg.shard.queue_capacity = 64;
+  scfg.shard.degrade_enter = 48;
+  scfg.shard.degrade_exit = 16;
+  scfg.shard.batch_max = 16;
   return scfg;
 }
 

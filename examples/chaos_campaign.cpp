@@ -157,8 +157,8 @@ int main(int argc, char** argv) {
           const auto path = opts.out_dir + "/service_reproducer_seed" +
                             std::to_string(scfg.seed) + ".trace";
           std::ofstream out(path);
-          out << "# replay: run_service_ops(parse_trace(...), cfg) with "
-                 "seed="
+          out << "# replay: run_service_ops(parse_trace(...)); generated "
+                 "with seed="
               << scfg.seed << " ops=" << opts.service_ops << "\n"
               << service::encode_trace(result.minimized);
         }

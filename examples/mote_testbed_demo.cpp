@@ -18,7 +18,6 @@ int main() {
   RngStream binning(cfg.seed ^ 0x5eedb1a5u, cfg.stream + 1);
   core::EngineOptions opts;
   opts.ordering = core::BinOrdering::kInOrder;
-  opts.two_plus_activity_counts_two = false;
 
   std::printf("emulated bench: 1 initiator + %zu TelosB participants\n\n",
               bench.participant_count());

@@ -103,18 +103,15 @@ SessionReport run_impl(const ChaosScenario& sc,
           ? faults::FaultyChannel(*base, participants, *replay)
           : faults::FaultyChannel(*base, participants, sc.plan);
 
-  // Conformance monitors, mirroring exactly the inferences that are sound
-  // on this stack. The query bound only holds when nothing can inflate the
-  // count past the registered worst case (no loss-driven re-querying).
-  const bool lossy = faulty.lossy();
-  conformance::CheckedChannel::Config ccfg;
-  ccfg.exact_semantics = !lossy;
-  ccfg.two_plus_activity_counts_two = !lossy;
-  ccfg.query_bound =
-      !lossy && sc.retry.kind == core::RetryPolicy::Kind::kNone
+  // Conformance monitors: the checker reads faulty.lossy() to learn which
+  // inferences are sound on this stack. The query bound only holds when
+  // nothing can inflate the count past the registered worst case (no
+  // loss-driven re-querying).
+  const double query_bound =
+      !faulty.lossy() && sc.retry.kind == core::RetryPolicy::Kind::kNone
           ? conformance::registered_query_bound(sc.algorithm, sc.n, sc.t)
           : 0.0;
-  conformance::CheckedChannel checked(faulty, participants, ccfg);
+  conformance::CheckedChannel checked(faulty, participants, query_bound);
 
   core::EngineOptions opts;
   opts.ordering = core::BinOrdering::kInOrder;  // cross-tier parity

@@ -19,22 +19,12 @@ const char* to_string(Violation::Category c) {
 
 CheckedChannel::CheckedChannel(group::QueryChannel& inner,
                                std::span<const NodeId> participants,
-                               Config cfg)
+                               double query_bound)
     : QueryChannel(inner.model()),
       inner_(&inner),
-      cfg_(cfg),
+      exact_(!inner.lossy()),
+      query_bound_(query_bound),
       participants_(participants.begin(), participants.end()) {
-  // The ≥2-activity inference is only sound when a lone reply always
-  // decodes; a configuration that claims it on a channel declaring loss is
-  // itself a conformance violation (the engine's soundness gate must have
-  // cleared the bit before the run).
-  if (cfg_.two_plus_activity_counts_two &&
-      model() == group::CollisionModel::kTwoPlus && inner.lossy()) {
-    add_violation(Violation::Category::kTruth,
-                  "configuration claims the ≥2-activity inference on a "
-                  "channel that declares lossy() — a lone reply may fail "
-                  "to decode there");
-  }
   NodeId max_id = 0;
   for (const NodeId id : participants_) max_id = std::max(max_id, id);
   state_.assign(static_cast<std::size_t>(max_id) + 1, NodeState::kUnknown);
@@ -52,11 +42,6 @@ CheckedChannel::CheckedChannel(group::QueryChannel& inner,
 
 void CheckedChannel::add_violation(Violation::Category c,
                                    std::string message) {
-  if (cfg_.fail_fast) {
-    std::fprintf(stderr, "conformance violation [%s]: %s\n", to_string(c),
-                 message.c_str());
-    TCAST_CHECK_MSG(false, "conformance violation (fail_fast)");
-  }
   violations_.push_back({c, std::move(message)});
 }
 
@@ -77,7 +62,7 @@ void CheckedChannel::do_announce(const group::BinAssignment& a) {
                           " appears in two bins of one assignment");
       }
       seen[idx] = 1;
-      if (cfg_.forbid_requery && state_[idx] != NodeState::kCandidate) {
+      if (state_[idx] != NodeState::kCandidate) {
         add_violation(
             Violation::Category::kRequery,
             "node " + std::to_string(id) + " re-announced after being " +
@@ -102,7 +87,7 @@ group::BinQueryResult CheckedChannel::check_result(
       continue;
     }
     if (truth_[idx]) ++truth;
-    if (cfg_.forbid_requery && state_[idx] == NodeState::kDisposed) {
+    if (state_[idx] == NodeState::kDisposed) {
       add_violation(Violation::Category::kRequery,
                     "node " + std::to_string(id) +
                         " queried after disposal (proven negative)");
@@ -111,7 +96,7 @@ group::BinQueryResult CheckedChannel::check_result(
 
   switch (r.kind) {
     case group::BinQueryResult::Kind::kEmpty:
-      if (truth > 0 && cfg_.exact_semantics) {
+      if (truth > 0 && exact_) {
         add_violation(Violation::Category::kTruth,
                       "empty result on a bin holding " +
                           std::to_string(truth) + " real positives");
@@ -122,7 +107,7 @@ group::BinQueryResult CheckedChannel::check_result(
       // an ad-hoc sampling query (the probabilistic-ABNS hint) is a
       // measurement the algorithm may legitimately ignore — the paper's own
       // Sec. V-D re-runs ABNS over the full population after an empty hint.
-      if (cfg_.exact_semantics && announced_bin) {
+      if (exact_ && announced_bin) {
         for (const NodeId id : nodes) {
           const auto idx = static_cast<std::size_t>(id);
           if (idx < state_.size() && state_[idx] == NodeState::kCandidate)
@@ -136,8 +121,7 @@ group::BinQueryResult CheckedChannel::check_result(
                       "activity reported on a bin with no real positive "
                       "(false positives are structurally impossible)");
       }
-      if (model() == group::CollisionModel::kTwoPlus &&
-          cfg_.two_plus_activity_counts_two && cfg_.exact_semantics &&
+      if (model() == group::CollisionModel::kTwoPlus && exact_ &&
           truth < 2) {
         add_violation(Violation::Category::kTruth,
                       "2+ activity (undecoded collision) on a bin with " +
@@ -168,13 +152,13 @@ group::BinQueryResult CheckedChannel::check_result(
     }
   }
 
-  if (cfg_.query_bound > 0.0 && !bound_reported_ &&
-      static_cast<double>(queries_used()) > cfg_.query_bound) {
+  if (query_bound_ > 0.0 && !bound_reported_ &&
+      static_cast<double>(queries_used()) > query_bound_) {
     bound_reported_ = true;
     add_violation(Violation::Category::kBound,
                   "query count " + std::to_string(queries_used()) +
                       " exceeds the registered worst-case bound " +
-                      std::to_string(cfg_.query_bound));
+                      std::to_string(query_bound_));
   }
   return r;
 }
@@ -194,7 +178,7 @@ group::BinQueryResult CheckedChannel::do_query_set(
 void CheckedChannel::check_outcome(std::size_t threshold,
                                    const core::ThresholdOutcome& out) {
   const bool truth = truth_positive_count_ >= threshold;
-  if (cfg_.exact_semantics) {
+  if (exact_) {
     if (out.decision != truth) {
       add_violation(Violation::Category::kOutcome,
                     "decision " + std::string(out.decision ? "true" : "false") +
@@ -229,21 +213,21 @@ void CheckedChannel::check_outcome(std::size_t threshold,
     add_violation(Violation::Category::kOutcome,
                   "confirmed identities under the 1+ model (no capture)");
   }
-  if (cfg_.query_bound > 0.0 &&
-      static_cast<double>(out.queries) > cfg_.query_bound) {
+  if (query_bound_ > 0.0 &&
+      static_cast<double>(out.queries) > query_bound_) {
     if (!bound_reported_) {
       bound_reported_ = true;
       add_violation(Violation::Category::kBound,
                     "query count " + std::to_string(out.queries) +
                         " exceeds the registered worst-case bound " +
-                        std::to_string(cfg_.query_bound));
+                        std::to_string(query_bound_));
     }
   }
 }
 
 void CheckedChannel::check_count_outcome(const core::CountOutcome& out) {
   const auto truth = truth_positive_count_;
-  if (lossy() && (out.exact || out.confidence >= 1.0)) {
+  if (!exact_ && (out.exact || out.confidence >= 1.0)) {
     add_violation(Violation::Category::kTruth,
                   "counting outcome claims exactness (exact=" +
                       std::string(out.exact ? "true" : "false") +
@@ -251,13 +235,12 @@ void CheckedChannel::check_count_outcome(const core::CountOutcome& out) {
                       ") on a channel that declares lossy() — silence "
                       "proves nothing there");
   }
-  if (out.exact && !lossy() &&
-      out.estimate != static_cast<double>(truth)) {
+  if (out.exact && exact_ && out.estimate != static_cast<double>(truth)) {
     add_violation(Violation::Category::kOutcome,
                   "claimed-exact count " + std::to_string(out.estimate) +
                       " but ground truth x=" + std::to_string(truth));
   }
-  if (!lossy() && truth == 0 && out.estimate != 0.0) {
+  if (exact_ && truth == 0 && out.estimate != 0.0) {
     // Activity cannot be manufactured on any tier, so with x = 0 every
     // probe is silent and any estimator must land on 0.
     add_violation(Violation::Category::kOutcome,

@@ -7,8 +7,9 @@
 //
 //   * partition   — an announced BinAssignment must not place a node in two
 //                   bins, and must only contain known participants;
-//   * requery     — a node disposed by an empty bin (exact semantics) or
-//                   confirmed by capture must never be queried again;
+//   * requery     — a node disposed by an empty bin (lossless channels
+//                   only) or confirmed by capture must never be queried
+//                   again;
 //   * truth       — query results must be consistent with oracle ground
 //                   truth: non-empty ⇒ ≥1 real positive (false positives
 //                   are structurally impossible on every tier), empty ⇒ 0
@@ -22,9 +23,10 @@
 //                   must be correct: exactly for exact channels, one-sided
 //                   (`true` ⇒ x ≥ t) under injected false negatives.
 //
+// Which inferences are sound is read from the inner channel's lossy(), once,
+// at construction: the same bit the round engine's soundness gate reads.
 // Violations are collected, not fatal, so the conformance self-test can
-// demonstrate that intentionally-broken algorithms are caught; set
-// Config::fail_fast to abort on the first one instead.
+// demonstrate that intentionally-broken algorithms are caught.
 #pragma once
 
 #include <string>
@@ -46,35 +48,18 @@ const char* to_string(Violation::Category c);
 
 class CheckedChannel final : public group::QueryChannel {
  public:
-  struct Config {
-    /// Inner channel never produces false negatives (the exact tier). When
-    /// false (lossy channels), empty results prove nothing and disposal
-    /// tracking is disabled.
-    bool exact_semantics = true;
-    /// Mirrors EngineOptions::two_plus_activity_counts_two: activity on a
-    /// 2+ channel certifies ≥2 positives (sound when a lone reply decodes).
-    bool two_plus_activity_counts_two = true;
-    /// Flag queries that touch disposed/confirmed nodes.
-    bool forbid_requery = true;
-    /// Hard per-run query ceiling; 0 disables the check.
-    double query_bound = 0.0;
-    /// Abort (TCAST_CHECK) on the first violation instead of collecting.
-    bool fail_fast = false;
-  };
-
   /// `inner` must be oracle-capable (ground truth is what the checks are
-  /// against); `participants` is the queryable universe.
+  /// against); `participants` is the queryable universe. `query_bound` is
+  /// the hard per-run query ceiling; 0 disables the check.
   CheckedChannel(group::QueryChannel& inner,
-                 std::span<const NodeId> participants, Config cfg);
-  CheckedChannel(group::QueryChannel& inner,
-                 std::span<const NodeId> participants)
-      : CheckedChannel(inner, participants, Config{}) {}
+                 std::span<const NodeId> participants,
+                 double query_bound = 0.0);
 
   const std::vector<Violation>& violations() const { return violations_; }
   bool ok() const { return violations_.empty(); }
 
   /// Invariants on the final outcome: decision correctness vs ground truth
-  /// (one-sided when !exact_semantics), query accounting, confirmed count.
+  /// (one-sided on a lossy channel), query accounting, confirmed count.
   void check_outcome(std::size_t threshold,
                      const core::ThresholdOutcome& out);
 
@@ -107,7 +92,7 @@ class CheckedChannel final : public group::QueryChannel {
   enum class NodeState : unsigned char {
     kUnknown,   ///< not a participant
     kCandidate, ///< may still be queried
-    kDisposed,  ///< proven negative by an empty bin (exact semantics only)
+    kDisposed,  ///< proven negative by an empty bin (lossless channels only)
     kConfirmed, ///< proven positive by capture
   };
 
@@ -118,7 +103,10 @@ class CheckedChannel final : public group::QueryChannel {
   NodeState& state_of(NodeId id) { return state_.at(static_cast<std::size_t>(id)); }
 
   group::QueryChannel* inner_;
-  Config cfg_;
+  /// !inner.lossy(): silence proves a bin empty, and 2+ activity proves ≥2
+  /// repliers (a lone reply always decodes).
+  bool exact_;
+  double query_bound_;
   std::vector<NodeId> participants_;
   std::vector<NodeState> state_;   ///< indexed by NodeId
   std::vector<char> truth_;        ///< oracle positivity, indexed by NodeId

@@ -37,6 +37,61 @@ std::vector<bool> draw_positives(const Scenario& sc) {
   return positive;
 }
 
+/// One run's channel stack: the exact channel over `positive`, under a
+/// FaultyChannel when the scenario is lossy, plus the channel and algorithm
+/// streams on the scenario's seed. The participants are `ids` when given,
+/// else every node of the exact channel (its cached all_nodes(), no copy).
+class ScenarioStack {
+ public:
+  ScenarioStack(const Scenario& sc, std::vector<bool> positive,
+                std::optional<std::vector<NodeId>> ids = std::nullopt)
+      : channel_rng_(sc.seed, kChannelStream),
+        algo_rng_(sc.seed, kAlgorithmStream),
+        exact_(std::move(positive), channel_rng_, {sc.model, nullptr}),
+        ids_(std::move(ids)),
+        participants_(ids_ ? std::span<const NodeId>(*ids_)
+                           : exact_.all_nodes()) {
+    if (sc.lossy()) lossy_.emplace(exact_, participants_, loss_plan(sc));
+  }
+
+  group::QueryChannel& channel() {
+    return lossy_ ? static_cast<group::QueryChannel&>(*lossy_) : exact_;
+  }
+  std::span<const NodeId> participants() const { return participants_; }
+  RngStream& algo_rng() { return algo_rng_; }
+
+ private:
+  RngStream channel_rng_;  // capture draws; borrowed by exact_
+  RngStream algo_rng_;
+  group::ExactChannel exact_;
+  std::optional<std::vector<NodeId>> ids_;
+  std::span<const NodeId> participants_;
+  std::optional<faults::FaultyChannel> lossy_;
+};
+
+/// The scenario's instance with ids relabeled through id → offset +
+/// id·stride (order-preserving): ground truth over the relabeled universe,
+/// and the relabeled participant ids.
+std::pair<std::vector<bool>, std::vector<NodeId>> relabel(const Scenario& sc,
+                                                          NodeId offset,
+                                                          NodeId stride) {
+  TCAST_CHECK(stride >= 1);
+  const auto base_positive = draw_positives(sc);
+  const std::size_t top =
+      sc.n == 0 ? 1
+                : static_cast<std::size_t>(offset) +
+                      (sc.n - 1) * static_cast<std::size_t>(stride) + 1;
+  std::vector<bool> positive(top, false);
+  std::vector<NodeId> ids;
+  ids.reserve(sc.n);
+  for (std::size_t i = 0; i < sc.n; ++i) {
+    const NodeId id = offset + static_cast<NodeId>(i) * stride;
+    positive[static_cast<std::size_t>(id)] = base_positive[i];
+    ids.push_back(id);
+  }
+  return {std::move(positive), std::move(ids)};
+}
+
 struct BoundEntry {
   std::string_view name;
   double (*bound)(std::size_t n, std::size_t t);
@@ -93,31 +148,12 @@ ConformanceReport check_algorithm(const core::AlgorithmSpec& spec,
   report.scenario = scenario;
   report.algorithm = spec.name;
 
-  RngStream channel_rng(scenario.seed, kChannelStream);
-  RngStream algo_rng(scenario.seed, kAlgorithmStream);
-  group::ExactChannel::Config ecfg;
-  ecfg.model = scenario.model;
-  group::ExactChannel exact(draw_positives(scenario), channel_rng, ecfg);
-  const auto participants = exact.all_nodes();
-
-  std::optional<faults::FaultyChannel> lossy;
-  group::QueryChannel* inner = &exact;
-  if (scenario.lossy()) {
-    lossy.emplace(exact, participants, loss_plan(scenario));
-    inner = &*lossy;
-  }
-
-  CheckedChannel::Config ccfg;
-  ccfg.exact_semantics = !scenario.lossy();
-  // Mirror the engine's soundness gate: on lossy scenarios the ≥2 inference
-  // is auto-disabled, so the checker must not demand (or permit) it either.
-  ccfg.two_plus_activity_counts_two = scenario.effective_counts_two();
-  ccfg.query_bound =
-      registered_query_bound(spec.name, scenario.n, scenario.t);
-  CheckedChannel checked(*inner, participants, ccfg);
-
-  report.outcome = spec.run(checked, participants, scenario.t, algo_rng,
-                            scenario.engine_options());
+  ScenarioStack stack(scenario, draw_positives(scenario));
+  CheckedChannel checked(
+      stack.channel(), stack.participants(),
+      registered_query_bound(spec.name, scenario.n, scenario.t));
+  report.outcome = spec.run(checked, stack.participants(), scenario.t,
+                            stack.algo_rng(), scenario.engine_options());
   checked.check_outcome(scenario.t, report.outcome);
   report.violations = checked.violations();
   return report;
@@ -166,35 +202,10 @@ namespace {
 core::ThresholdOutcome run_relabeled(const core::AlgorithmSpec& spec,
                                      const Scenario& sc, NodeId offset,
                                      NodeId stride) {
-  TCAST_CHECK(stride >= 1);
-  const auto base_positive = draw_positives(sc);
-  const std::size_t top =
-      sc.n == 0 ? 1
-                : static_cast<std::size_t>(offset) +
-                      (sc.n - 1) * static_cast<std::size_t>(stride) + 1;
-  std::vector<bool> positive(top, false);
-  std::vector<NodeId> participants;
-  participants.reserve(sc.n);
-  for (std::size_t i = 0; i < sc.n; ++i) {
-    const NodeId id =
-        offset + static_cast<NodeId>(i) * stride;
-    positive[static_cast<std::size_t>(id)] = base_positive[i];
-    participants.push_back(id);
-  }
-
-  RngStream channel_rng(sc.seed, kChannelStream);
-  RngStream algo_rng(sc.seed, kAlgorithmStream);
-  group::ExactChannel::Config ecfg;
-  ecfg.model = sc.model;
-  group::ExactChannel exact(std::move(positive), channel_rng, ecfg);
-  std::optional<faults::FaultyChannel> lossy;
-  group::QueryChannel* channel = &exact;
-  if (sc.lossy()) {
-    lossy.emplace(exact, participants, loss_plan(sc));
-    channel = &*lossy;
-  }
-  return spec.run(*channel, participants, sc.t, algo_rng,
-                  sc.engine_options());
+  auto [positive, ids] = relabel(sc, offset, stride);
+  ScenarioStack stack(sc, std::move(positive), std::move(ids));
+  return spec.run(stack.channel(), stack.participants(), sc.t,
+                  stack.algo_rng(), sc.engine_options());
 }
 
 }  // namespace
@@ -265,12 +276,9 @@ ConformanceReport metamorphic_seed_shift_check(
   const auto base_positive = draw_positives(a);
 
   const auto run_with = [&](const Scenario& sc) {
-    RngStream channel_rng(sc.seed, kChannelStream);
-    RngStream algo_rng(sc.seed, kAlgorithmStream);
-    group::ExactChannel exact(base_positive, channel_rng);
-    const auto participants = exact.all_nodes();
-    return spec.run(exact, participants, sc.t, algo_rng,
-                    sc.engine_options());
+    ScenarioStack stack(sc, base_positive);
+    return spec.run(stack.channel(), stack.participants(), sc.t,
+                    stack.algo_rng(), sc.engine_options());
   };
 
   ConformanceReport report;
@@ -320,27 +328,11 @@ CountingReport check_counting_algorithm(const core::CountAlgorithmSpec& spec,
   report.scenario = scenario;
   report.algorithm = spec.name;
 
-  RngStream channel_rng(scenario.seed, kChannelStream);
-  RngStream algo_rng(scenario.seed, kAlgorithmStream);
-  group::ExactChannel::Config ecfg;
-  ecfg.model = scenario.model;
-  group::ExactChannel exact(draw_positives(scenario), channel_rng, ecfg);
-  const auto participants = exact.all_nodes();
-
-  std::optional<faults::FaultyChannel> lossy;
-  group::QueryChannel* inner = &exact;
-  if (scenario.lossy()) {
-    lossy.emplace(exact, participants, loss_plan(scenario));
-    inner = &*lossy;
-  }
-
-  CheckedChannel::Config ccfg;
-  ccfg.exact_semantics = !scenario.lossy();
-  ccfg.two_plus_activity_counts_two = scenario.effective_counts_two();
-  ccfg.query_bound = registered_count_query_bound(spec.name, scenario.n);
-  CheckedChannel checked(*inner, participants, ccfg);
-
-  report.outcome = spec.run(checked, participants, algo_rng, {});
+  ScenarioStack stack(scenario, draw_positives(scenario));
+  CheckedChannel checked(stack.channel(), stack.participants(),
+                         registered_count_query_bound(spec.name, scenario.n));
+  report.outcome =
+      spec.run(checked, stack.participants(), stack.algo_rng(), {});
   checked.check_count_outcome(report.outcome);
   report.truth = checked.true_positive_count();
   report.violations = checked.violations();
@@ -381,33 +373,10 @@ namespace {
 core::CountOutcome run_count_relabeled(const core::CountAlgorithmSpec& spec,
                                        const Scenario& sc, NodeId offset,
                                        NodeId stride) {
-  TCAST_CHECK(stride >= 1);
-  const auto base_positive = draw_positives(sc);
-  const std::size_t top =
-      sc.n == 0 ? 1
-                : static_cast<std::size_t>(offset) +
-                      (sc.n - 1) * static_cast<std::size_t>(stride) + 1;
-  std::vector<bool> positive(top, false);
-  std::vector<NodeId> participants;
-  participants.reserve(sc.n);
-  for (std::size_t i = 0; i < sc.n; ++i) {
-    const NodeId id = offset + static_cast<NodeId>(i) * stride;
-    positive[static_cast<std::size_t>(id)] = base_positive[i];
-    participants.push_back(id);
-  }
-
-  RngStream channel_rng(sc.seed, kChannelStream);
-  RngStream algo_rng(sc.seed, kAlgorithmStream);
-  group::ExactChannel::Config ecfg;
-  ecfg.model = sc.model;
-  group::ExactChannel exact(std::move(positive), channel_rng, ecfg);
-  std::optional<faults::FaultyChannel> lossy;
-  group::QueryChannel* channel = &exact;
-  if (sc.lossy()) {
-    lossy.emplace(exact, participants, loss_plan(sc));
-    channel = &*lossy;
-  }
-  return spec.run(*channel, participants, algo_rng, {});
+  auto [positive, ids] = relabel(sc, offset, stride);
+  ScenarioStack stack(sc, std::move(positive), std::move(ids));
+  return spec.run(stack.channel(), stack.participants(), stack.algo_rng(),
+                  {});
 }
 
 }  // namespace

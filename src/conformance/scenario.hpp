@@ -38,13 +38,6 @@ struct Scenario {
     opts.scheme = scheme;
     return opts;
   }
-
-  /// What the ≥2-activity inference is allowed to be on this scenario: the
-  /// engine's soundness gate auto-disables it under loss, and the
-  /// CheckedChannel must mirror that or it would demand an unsound check.
-  bool effective_counts_two() const {
-    return engine_options().two_plus_activity_counts_two && !lossy();
-  }
 };
 
 /// Draws a randomized scenario: n ∈ [1, 96], x ∈ [0, n], t ∈ [0, n+2]

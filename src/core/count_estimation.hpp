@@ -21,17 +21,6 @@
 
 namespace tcast::core {
 
-struct CountEstimateOptions {
-  std::size_t probe_repeats = 6;    ///< queries per level while scanning
-  std::size_t refine_repeats = 30;  ///< queries at the accepted level
-  /// Accept a level when the observed non-empty fraction drops to
-  /// target_high or below — the informative regime of the inversion (rates
-  /// near 1 invert with exploding variance; 0.65 tuned empirically to
-  /// ≈ ±23% mean relative error at the defaults).
-  double target_low = 0.25;
-  double target_high = 0.65;
-};
-
 struct CountEstimate {
   double estimate = 0.0;   ///< point estimate of x
   bool exact = false;      ///< true when x = 0 was proven (whole-set silent)
@@ -44,13 +33,14 @@ struct CountEstimate {
   std::vector<NodeId> confirmed;
 };
 
-/// Estimates the number of positive nodes among `participants`.
-/// Multiplicative accuracy improves with refine_repeats (≈ ±30% at the
-/// defaults); x = 0 is detected exactly in one query.
+/// Estimates the number of positive nodes among `participants`: scans
+/// geometric inclusion levels, then spends `refine_repeats` queries at the
+/// accepted one. Multiplicative accuracy improves with refine_repeats
+/// (≈ ±30% at 30); x = 0 is detected exactly in one query.
 CountEstimate estimate_positive_count(group::QueryChannel& channel,
                                       std::span<const NodeId> participants,
                                       RngStream& rng,
-                                      const CountEstimateOptions& opts = {});
+                                      std::size_t refine_repeats = 30);
 
 enum class IntervalVerdict { kBelow, kInside, kAbove };
 

@@ -142,11 +142,11 @@ CountOutcome run_geom_scan_count(group::QueryChannel& channel,
                                  std::span<const NodeId> participants,
                                  RngStream& rng, const CountOptions& opts) {
   CountOutcome out;
-  CountEstimateOptions eopts;
   // Size the refinement like nz-geom so the (epsilon, delta) knobs mean the
-  // same thing across the sampling estimators; the scan-phase defaults stay.
-  eopts.refine_repeats = refinement_repeats(opts.epsilon, opts.delta);
-  const auto est = estimate_positive_count(channel, participants, rng, eopts);
+  // same thing across the sampling estimators; the scan phase is fixed.
+  const auto est = estimate_positive_count(
+      channel, participants, rng,
+      refinement_repeats(opts.epsilon, opts.delta));
   out.estimate = est.estimate;
   out.queries = est.queries;
   out.confirmed = est.confirmed;

@@ -12,7 +12,6 @@ namespace tcast::core {
 ThresholdOutcome run_probabilistic_abns(group::QueryChannel& channel,
                                         std::span<const NodeId> participants,
                                         std::size_t t, RngStream& rng,
-                                        ProbabilisticAbnsOptions popts,
                                         const EngineOptions& opts) {
   // Degenerate thresholds resolve without the hint. The threshold passes
   // through unchanged: the engine already short-circuits t = 0 to `true`
@@ -22,10 +21,7 @@ ThresholdOutcome run_probabilistic_abns(group::QueryChannel& channel,
   }
 
   const QueryCount queries_at_start = channel.queries_used();
-  const double incl =
-      popts.inclusion_prob > 0.0
-          ? std::min(1.0, popts.inclusion_prob)
-          : std::min(1.0, 2.0 / static_cast<double>(t));
+  const double incl = std::min(1.0, 2.0 / static_cast<double>(t));
   const auto hint_bin =
       group::BinAssignment::sampled(participants, incl, rng);
   const auto hint = channel.query_set(hint_bin.bin(0));

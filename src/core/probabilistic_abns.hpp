@@ -13,14 +13,8 @@
 
 namespace tcast::core {
 
-struct ProbabilisticAbnsOptions {
-  /// Inclusion probability for the hint bin; the paper's 2/t when 0.
-  double inclusion_prob = 0.0;
-};
-
 ThresholdOutcome run_probabilistic_abns(
     group::QueryChannel& channel, std::span<const NodeId> participants,
-    std::size_t t, RngStream& rng, ProbabilisticAbnsOptions popts = {},
-    const EngineOptions& opts = {});
+    std::size_t t, RngStream& rng, const EngineOptions& opts = {});
 
 }  // namespace tcast::core

@@ -79,7 +79,7 @@ const std::vector<AlgorithmSpec>& algorithm_registry() {
          "Sec. V-D: one sampling query, then ABNS(t/4) or 2tBins", false,
          [](group::QueryChannel& ch, std::span<const NodeId> nodes,
             std::size_t t, RngStream& rng, const EngineOptions& opts) {
-           return run_probabilistic_abns(ch, nodes, t, rng, {}, opts);
+           return run_probabilistic_abns(ch, nodes, t, rng, opts);
          },
          // No single-engine entry point: the sampling query runs outside
          // the engine session, so lanes fall back to the channel overload.

@@ -9,6 +9,12 @@
 #include "common/parse.hpp"
 
 namespace tcast::core {
+namespace {
+
+/// Safety valve; no exact algorithm comes near this (tests assert so).
+constexpr std::size_t kMaxRounds = 10'000;
+
+}  // namespace
 
 std::optional<RetryPolicy> RetryPolicy::parse(std::string_view text) {
   if (text == "none") return none();
@@ -163,11 +169,10 @@ ThresholdOutcome RoundEngine::run(std::span<const NodeId> participants,
   // Soundness gate: the "activity ⇒ ≥2" credit assumes a lone reply always
   // decodes. On a channel that declares itself lossy a lone reply may fail
   // to decode (and read as activity), so the inference would manufacture
-  // positives — auto-disable it there, whatever the options say.
+  // positives — the credit applies only where the channel declares no loss.
   const bool lossy_channel = channel_->lossy();
   const std::size_t activity_lb =
       (channel_->model() == group::CollisionModel::kTwoPlus &&
-       opts_.two_plus_activity_counts_two &&
        (!lossy_channel || opts_.unsafe_counts_two_despite_loss))
           ? 2
           : 1;
@@ -202,7 +207,7 @@ ThresholdOutcome RoundEngine::run(std::span<const NodeId> participants,
     return 0;
   };
 
-  for (std::size_t round = 0; round < opts_.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
     ++out.rounds;
     make_assignment(candidates_, bins, assignment_);
     const auto& assignment = assignment_;
@@ -288,7 +293,7 @@ ThresholdOutcome RoundEngine::run(std::span<const NodeId> participants,
     if (!progress && next <= bins) next = bins * 2;
     bins = clamp_bins(next, alive_count);
   }
-  TCAST_CHECK_MSG(false, "round engine exceeded max_rounds");
+  TCAST_CHECK_MSG(false, "round engine exceeded kMaxRounds");
   return out;  // unreachable
 }
 

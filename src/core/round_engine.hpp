@@ -11,8 +11,9 @@
 //     candidate set and credited against the threshold for the rest of the
 //     session ("we can exclude this node from the next round");
 //   * an activity-without-capture bin certifies ≥2 positives ("we can
-//     conclude that at least two nodes replied") — configurable, since the
-//     inference is only sound when a lone reply always decodes.
+//     conclude that at least two nodes replied") — on channels that do not
+//     declare lossy() only, since the inference is sound only when a lone
+//     reply always decodes.
 //
 // Termination invariant per query:
 //   confirmed + Σ(per-bin lower bounds this round) ≥ t  ⇒  answer true
@@ -113,23 +114,17 @@ class FlagCancelToken final : public CancelToken {
 struct EngineOptions {
   BinOrdering ordering = BinOrdering::kNonEmptyFirst;
   BinningScheme scheme = BinningScheme::kRandomEqual;
-  /// 2+ model: count an undecoded-activity bin as ≥2 positives. Sound when
-  /// a lone reply always decodes (exact tier; lossless packet tier). The
-  /// engine auto-disables the inference on channels that declare lossy() —
-  /// a lone reply that fails to decode reads as activity there, and the
-  /// ≥2 credit would manufacture positives (false "yes").
-  bool two_plus_activity_counts_two = true;
   /// Loss robustness: what to do before committing a silent-bin disposal on
   /// a lossy channel (no effect on lossless channels).
   RetryPolicy retry;
-  /// TEST-ONLY: keep the "activity ⇒ ≥2" credit even on lossy channels,
-  /// i.e. disable the soundness gate above. This deliberately re-opens the
-  /// false-"yes" hole the gate closes; the chaos engine's shrinker tests
+  /// TEST-ONLY: keep the "activity ⇒ ≥2" credit even on lossy channels.
+  /// The engine credits an undecoded-activity bin with ≥2 positives only
+  /// when the channel does not declare lossy(): a lone reply that fails to
+  /// decode reads as activity there. This flag deliberately re-opens the
+  /// false-"yes" hole that gate closes; the chaos engine's shrinker tests
   /// use it as the known-broken engine variant whose violations they
   /// minimize. Never set in production configurations.
   bool unsafe_counts_two_despite_loss = false;
-  /// Safety valve; no exact algorithm comes near this (tests assert so).
-  std::size_t max_rounds = 10'000;
   /// Cooperative cancellation (deadlines, shard kill). Polled before every
   /// query the engine issues; nullptr = never cancelled. Borrowed — must
   /// outlive the run.

@@ -110,7 +110,7 @@ class QueryChannel {
   /// or read foreign energy as activity. On a lossy channel an empty result
   /// proves nothing and the 2+ "activity ⇒ ≥2" inference is unsound; the
   /// round engine keys its soundness gate and retry policies off this bit,
-  /// and the conformance harness refuses loss-unsound configurations.
+  /// and the conformance checker reads which inferences to demand from it.
   virtual bool lossy() const { return false; }
 
   /// Oracle hooks for idealised accounting and lower-bound baselines; only

@@ -12,6 +12,11 @@
 namespace tcast::service {
 namespace {
 
+// The campaign's fixed shape (see ServiceCampaignConfig).
+constexpr std::size_t kPopulations = 4;
+constexpr std::size_t kMaxN = 128;
+constexpr std::size_t kShards = 2;
+
 const char* kind_name(ServiceOp::Kind k) {
   switch (k) {
     case ServiceOp::Kind::kLoad:
@@ -140,16 +145,15 @@ std::optional<std::vector<ServiceOp>> parse_trace(std::string_view text) {
 std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg) {
   RngStream rng(cfg.seed, 0xc4a5);
   std::vector<ServiceOp> ops;
-  ops.reserve(cfg.ops + cfg.populations + 4 * cfg.shards);
+  ops.reserve(cfg.ops + kPopulations + 4 * kShards);
 
   std::vector<std::pair<std::size_t, std::size_t>> pops;  // (n, x)
-  for (std::size_t p = 0; p < cfg.populations; ++p) {
+  for (std::size_t p = 0; p < kPopulations; ++p) {
     ServiceOp op;
     op.kind = ServiceOp::Kind::kLoad;
     op.pop = "p";
     op.pop += std::to_string(p);
-    op.n = 16 + static_cast<std::size_t>(
-                    rng.uniform_below(std::max<std::size_t>(cfg.max_n, 17) - 16));
+    op.n = 16 + static_cast<std::size_t>(rng.uniform_below(kMaxN - 16));
     op.x = static_cast<std::size_t>(rng.uniform_below(op.n + 1));
     op.seed = rng.bits() | 1;
     pops.emplace_back(op.n, op.x);
@@ -162,8 +166,8 @@ std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg) {
       // Query volley: bursts are what overflow a bounded queue.
       const auto volley = 1 + rng.uniform_below(6);
       for (std::uint64_t v = 0; v < volley; ++v) {
-        const auto p = static_cast<std::size_t>(
-            rng.uniform_below(cfg.populations));
+        const auto p =
+            static_cast<std::size_t>(rng.uniform_below(kPopulations));
         const auto [n, x] = pops[p];
         ServiceOp op;
         op.kind = ServiceOp::Kind::kQuery;
@@ -203,17 +207,17 @@ std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg) {
     } else if (roll < 88) {
       ServiceOp op;
       op.kind = ServiceOp::Kind::kKill;
-      op.shard = static_cast<std::size_t>(rng.uniform_below(cfg.shards));
+      op.shard = static_cast<std::size_t>(rng.uniform_below(kShards));
       ops.push_back(std::move(op));
     } else if (roll < 96) {
       ServiceOp op;
       op.kind = ServiceOp::Kind::kReboot;
-      op.shard = static_cast<std::size_t>(rng.uniform_below(cfg.shards));
+      op.shard = static_cast<std::size_t>(rng.uniform_below(kShards));
       ops.push_back(std::move(op));
     } else {
       // Reload with fresh ground truth mid-campaign.
       const auto p =
-          static_cast<std::size_t>(rng.uniform_below(cfg.populations));
+          static_cast<std::size_t>(rng.uniform_below(kPopulations));
       ServiceOp op;
       op.kind = ServiceOp::Kind::kLoad;
       op.pop = "p";
@@ -228,7 +232,7 @@ std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg) {
 
   // Epilogue: revive every shard so queued work can resolve as verdicts,
   // not only as flushes (the run itself drains whatever remains).
-  for (std::size_t s = 0; s < cfg.shards; ++s) {
+  for (std::size_t s = 0; s < kShards; ++s) {
     ServiceOp op;
     op.kind = ServiceOp::Kind::kReboot;
     op.shard = s;
@@ -268,18 +272,18 @@ std::string ServiceCampaignReport::summary() const {
   return os.str();
 }
 
-ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
-                                      const ServiceCampaignConfig& cfg) {
+ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops) {
   ManualClock clock;
   ServiceConfig scfg;
-  scfg.shards = cfg.shards;
-  scfg.queue_capacity = cfg.queue_capacity;
-  scfg.degrade_enter = cfg.degrade_enter;
-  scfg.degrade_exit = cfg.degrade_exit;
-  scfg.batch_max = cfg.batch_max;
-  scfg.degrade_estimator = cfg.degrade_estimator;
-  scfg.checked = cfg.checked;
-  scfg.clock = &clock;
+  scfg.shards = kShards;
+  scfg.shard.queue_capacity = 8;
+  scfg.shard.degrade_enter = 6;
+  scfg.shard.degrade_exit = 2;
+  scfg.shard.batch_max = 4;
+  scfg.shard.checked = true;
+  scfg.shard.clock = &clock;
+  // The degrade estimator's default claim, for the honesty check.
+  const core::CountOptions claim;
 
   ServiceCampaignReport report;
   std::vector<Observation> observations;
@@ -322,7 +326,7 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
           req.kind = RequestKind::kQuery;
           req.population = op.pop;
           req.t = op.t;
-          req.algorithm = cfg.algorithm;
+          req.algorithm = "2tbins";
           req.deadline_ms = op.deadline_ms;
           req.approx = op.approx;
           ++report.submitted;
@@ -403,8 +407,8 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
       }
       ++approx_trials;
       // Honesty is judged against the band the answer itself claims; the
-      // campaign's cfg.epsilon only backstops an answer that claimed none.
-      const double band = r.epsilon > 0.0 ? r.epsilon : cfg.epsilon;
+      // default claim only backstops an answer that claimed none.
+      const double band = r.epsilon > 0.0 ? r.epsilon : claim.epsilon;
       const double x = static_cast<double>(obs.want.x);
       const bool within = obs.want.x == 0
                               ? r.estimate == 0.0
@@ -416,15 +420,15 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
   if (approx_trials > 0) {
     report.approx_outside_band = approx_trials - approx_within;
     report.approx_floor =
-        conformance::acceptance_floor(cfg.delta, approx_trials);
+        conformance::acceptance_floor(claim.delta, approx_trials);
     const double within_fraction = static_cast<double>(approx_within) /
                                    static_cast<double>(approx_trials);
     if (within_fraction < report.approx_floor) {
       std::ostringstream os;
-      os << "approximate answers within (1±" << cfg.epsilon << ") band "
+      os << "approximate answers within (1±" << claim.epsilon << ") band "
          << approx_within << "/" << approx_trials << " = " << within_fraction
          << " below acceptance floor " << report.approx_floor
-         << " for delta=" << cfg.delta;
+         << " for delta=" << claim.delta;
       report.failures.push_back(os.str());
     }
   }
@@ -441,11 +445,11 @@ std::vector<ServiceOp> shrink_service_ops(
 ServiceCampaignResult run_service_campaign(const ServiceCampaignConfig& cfg) {
   ServiceCampaignResult result;
   const auto ops = generate_service_ops(cfg);
-  result.report = run_service_ops(ops, cfg);
+  result.report = run_service_ops(ops);
   if (!result.report.ok()) {
-    result.minimized = shrink_service_ops(
-        ops, [&cfg](std::span<const ServiceOp> candidate) {
-          return !run_service_ops(candidate, cfg).ok();
+    result.minimized =
+        shrink_service_ops(ops, [](std::span<const ServiceOp> candidate) {
+          return !run_service_ops(candidate).ok();
         });
   }
   return result;

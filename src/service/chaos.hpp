@@ -65,22 +65,13 @@ struct ServiceOp {
 std::string encode_trace(std::span<const ServiceOp> ops);
 std::optional<std::vector<ServiceOp>> parse_trace(std::string_view text);
 
+/// A campaign is `ops` random steps drawn from `seed`. The service it
+/// attacks is fixed: 2 shards with queue capacity 8, degradation at depth
+/// 6/2, batches of 4, the conformance guard on, and the default degrade
+/// estimator; 4 populations of 16..127 nodes answer 2tbins queries.
 struct ServiceCampaignConfig {
   std::uint64_t seed = 1;
   std::size_t ops = 400;
-  std::size_t populations = 4;
-  std::size_t max_n = 128;
-  std::size_t shards = 2;
-  std::size_t queue_capacity = 8;
-  std::size_t degrade_enter = 6;
-  std::size_t degrade_exit = 2;
-  std::size_t batch_max = 4;
-  bool checked = true;
-  std::string algorithm = "2tbins";
-  std::string degrade_estimator = "nz-geom";
-  /// Default (ε, δ) claim of the degrade estimator, for the honesty check.
-  double epsilon = 0.35;
-  double delta = 0.1;
 };
 
 /// Deterministic op script for `cfg.seed` — kill/reboot, bursty query
@@ -106,10 +97,10 @@ struct ServiceCampaignReport {
   std::string summary() const;
 };
 
-/// Replays `ops` against a fresh service under a ManualClock and checks
-/// the contract. Pure function of (ops, cfg).
-ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops,
-                                      const ServiceCampaignConfig& cfg);
+/// Replays `ops` against a fresh campaign service under a ManualClock and
+/// checks the contract; approximate answers are judged at
+/// core::CountOptions' default (ε, δ). Pure function of `ops`.
+ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops);
 
 /// ddmin over op lists: smallest subsequence (locally minimal) for which
 /// `failing` still returns true; an input that does not fail comes back

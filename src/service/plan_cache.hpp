@@ -1,13 +1,12 @@
-// Per-shard bin-plan cache (satellite of the tcastd PR).
+// Per-shard plan cache, keyed by (population size, threshold, algorithm).
 //
-// The opening move of every engine run — picking the first round's bin
-// count — depends only on (population size, threshold, algorithm). Shards
-// see the same few (n, t, algo) triples over and over under the skewed
-// workloads the paper's evaluation uses, so each shard keeps a small LRU
-// of plans. For the ABNS family the plan also carries the positive-count
+// Shards see the same few (n, t, algo) triples over and over under the
+// skewed workloads the paper's evaluation uses, so each shard keeps a small
+// LRU of plans. For the ABNS family the plan carries the positive-count
 // estimate p the previous run converged to: reusing it as the next run's
 // p0 is exactly the paper's "good initial estimate" lever (Fig. 5),
-// applied across queries instead of within one.
+// applied across queries instead of within one. Other algorithms store an
+// empty plan, so hits and misses count every exact query.
 //
 // Shards are single-threaded over their populations, so the cache needs no
 // locking. Hit/miss counters surface in the `stats` response.
@@ -51,8 +50,6 @@ struct PlanKeyHash {
 };
 
 struct PlanEntry {
-  /// First-round bin count the algorithm chose last time.
-  std::size_t initial_bins = 0;
   /// ABNS family only: the converged estimate p to warm-start p0 with.
   /// 0 means "no estimate" (non-adaptive algorithm or never converged).
   double p_estimate = 0.0;

@@ -19,20 +19,8 @@ std::uint64_t fnv1a(std::string_view text) {
 TcastService::TcastService(ServiceConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.shards == 0) cfg_.shards = 1;
   shards_.reserve(cfg_.shards);
-  for (std::size_t i = 0; i < cfg_.shards; ++i) {
-    ShardConfig scfg;
-    scfg.index = i;
-    scfg.queue_capacity = cfg_.queue_capacity;
-    scfg.degrade_enter = cfg_.degrade_enter;
-    scfg.degrade_exit = cfg_.degrade_exit;
-    scfg.batch_max = cfg_.batch_max;
-    scfg.degrade_estimator = cfg_.degrade_estimator;
-    scfg.checked = cfg_.checked;
-    scfg.plan_cache_capacity = cfg_.plan_cache_capacity;
-    scfg.max_population = cfg_.max_population;
-    scfg.clock = cfg_.clock;
-    shards_.push_back(std::make_unique<Shard>(scfg));
-  }
+  for (std::size_t i = 0; i < cfg_.shards; ++i)
+    shards_.push_back(std::make_unique<Shard>(i, cfg_.shard));
 }
 
 TcastService::~TcastService() {

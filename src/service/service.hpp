@@ -27,15 +27,8 @@ namespace tcast::service {
 
 struct ServiceConfig {
   std::size_t shards = 4;
-  std::size_t queue_capacity = 64;
-  std::size_t degrade_enter = 32;
-  std::size_t degrade_exit = 8;
-  std::size_t batch_max = 8;
-  std::string degrade_estimator = "nz-geom";
-  bool checked = false;
-  std::size_t plan_cache_capacity = 64;
-  std::size_t max_population = 1 << 16;
-  const Clock* clock = &RealClock::instance();
+  /// Every shard's configuration (each also gets its index).
+  ShardConfig shard;
 };
 
 class TcastService {

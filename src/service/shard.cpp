@@ -17,19 +17,24 @@ bool is_abns_family(std::string_view algo) {
   return algo == "abns:t" || algo == "abns:2t";
 }
 
-/// Analytic first-round bin count for the plan cache's informational field.
-std::size_t analytic_initial_bins(std::string_view algo, std::size_t n,
-                                  std::size_t t, double p0) {
-  if (is_abns_family(algo)) return static_cast<std::size_t>(p0) + 1;
-  if (algo == "2tbins") return std::min(2 * t, n);
-  if (algo.starts_with("expinc")) return 2;
-  return 0;
+/// Plans kept per shard (PlanCache's LRU capacity).
+constexpr std::size_t kPlanCacheCapacity = 64;
+/// Populations larger than this are rejected kInvalidArgument.
+constexpr std::size_t kMaxPopulation = 1 << 16;
+
+/// The absolute deadline of a query admitted at `now`: none when the
+/// request sets none, or when now + deadline_ms would pass kNoDeadline (in
+/// TimeUs arithmetic it would wrap around into the past).
+TimeUs absolute_deadline(TimeUs now, std::uint64_t deadline_ms) {
+  if (deadline_ms == 0 || deadline_ms > (kNoDeadline - now) / 1000)
+    return kNoDeadline;
+  return now + deadline_ms * 1000;
 }
 
 }  // namespace
 
-Shard::Shard(ShardConfig cfg)
-    : cfg_(std::move(cfg)), plans_(cfg_.plan_cache_capacity) {}
+Shard::Shard(std::size_t index, ShardConfig cfg)
+    : index_(index), cfg_(std::move(cfg)), plans_(kPlanCacheCapacity) {}
 
 Shard::~Shard() { stop_drain_thread(); }
 
@@ -53,15 +58,13 @@ void Shard::submit(Request req, Callback cb) {
       job.req = std::move(req);
       job.cb = std::move(cb);
       job.admit_us = now;
-      job.deadline_us = job.req.deadline_ms > 0
-                            ? now + job.req.deadline_ms * 1000
-                            : kNoDeadline;
+      job.deadline_us = absolute_deadline(now, job.req.deadline_ms);
       queue_.push_back(std::move(job));
       update_degraded(queue_.size());
     }
   }
   if (rejected) {
-    reject.shard = cfg_.index;
+    reject.shard = index_;
     cb(reject);
   } else {
     work_cv_.notify_one();
@@ -149,7 +152,7 @@ std::size_t Shard::queue_depth() const {
 ShardStats Shard::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ShardStats s;
-  s.index = cfg_.index;
+  s.index = index_;
   s.queue_depth = queue_.size();
   s.degraded = degraded_.load(std::memory_order_acquire);
   s.killed = killed_.load(std::memory_order_acquire);
@@ -173,7 +176,7 @@ ShardStats Shard::stats() const {
 
 void Shard::finish(const Job& job, Response resp) {
   const TimeUs now = cfg_.clock->now_us();
-  resp.shard = cfg_.index;
+  resp.shard = index_;
   resp.latency_us = now >= job.admit_us ? now - job.admit_us : 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -257,10 +260,10 @@ Response Shard::execute(const Job& job) {
 
 Response Shard::do_load(const Request& req) {
   Response resp;
-  if (req.n == 0 || req.n > cfg_.max_population || req.x > req.n) {
+  if (req.n == 0 || req.n > kMaxPopulation || req.x > req.n) {
     resp.status = StatusCode::kInvalidArgument;
     resp.message = "load requires 0 < n <= " +
-                   std::to_string(cfg_.max_population) + " and x <= n";
+                   std::to_string(kMaxPopulation) + " and x <= n";
     return resp;
   }
   group::PacketChannel::Config pcfg;
@@ -378,11 +381,7 @@ Response Shard::run_exact(Population& pop, const Job& job,
 
   const bool checked = cfg_.checked && pop.oracle_capable;
   std::optional<conformance::CheckedChannel> guard;
-  if (checked) {
-    conformance::CheckedChannel::Config ccfg;
-    ccfg.exact_semantics = !pop.channel->lossy();
-    guard.emplace(*pop.channel, std::span<const NodeId>(pop.nodes), ccfg);
-  }
+  if (checked) guard.emplace(*pop.channel, std::span<const NodeId>(pop.nodes));
   group::QueryChannel& ch = checked
                                 ? static_cast<group::QueryChannel&>(*guard)
                                 : *pop.channel;
@@ -412,9 +411,7 @@ Response Shard::run_exact(Population& pop, const Job& job,
     return resp;
   }
 
-  plans_.insert(key, PlanEntry{analytic_initial_bins(req.algorithm, pop.n,
-                                                     req.t, p_estimate),
-                               p_estimate});
+  plans_.insert(key, PlanEntry{p_estimate});
 
   if (checked) {
     guard->check_outcome(req.t, out);
@@ -449,11 +446,7 @@ Response Shard::run_approx(Population& pop, const Job& job,
 
   const bool checked = cfg_.checked && pop.oracle_capable;
   std::optional<conformance::CheckedChannel> guard;
-  if (checked) {
-    conformance::CheckedChannel::Config ccfg;
-    ccfg.exact_semantics = !pop.channel->lossy();
-    guard.emplace(*pop.channel, std::span<const NodeId>(pop.nodes), ccfg);
-  }
+  if (checked) guard.emplace(*pop.channel, std::span<const NodeId>(pop.nodes));
   group::QueryChannel& ch = checked
                                 ? static_cast<group::QueryChannel&>(*guard)
                                 : *pop.channel;

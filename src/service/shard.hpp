@@ -67,7 +67,6 @@ class QueryCancelToken final : public core::CancelToken {
 };
 
 struct ShardConfig {
-  std::size_t index = 0;
   /// Bounded admission queue; a full queue rejects with kOverloaded.
   std::size_t queue_capacity = 64;
   /// Degradation hysteresis on queue depth: enter at >= enter, leave at
@@ -83,9 +82,6 @@ struct ShardConfig {
   /// Run exact-tier queries through a conformance CheckedChannel and count
   /// violations (the service-level safety net; cheap relative to a run).
   bool checked = false;
-  std::size_t plan_cache_capacity = 64;
-  /// Populations larger than this are rejected kInvalidArgument.
-  std::size_t max_population = 1 << 16;
   /// Time source; borrowed, must outlive the shard.
   const Clock* clock = &RealClock::instance();
 };
@@ -116,7 +112,9 @@ class Shard {
  public:
   using Callback = std::function<void(const Response&)>;
 
-  explicit Shard(ShardConfig cfg);
+  /// `index` is this shard's place in the service; every response and
+  /// stats() report it.
+  Shard(std::size_t index, ShardConfig cfg);
   ~Shard();
 
   Shard(const Shard&) = delete;
@@ -197,6 +195,7 @@ class Shard {
                       const core::CancelToken& token);
   Response cancel_response(const core::CancelToken& token) const;
 
+  std::size_t index_;
   ShardConfig cfg_;
   std::atomic<bool> killed_{false};
   std::atomic<bool> shutting_down_{false};

@@ -13,11 +13,10 @@ MoteExperimentResults run_mote_experiment(const MoteExperimentConfig& cfg) {
   for (std::size_t k = 0; k <= cfg.participants; ++k)
     results.census[k].k = k;
 
-  // The motes query bins in natural order, and backcast is 1+, so the 2+
+  // The motes query bins in natural order. Backcast is 1+, so the 2+
   // activity credit never applies.
   core::EngineOptions opts;
   opts.ordering = core::BinOrdering::kInOrder;
-  opts.two_plus_activity_counts_two = false;
 
   RngStream workload_rng(cfg.seed, 0xA11CE);
   std::vector<bool> positive(cfg.participants);

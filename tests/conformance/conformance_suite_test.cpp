@@ -59,7 +59,7 @@ TEST(CheckedChannelTranscript, AnnouncementsRecordFullBinStructure) {
   RngStream rng(99, 0);
   auto exact = group::ExactChannel::with_random_positives(24, 10, rng);
   group::InstrumentedChannel instr(exact);
-  CheckedChannel checked(instr, exact.all_nodes(), {});
+  CheckedChannel checked(instr, exact.all_nodes());
   const auto* spec = core::find_algorithm("2tbins");
   ASSERT_NE(spec, nullptr);
   const auto out =

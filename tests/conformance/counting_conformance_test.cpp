@@ -69,10 +69,7 @@ TEST(CountingConformance, CheckedChannelRefusesExactnessClaimsUnderLoss) {
   auto exact = group::ExactChannel::with_random_positives(16, 4, rng);
   faults::FaultyChannel lossy(exact, exact.all_nodes(),
                               *faults::FaultPlan::parse("iid=0.2"));
-  CheckedChannel::Config cfg;
-  cfg.exact_semantics = false;
-  cfg.two_plus_activity_counts_two = false;
-  CheckedChannel checked(lossy, exact.all_nodes(), cfg);
+  CheckedChannel checked(lossy, exact.all_nodes());
 
   core::CountOutcome claim;
   claim.estimate = 4.0;

@@ -157,7 +157,7 @@ TEST(ConformanceSelfTest, CatchesLyingChannels) {
   RngStream rng(7, 0);
   auto exact = group::ExactChannel::with_random_positives(10, 6, rng);
   LyingChannel liar(exact);
-  CheckedChannel checked(liar, exact.all_nodes(), {});
+  CheckedChannel checked(liar, exact.all_nodes());
   const auto r = checked.query_set(exact.all_nodes());
   EXPECT_EQ(r.kind, group::BinQueryResult::Kind::kEmpty);
   ASSERT_FALSE(checked.ok());
@@ -165,15 +165,17 @@ TEST(ConformanceSelfTest, CatchesLyingChannels) {
             Violation::Category::kTruth);
 }
 
-// A channel that declares lossy(); configuring the ≥2-activity inference
-// on it is itself a conformance violation — the engine's soundness gate
-// should have cleared the bit before the run ever started.
-class LossDeclaringChannel final : public group::QueryChannel {
+// A 2+ channel that answers undecoded activity on every bin and declares
+// lossy() as told. Activity on a bin with one real positive means a lone
+// reply failed to decode, which only a lossy channel may do.
+class UndecodedActivityChannel final : public group::QueryChannel {
  public:
-  explicit LossDeclaringChannel(group::ExactChannel& truth)
-      : QueryChannel(truth.model()), truth_(&truth) {}
+  UndecodedActivityChannel(group::ExactChannel& truth, bool lossy)
+      : QueryChannel(group::CollisionModel::kTwoPlus),
+        truth_(&truth),
+        lossy_(lossy) {}
 
-  bool lossy() const override { return true; }
+  bool lossy() const override { return lossy_; }
 
   std::optional<std::size_t> oracle_positive_count(
       std::span<const NodeId> nodes) const override {
@@ -181,34 +183,33 @@ class LossDeclaringChannel final : public group::QueryChannel {
   }
 
  protected:
-  group::BinQueryResult do_query_set(std::span<const NodeId> nodes) override {
-    return truth_->query_set(nodes);
+  group::BinQueryResult do_query_set(std::span<const NodeId>) override {
+    return group::BinQueryResult::activity();
   }
 
  private:
   group::ExactChannel* truth_;
+  bool lossy_;
 };
 
-TEST(ConformanceSelfTest, CatchesCountsTwoClaimedUnderLoss) {
+TEST(ConformanceSelfTest, ReadsLossSemanticsFromTheChannel) {
   RngStream rng(13, 0);
   group::ExactChannel::Config ecfg;
   ecfg.model = group::CollisionModel::kTwoPlus;
-  auto exact =
-      group::ExactChannel::with_random_positives(10, 6, rng, ecfg);
-  LossDeclaringChannel lossy(exact);
+  group::ExactChannel exact({true, false, false, false}, rng, ecfg);
+  const NodeId one_positive[] = {0, 1};
 
-  CheckedChannel::Config ccfg;
-  ccfg.exact_semantics = false;
-  ccfg.two_plus_activity_counts_two = true;  // unsound on a lossy channel
-  CheckedChannel checked(lossy, exact.all_nodes(), ccfg);
-  ASSERT_FALSE(checked.ok());
-  EXPECT_EQ(checked.violations().front().category,
+  UndecodedActivityChannel lossless(exact, /*lossy=*/false);
+  CheckedChannel strict(lossless, exact.all_nodes());
+  strict.query_set(one_positive);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.violations().front().category,
             Violation::Category::kTruth);
 
-  // Mirroring the engine's gate (counts_two cleared) is clean.
-  ccfg.two_plus_activity_counts_two = false;
-  CheckedChannel gated(lossy, exact.all_nodes(), ccfg);
-  EXPECT_TRUE(gated.ok());
+  UndecodedActivityChannel lossy(exact, /*lossy=*/true);
+  CheckedChannel lenient(lossy, exact.all_nodes());
+  lenient.query_set(one_positive);
+  EXPECT_TRUE(lenient.ok());
 }
 
 }  // namespace

@@ -24,10 +24,9 @@ TEST(CountEstimation, ZeroIsExactInOneQuery) {
 TEST(CountEstimation, QueryBudgetIsLogarithmicPlusRepeats) {
   RngStream rng(2);
   auto ch = ExactChannel::with_random_positives(1024, 5, rng);
-  CountEstimateOptions opts;
-  const auto est = estimate_positive_count(ch, ch.all_nodes(), rng, opts);
-  // 1 anchor + ≤ (log2(1024)+3)·probe + refine.
-  EXPECT_LE(est.queries, 1 + 13 * opts.probe_repeats + opts.refine_repeats);
+  const auto est = estimate_positive_count(ch, ch.all_nodes(), rng);
+  // 1 anchor + ≤ (log2(1024)+3) levels · 6 probes + 30 refining repeats.
+  EXPECT_LE(est.queries, 1u + 13 * 6 + 30);
 }
 
 /// Property sweep: the mean estimate tracks the true count within a
@@ -109,9 +108,7 @@ TEST(CountEstimation, MoreRepeatsTightenTheEstimate) {
     mc.experiment_id = id;
     return run_trials(mc, [repeats](RngStream& rng) {
              auto ch = ExactChannel::with_random_positives(kN, kX, rng);
-             CountEstimateOptions opts;
-             opts.refine_repeats = repeats;
-             return estimate_positive_count(ch, ch.all_nodes(), rng, opts)
+             return estimate_positive_count(ch, ch.all_nodes(), rng, repeats)
                  .estimate;
            })
         .stddev();

@@ -4,6 +4,7 @@
 
 #include "core/registry.hpp"
 #include "core/two_t_bins.hpp"
+#include "faults/faulty_channel.hpp"
 #include "group/exact_channel.hpp"
 
 namespace tcast::core {
@@ -12,26 +13,30 @@ namespace {
 using group::CollisionModel;
 using group::ExactChannel;
 
+/// Replayed by a FaultyChannel, this empty trace injects nothing but makes
+/// the channel declare lossy(): the only way to withhold the engine's 2+
+/// "activity ⇒ ≥2" credit. With no retry policy, nothing else changes.
+const faults::FaultTrace kDeclaresLoss{{}, /*lossy=*/true};
+
 TEST(EngineOptions, ConservativeTwoPlusStillCorrectEverywhere) {
-  // two_plus_activity_counts_two = false (the sound setting for lossy
-  // radios) must not break exactness on the ideal channel.
-  EngineOptions opts;
-  opts.two_plus_activity_counts_two = false;
+  // Withholding the ≥2 credit (the sound choice for lossy radios) must not
+  // break exactness on the ideal channel.
   for (const auto& spec : algorithm_registry()) {
     for (std::size_t x = 0; x <= 32; x += 4) {
       RngStream rng(900 + x);
       ExactChannel::Config cfg;
       cfg.model = CollisionModel::kTwoPlus;
       auto ch = ExactChannel::with_random_positives(32, x, rng, cfg);
-      const auto out = spec.run(ch, ch.all_nodes(), 8, rng, opts);
+      faults::FaultyChannel conservative(ch, ch.all_nodes(), kDeclaresLoss);
+      const auto out = spec.run(conservative, ch.all_nodes(), 8, rng, {});
       EXPECT_EQ(out.decision, x >= 8) << spec.name << " x=" << x;
     }
   }
 }
 
 TEST(EngineOptions, ConservativeTwoPlusCostsMoreNearThreshold) {
-  // The ≥2 inference is worth real queries around x ≈ t: disabling it must
-  // never help.
+  // The ≥2 inference is worth real queries around x ≈ t: withholding it
+  // must never help.
   double with = 0.0, without = 0.0;
   const int trials = 200;
   for (int i = 0; i < trials; ++i) {
@@ -41,19 +46,17 @@ TEST(EngineOptions, ConservativeTwoPlusCostsMoreNearThreshold) {
       ExactChannel::Config cfg;
       cfg.model = CollisionModel::kTwoPlus;
       auto ch = ExactChannel::with_random_positives(128, 24, rng, cfg);
-      EngineOptions opts;  // default: counts two
       with += static_cast<double>(
-          run_two_t_bins(ch, ch.all_nodes(), 16, rng, opts).queries);
+          run_two_t_bins(ch, ch.all_nodes(), 16, rng).queries);
     }
     {
       RngStream rng(seed);
       ExactChannel::Config cfg;
       cfg.model = CollisionModel::kTwoPlus;
       auto ch = ExactChannel::with_random_positives(128, 24, rng, cfg);
-      EngineOptions opts;
-      opts.two_plus_activity_counts_two = false;
+      faults::FaultyChannel conservative(ch, ch.all_nodes(), kDeclaresLoss);
       without += static_cast<double>(
-          run_two_t_bins(ch, ch.all_nodes(), 16, rng, opts).queries);
+          run_two_t_bins(conservative, ch.all_nodes(), 16, rng).queries);
     }
   }
   EXPECT_LE(with, without);
@@ -82,11 +85,10 @@ TEST(EngineOptions, AntiLivelockEscalatesStuckPolicies) {
   EXPECT_LE(out.rounds, 16u);
 }
 
-TEST(EngineOptions, MaxRoundsGuardAborts) {
-  // With anti-livelock neutered by an adversarial channel (alternating
-  // answers that never let bounds converge) the guard must fire rather
-  // than hang. Build a channel that always reports activity but never lets
-  // elimination happen and a threshold that can never be certified.
+TEST(EngineOptions, AllActivitySingletonsCertifyTheThreshold) {
+  // A channel that reports activity on every bin never lets elimination
+  // happen. With t = 5 and 8 nodes, 2tBins' 10 bins clamp to 8 singletons;
+  // each reads non-empty, so the fifth certifies x ≥ t in the first round.
   class AlwaysActivityChannel final : public group::QueryChannel {
    public:
     AlwaysActivityChannel() : QueryChannel(CollisionModel::kOnePlus) {}
@@ -102,16 +104,11 @@ TEST(EngineOptions, MaxRoundsGuardAborts) {
   for (std::size_t i = 0; i < nodes.size(); ++i)
     nodes[i] = static_cast<NodeId>(i);
   TwoTBinsPolicy policy;
-  EngineOptions opts;
-  opts.max_rounds = 16;
-  RoundEngine engine(ch, rng, opts);
-  // Threshold 9 > 8 nodes → engine answers false before any round; use a
-  // satisfiable threshold that activity alone cannot certify... with t = 5
-  // and 8 nodes, 10 bins clamp to 8 singletons, all "activity" → nonempty
-  // count reaches 5 ≥ t and the engine answers true. The adversarial case
-  // is thus only reachable via the guard itself:
+  RoundEngine engine(ch, rng, EngineOptions{});
   const auto out = engine.run(nodes, 5, policy);
-  EXPECT_TRUE(out.decision);  // ≥ t non-empty singletons certify it
+  EXPECT_TRUE(out.decision);
+  EXPECT_EQ(out.rounds, 1u);
+  EXPECT_EQ(out.queries, 5u);
 }
 
 }  // namespace

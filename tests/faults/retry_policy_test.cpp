@@ -122,7 +122,6 @@ TEST(RetryPolicy, SoundnessGateDisablesActivityCountsTwoUnderLoss) {
   const std::vector<NodeId> nodes = {0, 1, 2, 3, 4, 5, 6, 7};
   EngineOptions opts;
   opts.ordering = BinOrdering::kInOrder;
-  ASSERT_TRUE(opts.two_plus_activity_counts_two);
 
   // Lossless: the first activity bin certifies ≥2 ⇒ t = 2 in one query.
   AlwaysActivityChannel clean(/*lossy=*/false);

@@ -135,8 +135,8 @@ TEST(ServiceChaos, ReplayIsDeterministic) {
   cfg.seed = 5;
   cfg.ops = 150;
   const auto ops = generate_service_ops(cfg);
-  const auto a = run_service_ops(ops, cfg);
-  const auto b = run_service_ops(ops, cfg);
+  const auto a = run_service_ops(ops);
+  const auto b = run_service_ops(ops);
   EXPECT_EQ(a.submitted, b.submitted);
   EXPECT_EQ(a.resolved, b.resolved);
   EXPECT_EQ(a.ok_exact, b.ok_exact);

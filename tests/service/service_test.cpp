@@ -24,8 +24,8 @@ struct Harness {
   explicit Harness(ServiceConfig cfg = {}) : svc(patch(cfg, clock)) {}
 
   static ServiceConfig patch(ServiceConfig cfg, const Clock& clock) {
-    cfg.clock = &clock;
-    cfg.checked = true;
+    cfg.shard.clock = &clock;
+    cfg.shard.checked = true;
     return cfg;
   }
 
@@ -89,6 +89,28 @@ TEST(Service, LoadQueryDropAcrossShards) {
   EXPECT_EQ(h.roundtrip(std::move(drop))->status, StatusCode::kOk);
   EXPECT_EQ(h.roundtrip(make_query("pop0", 5))->status,
             StatusCode::kNotFound);
+}
+
+TEST(Service, DeadlinePastTheClockRangeMeansNoDeadline) {
+  // now + deadline-ms must not wrap around: a deadline too far out for the
+  // microsecond clock is no deadline, not one that expired long ago (the
+  // first and last value) or a few hundred µs long (the middle one).
+  Harness h;
+  h.clock.set_us(1'000'000);
+  ASSERT_EQ(h.roundtrip(make_load("pop", 64, 20))->status, StatusCode::kOk);
+  for (const char* ms :
+       {"18446744073709551", "18446744073709552", "18446744073709551615"}) {
+    auto req = Request::parse(
+        std::string("query pop=pop t=20 approx=never deadline-ms=") + ms);
+    ASSERT_TRUE(req.has_value()) << ms;
+    std::optional<Response> out;
+    h.svc.submit(std::move(*req), [&](const Response& r) { out = r; });
+    h.clock.advance_us(1000);
+    h.svc.drain_all();
+    ASSERT_TRUE(out.has_value()) << ms;
+    EXPECT_EQ(out->status, StatusCode::kOk) << ms << ": " << out->message;
+    EXPECT_TRUE(out->decision) << ms;
+  }
 }
 
 TEST(Service, ListAndStatsReflectState) {

@@ -71,7 +71,7 @@ ShardConfig config(const Clock& clock) {
 
 TEST(Shard, ExactVerdictsMatchGroundTruth) {
   ManualClock clock;
-  Shard shard(config(clock));
+  Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, load_req("p", 64, 20));
   shard.drain();
@@ -103,7 +103,7 @@ TEST(Shard, ExactLoadHonoursModel) {
                                            group::CollisionModel::kTwoPlus};
   for (std::size_t m = 0; m < 2; ++m) {
     ManualClock clock;
-    Shard shard(config(clock));
+    Shard shard(0, config(clock));
     Collector out;
     Request load = load_req("p", 64, 20);
     load.model = models[m];
@@ -131,7 +131,7 @@ TEST(Shard, FullQueueRejectsWithRetryAfterHint) {
   ManualClock clock;
   ShardConfig cfg = config(clock);
   cfg.queue_capacity = 2;
-  Shard shard(cfg);
+  Shard shard(0, cfg);
   Collector out;
   out.submit(shard, load_req("p", 32, 10));
   shard.drain();
@@ -152,7 +152,7 @@ TEST(Shard, FullQueueRejectsWithRetryAfterHint) {
 
 TEST(Shard, DeadlineExpiredInQueueIsShedAsTypedError) {
   ManualClock clock;
-  Shard shard(config(clock));
+  Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, load_req("p", 32, 10));
   shard.drain();
@@ -185,7 +185,7 @@ class SteppingClock final : public Clock {
 
 TEST(Shard, DeadlineTrippedMidRunIsACancelNotAVerdict) {
   SteppingClock clock(100);  // every look at the clock costs 100us
-  Shard shard(config(clock));
+  Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, load_req("p", 256, 100));
   shard.drain();
@@ -210,7 +210,7 @@ TEST(Shard, DegradationHysteresisEntersAndExits) {
   cfg.degrade_enter = 4;
   cfg.degrade_exit = 1;
   cfg.batch_max = 1;
-  Shard shard(cfg);
+  Shard shard(0, cfg);
   Collector out;
   out.submit(shard, load_req("p", 64, 30));
   shard.drain();
@@ -250,7 +250,7 @@ TEST(Shard, ApproxNeverIsServedExactEvenWhileDegraded) {
   cfg.degrade_enter = 2;
   cfg.degrade_exit = 0;
   cfg.batch_max = 8;
-  Shard shard(cfg);
+  Shard shard(0, cfg);
   Collector out;
   out.submit(shard, load_req("p", 64, 30));
   shard.drain();
@@ -269,7 +269,7 @@ TEST(Shard, ApproxNeverIsServedExactEvenWhileDegraded) {
 
 TEST(Shard, ApproxRequireAnswersFromTheCountingPath) {
   ManualClock clock;
-  Shard shard(config(clock));
+  Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, load_req("p", 64, 30));
   shard.drain();
@@ -288,7 +288,7 @@ TEST(Shard, ApproxRequireAnswersFromTheCountingPath) {
 
 TEST(Shard, KilledShardFlushesQueueAndRecoversOnReboot) {
   ManualClock clock;
-  Shard shard(config(clock));
+  Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, load_req("p", 32, 10));
   shard.drain();
@@ -315,7 +315,7 @@ TEST(Shard, KilledShardFlushesQueueAndRecoversOnReboot) {
 
 TEST(Shard, ShutdownRejectsNewWorkAndFlushesQueued) {
   ManualClock clock;
-  Shard shard(config(clock));
+  Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, load_req("p", 32, 10));
   shard.drain();
@@ -331,7 +331,7 @@ TEST(Shard, ShutdownRejectsNewWorkAndFlushesQueued) {
 
 TEST(Shard, TypedErrorsForBadRequests) {
   ManualClock clock;
-  Shard shard(config(clock));
+  Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, query_req("ghost", 5));
   out.submit(shard, load_req("p", 32, 10));
@@ -356,7 +356,7 @@ TEST(Shard, TypedErrorsForBadRequests) {
 
 TEST(Shard, AbnsWarmStartHitsThePlanCache) {
   ManualClock clock;
-  Shard shard(config(clock));
+  Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, load_req("p", 128, 40));
   shard.drain();
@@ -386,7 +386,7 @@ TEST(Shard, AbnsWarmStartHitsThePlanCache) {
 
 TEST(Shard, PacketTierServesVerdicts) {
   ManualClock clock;
-  Shard shard(config(clock));
+  Shard shard(0, config(clock));
   Collector out;
   Request load = load_req("pk", 64, 25);
   load.tier = BackendTier::kPacket;
@@ -403,7 +403,7 @@ TEST(Shard, PacketLoadBeyondTheBackcastBinLimitIsInvalid) {
   // A 1+ packet world polls bin g at a hardware address of backcast's
   // ephemeral block, which holds 8,176 bins; an engine may use up to n.
   ManualClock clock;
-  Shard shard(config(clock));
+  Shard shard(0, config(clock));
   Collector out;
   Request load = load_req("big", 8200, 4099);
   load.tier = BackendTier::kPacket;

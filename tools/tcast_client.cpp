@@ -12,12 +12,14 @@
 // Retryable responses (kOverloaded / kShardDown / kShuttingDown) are
 // retried up to --max-retries times with jittered exponential backoff
 // honoring the server's retry-after hints. Exit status: 0 on kOk, 1 on a
-// typed error, 2 on usage/transport failure.
+// typed error, 2 on usage/transport failure (a flag with a missing or
+// malformed value prints "tcast_client: bad value for <flag>").
 #include <cstdio>
 #include <iostream>
 #include <sstream>
 #include <string>
 
+#include "common/parse.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -67,17 +69,29 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The flag's whole number into `out`; false when missing or malformed.
+    const auto number = [&](auto& out) {
+      const char* v = next();
+      return v != nullptr && tcast::parse_int(std::string_view(v), out);
+    };
+    bool ok = true;
     if (arg == "--socket") {
-      if (const char* v = next()) socket_path = v;
+      const char* v = next();
+      ok = v != nullptr;
+      if (ok) socket_path = v;
     } else if (arg == "--max-retries") {
-      if (const char* v = next()) policy.max_retries = std::stoul(v);
+      ok = number(policy.max_retries);
     } else if (arg == "--deadline-ms") {
-      if (const char* v = next()) deadline_ms = std::stoull(v);
+      ok = number(deadline_ms);
     } else if (arg == "--seed") {
-      if (const char* v = next()) seed = std::stoull(v);
+      ok = number(seed);
     } else {
       if (!request_line.empty()) request_line += ' ';
       request_line += arg;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "tcast_client: bad value for %s\n", arg.c_str());
+      return 2;
     }
   }
 

@@ -9,11 +9,17 @@
 // verdicts, honestly-tagged approximate answers (under overload
 // degradation), or typed errors — never fabricated verdicts, never silent
 // drops. `tcast_client <socket> shutdown` stops it cleanly.
+//
+// A flag with a missing or malformed value, 0 or more than 64 shards (each
+// shard runs a drain thread), a zero batch, or --degrade-exit not below
+// --degrade-enter prints "tcastd: bad value for <flag>" and exits 2 before
+// the socket is bound.
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "common/parse.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
 
@@ -25,6 +31,14 @@ void handle_signal(int) {
   if (g_server != nullptr) g_server->stop();
 }
 
+/// Each shard starts a drain thread.
+constexpr std::size_t kMaxShards = 64;
+
+int bad_value(const char* flag) {
+  std::fprintf(stderr, "tcastd: bad value for %s\n", flag);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -32,32 +46,51 @@ int main(int argc, char** argv) {
 
   std::string socket_path = "/tmp/tcastd.sock";
   ServiceConfig cfg;
+  ShardConfig& shard = cfg.shard;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The flag's value into `out`; false when it is missing or, for a
+    // number, not a whole one.
+    const auto text = [&](std::string& out) {
+      const char* v = next();
+      if (v != nullptr) out = v;
+      return v != nullptr;
+    };
+    const auto number = [&](std::size_t& out) {
+      const char* v = next();
+      return v != nullptr && tcast::parse_int(std::string_view(v), out);
+    };
+    bool ok = true;
     if (arg == "--socket") {
-      if (const char* v = next()) socket_path = v;
+      ok = text(socket_path);
     } else if (arg == "--shards") {
-      if (const char* v = next()) cfg.shards = std::stoul(v);
+      ok = number(cfg.shards);
     } else if (arg == "--queue-capacity") {
-      if (const char* v = next()) cfg.queue_capacity = std::stoul(v);
+      ok = number(shard.queue_capacity);
     } else if (arg == "--degrade-enter") {
-      if (const char* v = next()) cfg.degrade_enter = std::stoul(v);
+      ok = number(shard.degrade_enter);
     } else if (arg == "--degrade-exit") {
-      if (const char* v = next()) cfg.degrade_exit = std::stoul(v);
+      ok = number(shard.degrade_exit);
     } else if (arg == "--batch-max") {
-      if (const char* v = next()) cfg.batch_max = std::stoul(v);
+      ok = number(shard.batch_max);
     } else if (arg == "--estimator") {
-      if (const char* v = next()) cfg.degrade_estimator = v;
+      ok = text(shard.degrade_estimator);
     } else if (arg == "--checked") {
-      cfg.checked = true;
+      shard.checked = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
     }
+    if (!ok) return bad_value(arg.c_str());
   }
+  if (cfg.shards == 0 || cfg.shards > kMaxShards) return bad_value("--shards");
+  if (shard.batch_max == 0) return bad_value("--batch-max");
+  // enter > exit keeps degradation from flapping (shard.hpp).
+  if (shard.degrade_exit >= shard.degrade_enter)
+    return bad_value("--degrade-exit");
 
   TcastService service(cfg);
   UnixServer server(service, socket_path);
@@ -73,9 +106,9 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, handle_signal);
 
   std::printf("tcastd: listening on %s (%zu shards, queue %zu, degrade %zu/%zu%s)\n",
-              socket_path.c_str(), cfg.shards, cfg.queue_capacity,
-              cfg.degrade_enter, cfg.degrade_exit,
-              cfg.checked ? ", checked" : "");
+              socket_path.c_str(), cfg.shards, shard.queue_capacity,
+              shard.degrade_enter, shard.degrade_exit,
+              shard.checked ? ", checked" : "");
   std::fflush(stdout);
 
   service.start_drain_threads();

@@ -12,7 +12,5 @@ void register_sim_benches(perf::BenchRegistry& registry);
 void register_group_benches(perf::BenchRegistry& registry);
 void register_core_benches(perf::BenchRegistry& registry);
 void register_counting_benches(perf::BenchRegistry& registry);
-void register_conformance_benches(perf::BenchRegistry& registry);
-void register_faults_benches(perf::BenchRegistry& registry);
 
 }  // namespace tcast::bench

@@ -9,13 +9,16 @@
 // report (schema tcast-bench-v1) to PATH (default BENCH_tcast.json in the
 // current directory). --quick shrinks workloads ~10x for CI runs;
 // tools/perf_gate.py compares the reports of two builds on one machine.
+// --warmup 0 runs no warm-up. A flag with a missing value, or a --reps or
+// --warmup that is not a whole number (--reps 0 included), prints
+// "tcast_bench: bad value for <flag>" and exits 2.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "bench/micro/micro_benchmarks.hpp"
+#include "common/parse.hpp"
 #include "perf/bench_harness.hpp"
 
 namespace {
@@ -25,6 +28,11 @@ int usage(const char* argv0) {
                "usage: %s [--quick] [--filter SUBSTR] [--json PATH] "
                "[--reps N] [--warmup N] [--list]\n",
                argv0);
+  return 2;
+}
+
+int bad_value(const std::string& flag) {
+  std::fprintf(stderr, "tcast_bench: bad value for %s\n", flag.c_str());
   return 2;
 }
 
@@ -39,29 +47,29 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    const char* v = nullptr;
+    const auto next = [&] {
+      v = i + 1 < argc ? argv[++i] : nullptr;
+      return v != nullptr;
     };
+    std::size_t n = 0;
     if (arg == "--quick") {
       opts.quick = true;
     } else if (arg == "--list") {
       list_only = true;
     } else if (arg == "--filter") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
+      if (!next()) return bad_value(arg);
       opts.filter = v;
     } else if (arg == "--json") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
+      if (!next()) return bad_value(arg);
       json_path = v;
     } else if (arg == "--reps") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.reps = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!next() || !parse_int(std::string_view(v), n) || n == 0)
+        return bad_value(arg);
+      opts.reps = n;
     } else if (arg == "--warmup") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      opts.warmup = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!next() || !parse_int(std::string_view(v), n)) return bad_value(arg);
+      opts.warmup = n;
     } else {
       return usage(argv[0]);
     }
@@ -73,8 +81,6 @@ int main(int argc, char** argv) {
   bench::register_group_benches(registry);
   bench::register_core_benches(registry);
   bench::register_counting_benches(registry);
-  bench::register_conformance_benches(registry);
-  bench::register_faults_benches(registry);
 
   if (list_only) {
     for (const auto& b : registry.benchmarks())

@@ -1,14 +1,14 @@
 // service_bench — closed- and open-loop load rigs against an in-process
 // TcastService, emitting latency percentiles into the perf trajectory.
 //
-//   service_bench [--quick] [--json PATH] [--shards N] [--workers W]
-//                 [--queries Q] [--seed S]
+//   service_bench [--quick] [--json PATH]
 //
-// Two rigs, both over a Bonifati-style skewed workload (Zipf-hot
-// populations, thresholds clustered at the decision boundary — the mix a
-// deployed threshold service actually sees):
+// Two rigs on 4 shards, 4,000 queries each (400 with --quick) from seed 1,
+// both over a Bonifati-style skewed workload (Zipf-hot populations,
+// thresholds clustered at the decision boundary — the mix a deployed
+// threshold service actually sees):
 //
-//   * closed_loop — W workers, one outstanding query each: the
+//   * closed_loop — 4 workers, one outstanding query each: the
 //     steady-state regime. Reports end-to-end p50/p99/p999 and throughput.
 //   * open_loop_overload — queries injected at ~2x the measured closed-loop
 //     capacity with no back-pressure from the client side: the overload
@@ -42,13 +42,9 @@ namespace {
 using namespace tcast;
 using namespace tcast::service;
 
-struct RigConfig {
-  bool quick = false;
-  std::size_t shards = 4;
-  std::size_t workers = 4;
-  std::size_t queries = 4000;
-  std::uint64_t seed = 1;
-};
+constexpr std::size_t kShards = 4;
+constexpr std::size_t kWorkers = 4;
+constexpr std::uint64_t kSeed = 1;
 
 struct Workload {
   std::vector<std::string> pops;
@@ -117,15 +113,15 @@ struct RigOutcome {
   perf::PercentileSummary latency;
 };
 
-perf::BenchResult to_result(const std::string& name, const RigConfig& cfg,
+perf::BenchResult to_result(const std::string& name, std::size_t queries,
                             const RigOutcome& o) {
   perf::BenchResult r;
   r.name = name;
   r.unit = "query";
   r.items = o.completed;
-  r.params = {{"shards", static_cast<double>(cfg.shards)},
-              {"workers", static_cast<double>(cfg.workers)},
-              {"queries", static_cast<double>(cfg.queries)},
+  r.params = {{"shards", static_cast<double>(kShards)},
+              {"workers", static_cast<double>(kWorkers)},
+              {"queries", static_cast<double>(queries)},
               {"overloaded", static_cast<double>(o.overloaded)},
               {"deadline", static_cast<double>(o.deadline)},
               {"approx", static_cast<double>(o.approx)}};
@@ -138,9 +134,9 @@ perf::BenchResult to_result(const std::string& name, const RigConfig& cfg,
   return r;
 }
 
-ServiceConfig make_service_config(const RigConfig& cfg) {
+ServiceConfig make_service_config() {
   ServiceConfig scfg;
-  scfg.shards = cfg.shards;
+  scfg.shards = kShards;
   scfg.shard.queue_capacity = 64;
   scfg.shard.degrade_enter = 48;
   scfg.shard.degrade_exit = 16;
@@ -148,19 +144,19 @@ ServiceConfig make_service_config(const RigConfig& cfg) {
   return scfg;
 }
 
-/// Closed loop: `workers` threads, one outstanding query each.
-RigOutcome run_closed_loop(const RigConfig& cfg, const Workload& w,
+/// Closed loop: kWorkers threads, one outstanding query each.
+RigOutcome run_closed_loop(std::size_t queries, const Workload& w,
                            TcastService& svc) {
   RigOutcome out;
   perf::LatencyRecorder recorder;
   std::mutex mu;
-  std::atomic<std::int64_t> remaining{static_cast<std::int64_t>(cfg.queries)};
+  std::atomic<std::int64_t> remaining{static_cast<std::int64_t>(queries)};
 
   const double t0 = perf::wall_now();
   std::vector<std::thread> threads;
-  for (std::size_t wk = 0; wk < cfg.workers; ++wk) {
+  for (std::size_t wk = 0; wk < kWorkers; ++wk) {
     threads.emplace_back([&, wk] {
-      RngStream rng(cfg.seed, 100 + wk);
+      RngStream rng(kSeed, 100 + wk);
       while (remaining.fetch_sub(1, std::memory_order_acq_rel) > 0) {
         const auto p = zipf_pick(rng, w.pops.size());
         Request req;
@@ -219,7 +215,7 @@ RigOutcome run_closed_loop(const RigConfig& cfg, const Workload& w,
 
 /// Open loop at `rate_qps` (no client back-pressure): sustained overload
 /// when the rate exceeds capacity.
-RigOutcome run_open_loop(const RigConfig& cfg, const Workload& w,
+RigOutcome run_open_loop(std::size_t queries, const Workload& w,
                          TcastService& svc, double rate_qps) {
   RigOutcome out;
   perf::LatencyRecorder recorder;
@@ -227,10 +223,10 @@ RigOutcome run_open_loop(const RigConfig& cfg, const Workload& w,
   std::condition_variable cv;
   std::uint64_t resolved = 0;
 
-  RngStream rng(cfg.seed, 777);
+  RngStream rng(kSeed, 777);
   const double t0 = perf::wall_now();
   const double gap_s = 1.0 / rate_qps;
-  for (std::uint64_t q = 0; q < cfg.queries; ++q) {
+  for (std::uint64_t q = 0; q < queries; ++q) {
     const auto p = zipf_pick(rng, w.pops.size());
     Request req;
     req.kind = RequestKind::kQuery;
@@ -280,8 +276,8 @@ RigOutcome run_open_loop(const RigConfig& cfg, const Workload& w,
     // are still running; this thread only waits).
     std::unique_lock<std::mutex> lock(mu);
     if (!cv.wait_for(lock, std::chrono::seconds(30),
-                     [&] { return resolved == cfg.queries; })) {
-      out.unresolved = cfg.queries - resolved;
+                     [&] { return resolved == queries; })) {
+      out.unresolved = queries - resolved;
     }
   }
   out.wall_s = perf::wall_now() - t0;
@@ -292,45 +288,37 @@ RigOutcome run_open_loop(const RigConfig& cfg, const Workload& w,
 }  // namespace
 
 int main(int argc, char** argv) {
-  RigConfig cfg;
+  bool quick = false;
   std::string json_path = "BENCH_service.json";
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     if (arg == "--quick") {
-      cfg.quick = true;
+      quick = true;
+    } else if (arg == "--json" && i + 1 < argc) {
+      json_path = argv[++i];
     } else if (arg == "--json") {
-      if (const char* v = next()) json_path = v;
-    } else if (arg == "--shards") {
-      if (const char* v = next()) cfg.shards = std::stoul(v);
-    } else if (arg == "--workers") {
-      if (const char* v = next()) cfg.workers = std::stoul(v);
-    } else if (arg == "--queries") {
-      if (const char* v = next()) cfg.queries = std::stoul(v);
-    } else if (arg == "--seed") {
-      if (const char* v = next()) cfg.seed = std::stoull(v);
+      std::fprintf(stderr, "service_bench: bad value for --json\n");
+      return 2;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
     }
   }
-  if (cfg.quick) cfg.queries = std::min<std::size_t>(cfg.queries, 400);
+  const std::size_t queries = quick ? 400 : 4000;
 
-  RngStream setup_rng(cfg.seed, 3);
+  RngStream setup_rng(kSeed, 3);
   std::vector<perf::BenchResult> results;
 
   // Closed loop.
   RigOutcome closed;
   {
-    TcastService svc(make_service_config(cfg));
+    TcastService svc(make_service_config());
     svc.start_drain_threads();
     const auto w = load_populations(svc, setup_rng, 6, 512);
-    closed = run_closed_loop(cfg, w, svc);
+    closed = run_closed_loop(queries, w, svc);
     svc.stop_drain_threads();
-    results.push_back(to_result("service/closed_loop", cfg, closed));
+    results.push_back(to_result("service/closed_loop", queries, closed));
     std::printf(
         "closed_loop : %llu ok (%llu exact, %llu approx) in %.2fs  "
         "p50=%.0fus p99=%.0fus p999=%.0fus\n",
@@ -347,12 +335,13 @@ int main(int argc, char** argv) {
             ? static_cast<double>(closed.completed) / closed.wall_s
             : 1000.0;
     const double rate = std::max(100.0, 2.0 * capacity_qps);
-    TcastService svc(make_service_config(cfg));
+    TcastService svc(make_service_config());
     svc.start_drain_threads();
     const auto w = load_populations(svc, setup_rng, 6, 512);
-    const auto open = run_open_loop(cfg, w, svc, rate);
+    const auto open = run_open_loop(queries, w, svc, rate);
     svc.stop_drain_threads();
-    results.push_back(to_result("service/open_loop_overload", cfg, open));
+    results.push_back(
+        to_result("service/open_loop_overload", queries, open));
     std::printf(
         "open_loop   : rate=%.0f/s  %llu ok (%llu approx), %llu overloaded, "
         "%llu deadline, %llu other  p99=%.0fus p999=%.0fus\n",
@@ -372,7 +361,7 @@ int main(int argc, char** argv) {
 
   perf::Report report;
   report.host = perf::host_info();
-  report.quick = cfg.quick;
+  report.quick = quick;
   report.results = results;
   std::ofstream outf(json_path);
   if (!outf) {

@@ -18,19 +18,26 @@
 // AND every one shrunk to a replaying reproducer); 1 otherwise. With
 // --out-dir, minimized reproducers are written one per file (replay spec
 // on line 1, regression stanza after) so CI can upload them as artifacts.
+// A flag with a missing value, a number that is not a whole one in range,
+// zero sessions or ops (a campaign that tests nothing), a --tiers entry
+// other than exact or packet, or more than 256 workers prints
+// "chaos_campaign: bad value for <flag>" and exits 2 before any session
+// runs.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "chaos/chaos_engine.hpp"
 #include "chaos/shrinker.hpp"
+#include "common/parse.hpp"
 #include "core/registry.hpp"
 #include "service/chaos.hpp"
 
 namespace {
+
+/// Each worker is a pool thread, started before the first session.
+constexpr std::size_t kMaxWorkers = 256;
 
 struct Options {
   std::size_t sessions = 8;
@@ -57,9 +64,9 @@ void usage(const char* argv0) {
                "          [--out-dir DIR]\n"
                "  --algos    restrict the campaign to the named registry\n"
                "             algorithms (default: every non-oracle entry)\n"
-               "  --workers  size of the session fan-out pool (default:\n"
-               "             hardware concurrency); campaign results are\n"
-               "             bit-identical for any value\n"
+               "  --workers  size of the session fan-out pool, at most 256\n"
+               "             (default: hardware concurrency); campaign\n"
+               "             results are bit-identical for any value\n"
                "  --counting use the counting-portfolio preset: all count:*\n"
                "             adapters over the loss/crash plan axis\n"
                "  --service  attack the tcastd service tier instead: one\n"
@@ -70,41 +77,49 @@ void usage(const char* argv0) {
                argv0);
 }
 
-bool parse_args(int argc, char** argv, Options& opts) {
+int bad_value(const std::string& flag) {
+  std::fprintf(stderr, "chaos_campaign: bad value for %s\n", flag.c_str());
+  return 2;
+}
+
+/// Fills `opts` from argv; returns 0 to run, or the exit code to stop with
+/// after printing why.
+int parse_args(int argc, char** argv, Options& opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    // Points `v` at the flag's value; false when it is missing.
+    const char* v = nullptr;
+    const auto value = [&] {
+      v = i + 1 < argc ? argv[++i] : nullptr;
+      return v != nullptr;
     };
+    const auto number = [&](auto& out) {
+      return value() && tcast::parse_int(std::string_view(v), out);
+    };
+    const auto text = [&](std::string& out) {
+      if (!value()) return false;
+      out = v;
+      return true;
+    };
+    bool good = true;
     if (arg == "--sessions") {
-      const char* v = next();
-      if (!v) return false;
-      opts.sessions = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      good = number(opts.sessions) && opts.sessions > 0;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      opts.seed = std::strtoull(v, nullptr, 10);
+      good = number(opts.seed);
     } else if (arg == "--tiers") {
-      const char* v = next();
-      if (!v) return false;
-      opts.tiers = v;
+      good = text(opts.tiers);
+      for (const auto tier : tcast::split(opts.tiers, ','))
+        good = good && tcast::chaos::parse_tier(tier).has_value();
     } else if (arg == "--algos") {
-      const char* v = next();
-      if (!v) return false;
-      opts.algos = v;
+      good = text(opts.algos);
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (!v) return false;
-      opts.workers = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      good = number(opts.workers) && opts.workers <= kMaxWorkers;
     } else if (arg == "--counting") {
       opts.counting = true;
     } else if (arg == "--service") {
       opts.service = true;
     } else if (arg == "--ops") {
-      const char* v = next();
-      if (!v) return false;
-      opts.service_ops =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      good = number(opts.service_ops) && opts.service_ops > 0;
     } else if (arg == "--unsafe-gate") {
       opts.unsafe_gate = true;
     } else if (arg == "--shrink") {
@@ -112,14 +127,14 @@ bool parse_args(int argc, char** argv, Options& opts) {
     } else if (arg == "--emit-stanza") {
       opts.emit_stanza = true;
     } else if (arg == "--out-dir") {
-      const char* v = next();
-      if (!v) return false;
-      opts.out_dir = v;
+      good = text(opts.out_dir);
     } else {
-      return false;
+      usage(argv[0]);
+      return 2;
     }
+    if (!good) return bad_value(arg);
   }
-  return true;
+  return 0;
 }
 
 }  // namespace
@@ -127,10 +142,7 @@ bool parse_args(int argc, char** argv, Options& opts) {
 int main(int argc, char** argv) {
   using namespace tcast;
   Options opts;
-  if (!parse_args(argc, argv, opts)) {
-    usage(argv[0]);
-    return 2;
-  }
+  if (const int code = parse_args(argc, argv, opts); code != 0) return code;
 
   if (opts.service) {
     // Daemon-level campaign: each session is an independent seeded op
@@ -194,15 +206,12 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // Every --tiers entry names a tier (parse_args); exact runs first.
   cfg.tiers.clear();
   if (opts.tiers.find("exact") != std::string::npos)
     cfg.tiers.push_back(chaos::Tier::kExact);
   if (opts.tiers.find("packet") != std::string::npos)
     cfg.tiers.push_back(chaos::Tier::kPacket);
-  if (cfg.tiers.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
   if (opts.unsafe_gate) {
     // The gate hole needs lossy 2+ sessions with downgraded captures to
     // show itself; focus the grid there so the demo stays fast.

@@ -11,7 +11,7 @@
 // frame-slotted-ALOHA census.
 #include <cstdio>
 
-#include "core/count_estimation.hpp"
+#include "core/counting.hpp"
 #include "core/registry.hpp"
 #include "core/two_t_bins.hpp"
 #include "rfid/gen2.hpp"
@@ -71,9 +71,11 @@ int main() {
   cfg.sku = kSku;
   rfid::RcdTagChannel channel(field, rng, cfg);
   const auto tags = field.all_ids();
-  const auto est = core::estimate_positive_count(channel, tags, rng);
-  std::printf("  true matching tags: 230   estimated: %.0f   (%llu slots)\n",
-              est.estimate, static_cast<unsigned long long>(est.queries));
+  const auto est = core::run_newport_zheng_count(channel, tags, rng);
+  std::printf("  true matching tags: 230   estimated: %.0f, claimed within "
+              "±%.0f%% with probability %.2f   (%llu slots)\n",
+              est.estimate, 100.0 * est.epsilon, est.confidence,
+              static_cast<unsigned long long>(est.queries));
   std::printf(
       "\ntcast stays near t*log(N/t) while the census pays per tag it must\n"
       "read — the scalability gap the paper points at for RFID.\n");

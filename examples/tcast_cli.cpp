@@ -19,16 +19,23 @@
 // a trial whose wall-clock budget expires mid-run is cancelled between
 // queries (never a fabricated verdict) and, with --max-retries > 0,
 // retried under jittered exponential backoff (service/backoff.hpp).
+//
+// A flag with a missing value, a number that is not a whole one in range,
+// zero trials, a --deadline-ms whose deadline would overflow the clock, a
+// --model other than 1+ or 2+, or a --tier other than exact or packet
+// prints "tcast_cli: bad value for <flag>" and exits 2 before any trial.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <thread>
 
 #include "common/monte_carlo.hpp"
+#include "common/parse.hpp"
 #include "core/registry.hpp"
 #include "faults/faulty_channel.hpp"
 #include "group/exact_channel.hpp"
@@ -62,30 +69,40 @@ CliOptions parse(int argc, char** argv) {
   CliOptions o;
   for (int i = 1; i < argc; ++i) {
     const auto arg = std::string(argv[i]);
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    // Points `v` at the flag's value; false when it is missing.
+    const char* v = nullptr;
+    const auto value = [&] {
+      v = i + 1 < argc ? argv[++i] : nullptr;
+      return v != nullptr;
     };
+    const auto number = [&](auto& out) {
+      return value() && tcast::parse_int(std::string_view(v), out);
+    };
+    const auto one_of = [&](const char* a, const char* b) {
+      return value() && (std::strcmp(v, a) == 0 || std::strcmp(v, b) == 0);
+    };
+    bool good = true;
     if (arg == "--list") {
       o.list = true;
     } else if (arg == "--verbose") {
       o.verbose = true;
     } else if (arg == "--algo") {
-      if (const char* v = next()) o.algo = v;
+      good = value();
+      if (good) o.algo = v;
     } else if (arg == "--n") {
-      if (const char* v = next()) o.n = std::stoul(v);
+      good = number(o.n);
     } else if (arg == "--x") {
-      if (const char* v = next()) o.x = std::stoul(v);
+      good = number(o.x);
     } else if (arg == "--t") {
-      if (const char* v = next()) o.t = std::stoul(v);
+      good = number(o.t);
     } else if (arg == "--trials") {
-      if (const char* v = next()) o.trials = std::stoul(v);
+      good = number(o.trials) && o.trials > 0;
     } else if (arg == "--seed") {
-      if (const char* v = next()) o.seed = std::stoull(v);
+      good = number(o.seed);
     } else if (arg == "--fault-seed") {
-      if (const char* v = next()) o.fault_seed = std::stoull(v);
+      good = number(o.fault_seed);
     } else if (arg == "--fault-plan") {
-      const char* v = next();
-      auto plan = v ? tcast::faults::FaultPlan::parse(v) : std::nullopt;
+      auto plan = value() ? tcast::faults::FaultPlan::parse(v) : std::nullopt;
       if (!plan) {
         std::fprintf(stderr, "malformed --fault-plan spec: %s\n",
                      v ? v : "(missing)");
@@ -94,9 +111,8 @@ CliOptions parse(int argc, char** argv) {
         o.fault_plan = *plan;
       }
     } else if (arg == "--retry") {
-      const char* v = next();
       auto policy =
-          v ? tcast::core::RetryPolicy::parse(v) : std::nullopt;
+          value() ? tcast::core::RetryPolicy::parse(v) : std::nullopt;
       if (!policy) {
         std::fprintf(stderr,
                      "malformed --retry spec (none | fixed:R | "
@@ -107,19 +123,28 @@ CliOptions parse(int argc, char** argv) {
         o.retry = *policy;
       }
     } else if (arg == "--deadline-ms") {
-      if (const char* v = next()) o.deadline_ms = std::stoull(v);
+      // The deadline is now + D·1000 on the 64-bit microsecond clock; half
+      // its range leaves room for now.
+      constexpr auto kMaxMs = std::numeric_limits<std::uint64_t>::max() / 2000;
+      good = number(o.deadline_ms) && o.deadline_ms <= kMaxMs;
     } else if (arg == "--max-retries") {
-      if (const char* v = next()) o.max_retries = std::stoul(v);
+      good = number(o.max_retries);
     } else if (arg == "--model") {
-      const char* v = next();
-      if (v && std::strcmp(v, "2+") == 0)
-        o.model = tcast::group::CollisionModel::kTwoPlus;
+      good = one_of("1+", "2+");
+      if (good)
+        o.model = v[0] == '2' ? tcast::group::CollisionModel::kTwoPlus
+                              : tcast::group::CollisionModel::kOnePlus;
     } else if (arg == "--tier") {
-      const char* v = next();
-      o.packet_tier = v && std::strcmp(v, "packet") == 0;
+      good = one_of("exact", "packet");
+      if (good) o.packet_tier = v[0] == 'p';
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       o.ok = false;
+    }
+    if (!good) {
+      std::fprintf(stderr, "tcast_cli: bad value for %s\n", arg.c_str());
+      o.ok = false;
+      return o;
     }
   }
   return o;

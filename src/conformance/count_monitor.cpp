@@ -10,17 +10,16 @@ namespace tcast::conformance {
 
 CountAccuracyReport measure_count_accuracy(
     const core::CountAlgorithmSpec& spec, std::size_t n, std::size_t x,
-    std::size_t trials, std::uint64_t experiment_id,
-    const core::CountOptions& opts) {
+    std::size_t trials, std::uint64_t experiment_id) {
   MonteCarloConfig mc;
   mc.trials = trials;
   mc.experiment_id = experiment_id;
-  const double band = std::clamp(opts.epsilon, 0.05, 1.0) *
+  const double band = core::kCountEpsilon *
                       std::max<double>(static_cast<double>(x), 1.0);
   const auto stats = run_multi_trials(
       mc, 4, [&](RngStream& rng, std::span<double> out) {
         auto ch = group::ExactChannel::with_random_positives(n, x, rng);
-        const auto outcome = spec.run(ch, ch.all_nodes(), rng, opts);
+        const auto outcome = spec.run(ch, ch.all_nodes(), rng, {});
         const double err =
             std::abs(outcome.estimate - static_cast<double>(x));
         out[0] = outcome.estimate;

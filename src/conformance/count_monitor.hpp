@@ -13,6 +13,9 @@
 // Chernoff bound exp(−2Tγ²) gives the same z·sqrt(·/T) shape). At z = 3
 // a *correct* estimator fails a grid cell with probability ≲ 1.3e-3, while
 // a miscalibrated one (true p well below 1 − δ) still trips it.
+//
+// The claim under audit is the one every approximate estimate carries:
+// (ε, δ) = (core::kCountEpsilon, core::kCountDelta).
 #pragma once
 
 #include "core/counting.hpp"
@@ -36,11 +39,10 @@ struct CountAccuracyReport {
 /// Runs `spec` on `trials` independent n-node instances with exactly x
 /// positives (exact 1+ channel; all randomness derives from experiment_id,
 /// so the battery is reproducible bit-for-bit) and measures the empirical
-/// accuracy of the claimed (1±ε, 1−δ) band.
+/// accuracy of the claimed band, ±core::kCountEpsilon.
 CountAccuracyReport measure_count_accuracy(
     const core::CountAlgorithmSpec& spec, std::size_t n, std::size_t x,
-    std::size_t trials, std::uint64_t experiment_id,
-    const core::CountOptions& opts = {});
+    std::size_t trials, std::uint64_t experiment_id);
 
 /// The empirical within-band fraction a (1 − δ) claim must meet over
 /// `trials` fixed-seed runs: 1 − δ − z·sqrt(δ(1−δ)/trials), floored at 0.

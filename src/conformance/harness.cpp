@@ -113,9 +113,8 @@ double beep_exact_adapter_bound(std::size_t n, std::size_t t) {
 // Name-specific worst-case bounds; algorithms not listed fall back to the
 // universal engine bound. Extend this table when registering an algorithm
 // with a tighter (or, as for the adapters, composed) guarantee.
-constexpr std::array<BoundEntry, 3> kBoundTable{{
+constexpr std::array<BoundEntry, 2> kBoundTable{{
     {"count:nz-geom", &sampling_adapter_bound},
-    {"count:geom-scan", &sampling_adapter_bound},
     {"count:beep-exact", &beep_exact_adapter_bound},
 }};
 

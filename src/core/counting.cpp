@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "core/abns.hpp"
 #include "core/aggregate.hpp"
-#include "core/count_estimation.hpp"
 #include "core/two_t_bins.hpp"
 #include "group/binning.hpp"
 
@@ -26,19 +25,24 @@ group::BinQueryResult probe(group::QueryChannel& channel,
   return result;
 }
 
+/// Probes per level of nz-geom's rough doubling scan.
+constexpr std::size_t kScanProbes = 3;
+
 /// Hoeffding-sized repeat count for the refinement phase: |ŝ − s| ≤ γ with
 /// probability ≥ 1 − 2·exp(−2Rγ²). Near the operating point s ≈ 1/2 a γ
 /// deviation of the silence rate becomes ≈ 2γ/ln2 ≈ 2.9γ relative error of
 /// x̂ (|dx/ds| = 1/(s·|ln(1−q*)|) ≈ 2x/ln2 at s = 1/2, q*x ≈ ln2), so
 /// hitting ε needs γ ≈ ε/3 and R ≈ ln(2/δ)·(3/ε)²/2. We keep an extra
 /// safety factor (the rough scan only pins q* within a factor ≈ 2 of the
-/// ideal point, degrading the constant) and clamp to a sane range.
-std::size_t refinement_repeats(double epsilon, double delta) {
-  const double eps = std::clamp(epsilon, 0.05, 1.0);
-  const double del = std::clamp(delta, 1e-6, 0.5);
+/// ideal point, degrading the constant): R = ⌈4.5·ln(2/δ)/ε²⌉, which at
+/// (kCountEpsilon, kCountDelta) = (0.35, 0.1) is ⌈110.05⌉.
+constexpr std::size_t kRefinementRepeats = 111;
+
+/// Levels the rough scan may enter before it gives up at q = 2^-levels.
+std::size_t scan_levels(std::size_t n) {
   return static_cast<std::size_t>(
-      std::clamp(std::ceil(4.5 * std::log(2.0 / del) / (eps * eps)),
-                 8.0, 128.0));
+             std::ceil(std::log2(static_cast<double>(n) + 1.0))) +
+         2;
 }
 
 void dedupe(std::vector<NodeId>& ids) {
@@ -81,11 +85,9 @@ CountOutcome run_newport_zheng_count(group::QueryChannel& channel,
   // Phase 1 — rough doubling scan: probe at inclusion q = 2^-i until most
   // probes fall silent. P(silence) = (1−q)^x crosses 1/2 around qx ≈ ln2,
   // so the stopping level gives x ≲ 2^(level+1) up to a constant factor.
-  constexpr std::size_t kScanProbes = 3;
   double q = 1.0;
   std::size_t level = 0;
-  const auto max_levels =
-      static_cast<std::size_t>(std::ceil(std::log2(n + 1.0))) + 2;
+  const std::size_t max_levels = scan_levels(participants.size());
   for (; level < max_levels; ++level) {
     q /= 2.0;
     std::size_t silent = 0;
@@ -108,9 +110,8 @@ CountOutcome run_newport_zheng_count(group::QueryChannel& channel,
   // steepest relative to its binomial noise.
   const double qstar =
       std::clamp(1.0 - std::exp2(-1.0 / rough), 1e-9, 1.0 - 1e-9);
-  const std::size_t repeats = refinement_repeats(opts.epsilon, opts.delta);
   std::size_t silent = 0;
-  for (std::size_t r = 0; r < repeats; ++r) {
+  for (std::size_t r = 0; r < kRefinementRepeats; ++r) {
     if (cancel_tripped(opts)) {
       out.cancelled = true;
       out.queries = channel.queries_used() - start;
@@ -122,47 +123,19 @@ CountOutcome run_newport_zheng_count(group::QueryChannel& channel,
   ++out.rounds;
 
   const double shat =
-      static_cast<double>(silent) / static_cast<double>(repeats);
+      static_cast<double>(silent) / static_cast<double>(kRefinementRepeats);
   double estimate;
   if (silent == 0) {
     estimate = 2.0 * rough;  // beyond resolution upward; clamp settles it
-  } else if (silent == repeats) {
+  } else if (silent == kRefinementRepeats) {
     estimate = 1.0;  // the anchor saw activity, so x ≥ 1
   } else {
     estimate = std::log(shat) / std::log(1.0 - qstar);
   }
   out.estimate = std::clamp(estimate, 1.0, n);
-  out.epsilon = std::clamp(opts.epsilon, 0.05, 1.0);
-  out.confidence = 1.0 - std::clamp(opts.delta, 1e-6, 0.5);
+  out.epsilon = kCountEpsilon;
+  out.confidence = 1.0 - kCountDelta;
   out.queries = channel.queries_used() - start;
-  return out;
-}
-
-CountOutcome run_geom_scan_count(group::QueryChannel& channel,
-                                 std::span<const NodeId> participants,
-                                 RngStream& rng, const CountOptions& opts) {
-  CountOutcome out;
-  // Size the refinement like nz-geom so the (epsilon, delta) knobs mean the
-  // same thing across the sampling estimators; the scan phase is fixed.
-  const auto est = estimate_positive_count(
-      channel, participants, rng,
-      refinement_repeats(opts.epsilon, opts.delta));
-  out.estimate = est.estimate;
-  out.queries = est.queries;
-  out.confirmed = est.confirmed;
-  out.exact = est.exact && !channel.lossy();
-  if (est.inclusion_used > 0.0 && est.inclusion_used < 1.0)
-    out.rounds = static_cast<std::size_t>(
-        std::lround(-std::log2(est.inclusion_used)));
-  if (out.exact) {
-    out.confidence = 1.0;
-  } else {
-    // The accuracy claim is empirical for this estimator (its refinement
-    // level is picked by observed rate, not by an analytic q*); the
-    // statistical monitor audits it at the same (epsilon, delta) as nz-geom.
-    out.epsilon = std::clamp(opts.epsilon, 0.05, 1.0);
-    out.confidence = 1.0 - std::clamp(opts.delta, 1e-6, 0.5);
-  }
   return out;
 }
 
@@ -191,13 +164,6 @@ const std::vector<CountAlgorithmSpec>& counting_registry() {
          [](group::QueryChannel& ch, std::span<const NodeId> nodes,
             RngStream& rng, const CountOptions& opts) {
            return run_newport_zheng_count(ch, nodes, rng, opts);
-         }});
-    specs.push_back(
-        {"geom-scan",
-         "geometric-scan estimator (Sec. V-D sampling idea iterated)", false,
-         [](group::QueryChannel& ch, std::span<const NodeId> nodes,
-            RngStream& rng, const CountOptions& opts) {
-           return run_geom_scan_count(ch, nodes, rng, opts);
          }});
     specs.push_back(
         {"beep-exact",
@@ -307,12 +273,8 @@ ThresholdOutcome run_threshold_via_count(group::QueryChannel& channel,
 }
 
 double sampling_estimator_query_bound(std::size_t n) {
-  // Anchor + scan (max(probe defaults) per level over ≤ ⌈log2(n+1)⌉+3
-  // levels) + the largest refinement either sampling estimator can be
-  // configured to by CountOptions clamps, plus slack.
-  const double levels =
-      std::ceil(std::log2(static_cast<double>(n) + 1.0)) + 3.0;
-  return 1.0 + 6.0 * levels + 128.0 + 8.0;
+  return static_cast<double>(1 + kScanProbes * scan_levels(n) +
+                             kRefinementRepeats);
 }
 
 double beep_exact_query_bound(std::size_t n) {

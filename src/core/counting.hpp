@@ -11,18 +11,15 @@
 //    a (1±ε)-approximation from geometric-probability probes. The no-CD
 //    variant needs only the 1+ outcome — silence vs activity — which is
 //    exactly this repo's backcast primitive. `nz-geom` implements it as a
-//    rough doubling scan followed by an (ε, δ)-sized refinement at the
-//    maximum-information inclusion probability.
+//    rough doubling scan followed by a refinement at the
+//    maximum-information inclusion probability, sized for the one claim
+//    below (kCountEpsilon, kCountDelta).
 //
 //  * Casteigts–Métivier–Robson–Zemmari, "Counting in One-Hop Beeping
 //    Networks": exact counting when the only signal is a beep. The 1+
 //    outcome *is* a beep, so the adaptive interval-splitting exact counter
 //    (core/aggregate) is that algorithm on this channel; `beep-exact`
 //    registers it.
-//
-//  * `geom-scan` wraps the repo's original geometric-scan estimator
-//    (core/count_estimation) so it, too, is a first-class portfolio
-//    citizen under the conformance, statistical and chaos harnesses.
 //
 // Soundness contract (mirrors the PR 2 loss gate): an estimator may only
 // set CountOutcome::exact — or claim confidence 1 — on a channel that does
@@ -47,11 +44,13 @@
 
 namespace tcast::core {
 
+/// The approximate estimator's claim, P(|estimate − x| ≤ ε·x) ≥ 1 − δ for
+/// x ≥ 1: `nz-geom` sizes its refinement from it, tags every estimate with
+/// it, and the statistical monitor (conformance/count_monitor) audits it.
+inline constexpr double kCountEpsilon = 0.35;
+inline constexpr double kCountDelta = 0.1;
+
 struct CountOptions {
-  /// Target multiplicative accuracy of approximate estimators: the claim is
-  /// P(|estimate − x| ≤ epsilon·x) ≥ 1 − delta for x ≥ 1.
-  double epsilon = 0.35;
-  double delta = 0.1;
   /// Engine options for the exact sessions the threshold-via-count adapter
   /// runs (estimators themselves never announce bins).
   EngineOptions engine;
@@ -99,19 +98,12 @@ const CountAlgorithmSpec* find_counting_algorithm(std::string_view name);
 /// outcome. Rough doubling scan (inclusion q = 2^-i until probes fall
 /// silent), then refinement at q* ≈ ln2/x̂ — the operating point where
 /// P(silence) ≈ 1/2 carries maximum information — with the repeat count
-/// sized from (epsilon, delta). x = 0 is proven exactly in one query on
-/// lossless channels.
+/// sized from (kCountEpsilon, kCountDelta). x = 0 is proven exactly in one
+/// query on lossless channels.
 CountOutcome run_newport_zheng_count(group::QueryChannel& channel,
                                      std::span<const NodeId> participants,
                                      RngStream& rng,
                                      const CountOptions& opts = {});
-
-/// The repo's original geometric-scan estimator (core/count_estimation)
-/// as a portfolio citizen.
-CountOutcome run_geom_scan_count(group::QueryChannel& channel,
-                                 std::span<const NodeId> participants,
-                                 RngStream& rng,
-                                 const CountOptions& opts = {});
 
 /// Casteigts-style exact count with beeps: the adaptive interval-splitting
 /// counter of core/aggregate on the 1+ (beep) outcome; 2+ captures prune
@@ -137,8 +129,8 @@ ThresholdOutcome run_threshold_via_count(group::QueryChannel& channel,
                                          const EngineOptions& opts = {});
 
 /// Worst-case query ceilings for the conformance bound monitor.
-/// Estimation-phase ceiling of the sampling estimators (geom-scan and
-/// nz-geom) at default CountOptions: anchor + levels·probes + refinement.
+/// `nz-geom`'s exact ceiling, reached when every probe is active: the
+/// anchor, every scan level's probes and the whole refinement.
 double sampling_estimator_query_bound(std::size_t n);
 /// Ceiling of the beep-exact splitting counter: every query discards,
 /// counts, captures, or splits; generous closed form 2n·(log2(n)+2) + 8

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -79,12 +80,13 @@ struct BenchResult {
 struct RunOptions {
   bool quick = false;      ///< CI smoke scale: benchmarks shrink workloads
   std::size_t reps = 0;    ///< 0 = default (11 full, 5 quick)
-  std::size_t warmup = 0;  ///< 0 = default (2 full, 1 quick)
+  /// Unset = default (2 full, 1 quick); 0 runs no warm-up.
+  std::optional<std::size_t> warmup;
   std::string filter;      ///< substring match on benchmark names; "" = all
 
   std::size_t effective_reps() const { return reps ? reps : (quick ? 5 : 11); }
   std::size_t effective_warmup() const {
-    return warmup ? warmup : (quick ? 1u : 2u);
+    return warmup.value_or(quick ? 1u : 2u);
   }
 };
 

@@ -282,8 +282,6 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops) {
   scfg.shard.batch_max = 4;
   scfg.shard.checked = true;
   scfg.shard.clock = &clock;
-  // The degrade estimator's default claim, for the honesty check.
-  const core::CountOptions claim;
 
   ServiceCampaignReport report;
   std::vector<Observation> observations;
@@ -407,8 +405,8 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops) {
       }
       ++approx_trials;
       // Honesty is judged against the band the answer itself claims; the
-      // default claim only backstops an answer that claimed none.
-      const double band = r.epsilon > 0.0 ? r.epsilon : claim.epsilon;
+      // estimator's claim only backstops an answer that claimed none.
+      const double band = r.epsilon > 0.0 ? r.epsilon : core::kCountEpsilon;
       const double x = static_cast<double>(obs.want.x);
       const bool within = obs.want.x == 0
                               ? r.estimate == 0.0
@@ -420,15 +418,15 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops) {
   if (approx_trials > 0) {
     report.approx_outside_band = approx_trials - approx_within;
     report.approx_floor =
-        conformance::acceptance_floor(claim.delta, approx_trials);
+        conformance::acceptance_floor(core::kCountDelta, approx_trials);
     const double within_fraction = static_cast<double>(approx_within) /
                                    static_cast<double>(approx_trials);
     if (within_fraction < report.approx_floor) {
       std::ostringstream os;
-      os << "approximate answers within (1±" << claim.epsilon << ") band "
-         << approx_within << "/" << approx_trials << " = " << within_fraction
-         << " below acceptance floor " << report.approx_floor
-         << " for delta=" << claim.delta;
+      os << "approximate answers within (1±" << core::kCountEpsilon
+         << ") band " << approx_within << "/" << approx_trials << " = "
+         << within_fraction << " below acceptance floor "
+         << report.approx_floor << " for delta=" << core::kCountDelta;
       report.failures.push_back(os.str());
     }
   }

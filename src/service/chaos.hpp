@@ -67,8 +67,8 @@ std::optional<std::vector<ServiceOp>> parse_trace(std::string_view text);
 
 /// A campaign is `ops` random steps drawn from `seed`. The service it
 /// attacks is fixed: 2 shards with queue capacity 8, degradation at depth
-/// 6/2, batches of 4, the conformance guard on, and the default degrade
-/// estimator; 4 populations of 16..127 nodes answer 2tbins queries.
+/// 6/2, batches of 4 and the conformance guard on; 4 populations of
+/// 16..127 nodes answer 2tbins queries.
 struct ServiceCampaignConfig {
   std::uint64_t seed = 1;
   std::size_t ops = 400;
@@ -98,8 +98,8 @@ struct ServiceCampaignReport {
 };
 
 /// Replays `ops` against a fresh campaign service under a ManualClock and
-/// checks the contract; approximate answers are judged at
-/// core::CountOptions' default (ε, δ). Pure function of `ops`.
+/// checks the contract; approximate answers are judged at the estimator's
+/// claim (core::kCountEpsilon, core::kCountDelta). Pure function of `ops`.
 ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops);
 
 /// ddmin over op lists: smallest subsequence (locally minimal) for which

@@ -431,16 +431,6 @@ Response Shard::run_exact(Population& pop, const Job& job,
 
 Response Shard::run_approx(Population& pop, const Job& job,
                            const core::CancelToken& token) {
-  const auto* estimator =
-      core::find_counting_algorithm(cfg_.degrade_estimator);
-  if (estimator == nullptr) {
-    Response resp;
-    resp.status = StatusCode::kInvalidArgument;
-    resp.message = "degrade estimator " + cfg_.degrade_estimator +
-                   " is not registered";
-    return resp;
-  }
-
   core::CountOptions copts;
   copts.engine.cancel = &token;
 
@@ -452,7 +442,7 @@ Response Shard::run_approx(Population& pop, const Job& job,
                                 : *pop.channel;
 
   const core::CountOutcome out =
-      estimator->run(ch, pop.nodes, *pop.query_rng, copts);
+      core::run_newport_zheng_count(ch, pop.nodes, *pop.query_rng, copts);
 
   if (out.cancelled) {
     Response resp = cancel_response(token);

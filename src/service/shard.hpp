@@ -18,7 +18,7 @@
 //      resolved kDeadlineExceeded at dequeue, before any engine work;
 //   3. degradation — sustained depth ≥ degrade_enter flips the shard into
 //      degraded mode (hysteresis: exits at depth ≤ degrade_exit), where
-//      approx-tolerant queries are answered by the configured counting
+//      approx-tolerant queries are answered by the `nz-geom` counting
 //      estimator instead of an exact session — honestly tagged
 //      mode=approximate with the claimed (1±ε, confidence) band attached;
 //   4. mid-run cancellation — a deadline or shard kill trips the engine's
@@ -77,8 +77,6 @@ struct ShardConfig {
   /// jobs the drain thread runs before it releases the drain lock and
   /// checks for stop.
   std::size_t batch_max = 8;
-  /// Counting estimator answering degraded queries (counting_registry name).
-  std::string degrade_estimator = "nz-geom";
   /// Run exact-tier queries through a conformance CheckedChannel and count
   /// violations (the service-level safety net; cheap relative to a run).
   bool checked = false;

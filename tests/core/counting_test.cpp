@@ -19,10 +19,9 @@ namespace {
 using group::CollisionModel;
 using group::ExactChannel;
 
-TEST(CountingRegistry, HasTheThreePortfolioEstimators) {
-  EXPECT_GE(counting_registry().size(), 3u);
+TEST(CountingRegistry, HasTheTwoPortfolioEstimators) {
+  EXPECT_EQ(counting_registry().size(), 2u);
   ASSERT_NE(find_counting_algorithm("nz-geom"), nullptr);
-  ASSERT_NE(find_counting_algorithm("geom-scan"), nullptr);
   ASSERT_NE(find_counting_algorithm("beep-exact"), nullptr);
   EXPECT_EQ(find_counting_algorithm("no-such-estimator"), nullptr);
   EXPECT_TRUE(find_counting_algorithm("beep-exact")->exact);
@@ -94,19 +93,49 @@ TEST(NzGeom, MeanEstimateTracksTruthAcrossDecades) {
 }
 
 TEST(CountingBounds, SamplingEstimatorsStayUnderTheirCeiling) {
-  for (const char* name : {"nz-geom", "geom-scan"}) {
-    const auto* spec = find_counting_algorithm(name);
-    ASSERT_NE(spec, nullptr);
-    for (const std::size_t n : {1u, 3u, 16u, 97u, 512u}) {
-      for (const std::size_t x : {std::size_t{0}, std::size_t{1}, n / 2, n}) {
-        RngStream rng(40 + n + x);
-        auto ch = ExactChannel::with_random_positives(n, x, rng);
-        const auto out = spec->run(ch, ch.all_nodes(), rng, {});
-        EXPECT_LE(static_cast<double>(out.queries),
-                  sampling_estimator_query_bound(n))
-            << name << " n=" << n << " x=" << x;
-      }
+  for (const std::size_t n : {1u, 3u, 16u, 97u, 512u}) {
+    for (const std::size_t x : {std::size_t{0}, std::size_t{1}, n / 2, n}) {
+      RngStream rng(40 + n + x);
+      auto ch = ExactChannel::with_random_positives(n, x, rng);
+      const auto out = run_newport_zheng_count(ch, ch.all_nodes(), rng);
+      EXPECT_LE(static_cast<double>(out.queries),
+                sampling_estimator_query_bound(n))
+          << "n=" << n << " x=" << x;
     }
+  }
+}
+
+// Every probe answers activity, so nz-geom never sees a silent scan level
+// and runs its whole refinement: the ceiling is reached exactly, and it is
+// the anchor, 3 probes on each of ⌈log2(n+1)⌉ + 2 levels and the
+// ⌈4.5·ln(2/δ)/ε²⌉ refinement repeats the claim sizes.
+class AlwaysActiveChannel final : public group::QueryChannel {
+ public:
+  AlwaysActiveChannel() : QueryChannel(CollisionModel::kOnePlus) {}
+
+ protected:
+  group::BinQueryResult do_query_set(std::span<const NodeId>) override {
+    return group::BinQueryResult::activity();
+  }
+};
+
+TEST(CountingBounds, NzGeomReachesItsCeilingWhenEveryProbeIsActive) {
+  const double repeats = std::ceil(4.5 * std::log(2.0 / kCountDelta) /
+                                   (kCountEpsilon * kCountEpsilon));
+  for (const std::size_t n : {1u, 3u, 16u, 97u, 512u, 4096u}) {
+    std::vector<NodeId> nodes(n);
+    for (std::size_t i = 0; i < n; ++i) nodes[i] = static_cast<NodeId>(i);
+    AlwaysActiveChannel ch;
+    RngStream rng(70 + n);
+    const auto out = run_newport_zheng_count(ch, nodes, rng);
+    const double levels =
+        std::ceil(std::log2(static_cast<double>(n) + 1.0)) + 2.0;
+    EXPECT_EQ(static_cast<double>(out.queries),
+              sampling_estimator_query_bound(n))
+        << "n=" << n;
+    EXPECT_EQ(sampling_estimator_query_bound(n), 1.0 + 3.0 * levels + repeats)
+        << "n=" << n;
+    EXPECT_EQ(out.rounds, static_cast<std::size_t>(levels) + 1) << "n=" << n;
   }
 }
 
@@ -134,7 +163,7 @@ TEST(CountingBounds, BeepExactStaysUnderItsCeiling) {
 TEST(ThresholdViaCount, DegenerateEdgesResolveWithoutQueries) {
   RngStream rng(9);
   auto ch = ExactChannel::with_random_positives(8, 3, rng);
-  for (const char* estimator : {"nz-geom", "geom-scan", "beep-exact"}) {
+  for (const char* estimator : {"nz-geom", "beep-exact"}) {
     auto t0 = run_threshold_via_count(ch, ch.all_nodes(), 0, rng, estimator);
     EXPECT_TRUE(t0.decision);
     EXPECT_EQ(t0.queries, 0u);
@@ -149,7 +178,7 @@ TEST(ThresholdViaCount, DegenerateEdgesResolveWithoutQueries) {
 TEST(ThresholdViaCount, MatchesGroundTruthOnCleanChannels) {
   for (const auto model : {CollisionModel::kOnePlus,
                            CollisionModel::kTwoPlus}) {
-    for (const char* estimator : {"nz-geom", "geom-scan", "beep-exact"}) {
+    for (const char* estimator : {"nz-geom", "beep-exact"}) {
       for (std::size_t x = 0; x <= 48; x += 5) {
         for (const std::size_t t : {1u, 8u, 24u, 48u}) {
           RngStream rng(200 + x + 100 * t,

@@ -227,6 +227,25 @@ TEST(BenchRegistry, FilterSelectsBySubstring) {
   EXPECT_EQ(results[0].name, "b/y");
 }
 
+TEST(BenchRegistry, ExplicitZeroWarmupRunsNoWarmup) {
+  BenchRegistry registry;
+  int calls = 0;
+  registry.add(Benchmark{"t/cold", "op", {}, [&calls](bool) {
+                           ++calls;
+                           return 1ULL;
+                         }});
+  RunOptions opts;
+  opts.quick = true;
+  opts.reps = 2;
+  opts.warmup = 0;
+  registry.run(opts, nullptr);
+  EXPECT_EQ(calls, 2);  // the timed reps only
+  opts.warmup.reset();
+  calls = 0;
+  registry.run(opts, nullptr);
+  EXPECT_EQ(calls, 3);  // the quick default warm-up of 1, then 2 timed
+}
+
 TEST(BenchRegistry, QuickModeShrinksReps) {
   RunOptions opts;
   opts.quick = false;

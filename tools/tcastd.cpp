@@ -2,7 +2,7 @@
 //
 //   tcastd --socket /tmp/tcastd.sock [--shards 4] [--queue-capacity 64]
 //          [--degrade-enter 32] [--degrade-exit 8] [--batch-max 8]
-//          [--estimator nz-geom] [--checked]
+//          [--checked]
 //
 // Serves the wire protocol of src/service/protocol.hpp over a Unix domain
 // socket. Populations are sharded by name; queries resolve to exact
@@ -76,8 +76,6 @@ int main(int argc, char** argv) {
       ok = number(shard.degrade_exit);
     } else if (arg == "--batch-max") {
       ok = number(shard.batch_max);
-    } else if (arg == "--estimator") {
-      ok = text(shard.degrade_estimator);
     } else if (arg == "--checked") {
       shard.checked = true;
     } else {

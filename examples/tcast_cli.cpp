@@ -17,7 +17,8 @@
 //
 // --deadline-ms arms the same QueryCancelToken the tcastd service uses:
 // a trial whose wall-clock budget expires mid-run is cancelled between
-// queries (never a fabricated verdict) and, with --max-retries > 0,
+// queries, within 32 queries of the deadline (never a fabricated
+// verdict) and, with --max-retries > 0,
 // retried under jittered exponential backoff (service/backoff.hpp).
 //
 // A flag with a missing value, a number that is not a whole one in range,

@@ -173,6 +173,22 @@ class RngStream {
     return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
   }
 
+  /// bernoulli(p) as an integer compare, for loops that draw many trials at
+  /// one p: `bernoulli_below(bernoulli_threshold(p))` consumes the same
+  /// draw and returns the same value as `bernoulli(p)`. Exact: uniform01()
+  /// is u·2^-53 for the integer u = bits >> 11 < 2^53, and both the
+  /// conversion and the scaling are exact, so u·2^-53 < p holds exactly
+  /// when u < p·2^53. Scaling by 2^53 is exact for every p in [0, 1], and
+  /// for an integer u that is u < ceil(p·2^53): 2^53 at p = 1 (always
+  /// true), 0 at p = 0 (never).
+  static std::uint64_t bernoulli_threshold(double p) {
+    TCAST_DCHECK(p >= 0.0 && p <= 1.0);
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+  bool bernoulli_below(std::uint64_t threshold) {
+    return (engine_() >> 11) < threshold;
+  }
+
   /// Uniform real in [lo, hi).
   double uniform_real(double lo, double hi) {
     TCAST_CHECK(lo <= hi);

@@ -13,12 +13,14 @@ namespace tcast::core {
 
 namespace {
 
-/// One sampled-inclusion probe on `participants`; a 2+ capture is a decoded
-/// positive identity, appended to `confirmed`.
+/// One sampled-inclusion probe on `participants`, drawn into `bin` (reused
+/// across a census's probes); a 2+ capture is a decoded positive identity,
+/// appended to `confirmed`.
 group::BinQueryResult probe(group::QueryChannel& channel,
                             std::span<const NodeId> participants, double q,
-                            RngStream& rng, std::vector<NodeId>& confirmed) {
-  const auto bin = group::BinAssignment::sampled(participants, q, rng);
+                            RngStream& rng, group::BinAssignment& bin,
+                            std::vector<NodeId>& confirmed) {
+  bin.assign_sampled(participants, q, rng);
   const auto result = channel.query_set(bin.bin(0));
   if (result.kind == group::BinQueryResult::Kind::kCaptured)
     confirmed.push_back(result.captured);
@@ -85,6 +87,7 @@ CountOutcome run_newport_zheng_count(group::QueryChannel& channel,
   // Phase 1 — rough doubling scan: probe at inclusion q = 2^-i until most
   // probes fall silent. P(silence) = (1−q)^x crosses 1/2 around qx ≈ ln2,
   // so the stopping level gives x ≲ 2^(level+1) up to a constant factor.
+  group::BinAssignment bin;
   double q = 1.0;
   std::size_t level = 0;
   const std::size_t max_levels = scan_levels(participants.size());
@@ -97,7 +100,8 @@ CountOutcome run_newport_zheng_count(group::QueryChannel& channel,
         out.queries = channel.queries_used() - start;
         return out;
       }
-      if (!probe(channel, participants, q, rng, out.confirmed).nonempty())
+      if (!probe(channel, participants, q, rng, bin, out.confirmed)
+               .nonempty())
         ++silent;
     }
     ++out.rounds;
@@ -117,7 +121,8 @@ CountOutcome run_newport_zheng_count(group::QueryChannel& channel,
       out.queries = channel.queries_used() - start;
       return out;
     }
-    if (!probe(channel, participants, qstar, rng, out.confirmed).nonempty())
+    if (!probe(channel, participants, qstar, rng, bin, out.confirmed)
+             .nonempty())
       ++silent;
   }
   ++out.rounds;

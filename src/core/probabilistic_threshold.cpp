@@ -15,9 +15,9 @@ ProbabilisticOutcome run_probabilistic_threshold(
   out.plan = analysis::make_sampling_plan(opts.t_l, opts.t_r, opts.b_override);
   const double inclusion = 1.0 / out.plan.b;
 
+  group::BinAssignment bin;
   for (std::size_t i = 0; i < opts.repeats; ++i) {
-    const auto bin =
-        group::BinAssignment::sampled(participants, inclusion, rng);
+    bin.assign_sampled(participants, inclusion, rng);
     if (channel.query_set(bin.bin(0)).nonempty()) ++out.nonempty_seen;
   }
   out.queries = opts.repeats;

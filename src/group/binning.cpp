@@ -136,11 +136,24 @@ void BinAssignment::assign_contiguous(std::span<const NodeId> nodes,
 void BinAssignment::assign_sampled(std::span<const NodeId> nodes,
                                    double inclusion_prob, RngStream& rng) {
   TCAST_CHECK(inclusion_prob >= 0.0 && inclusion_prob <= 1.0);
-  arena_.clear();
-  for (const NodeId id : nodes)
-    if (rng.bernoulli(inclusion_prob)) arena_.push_back(id);
-  offsets_.assign({std::size_t{0}, arena_.size()});
-  build_words();
+  const std::uint64_t threshold =
+      RngStream::bernoulli_threshold(inclusion_prob);
+  // Branch-free append: every node is written at the next free slot and
+  // kept by advancing past it, so the arena must hold all of `nodes`. It
+  // only grows, and keeps its size across calls; bin(0) ends at
+  // offsets_[1].
+  if (arena_.size() < nodes.size()) arena_.resize(nodes.size());
+  NodeId* const out = arena_.data();
+  std::size_t kept = 0;
+  for (const NodeId id : nodes) {
+    out[kept] = id;
+    kept += rng.bernoulli_below(threshold) ? 1u : 0u;
+  }
+  offsets_.resize(2);
+  offsets_[0] = 0;
+  offsets_[1] = kept;
+  // No word image: every sampled bin is queried through query_set.
+  words_per_bin_ = 0;
   bump_version();
 }
 

@@ -44,7 +44,9 @@ class BinAssignment {
                                   std::size_t bins);
 
   /// One bin containing each node independently with `inclusion_prob` —
-  /// the probabilistic sampling bin of Sec. V-D / VI.
+  /// the probabilistic sampling bin of Sec. V-D / VI. One draw per node,
+  /// the draw `rng.bernoulli(inclusion_prob)` makes, in node order. Builds
+  /// no word image: callers query the bin with query_set.
   static BinAssignment sampled(std::span<const NodeId> nodes,
                                double inclusion_prob, RngStream& rng);
 
@@ -69,13 +71,16 @@ class BinAssignment {
     TCAST_DCHECK(i < bin_count());
     return {arena_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
   }
-  std::size_t total_assigned() const { return arena_.size(); }
+  std::size_t total_assigned() const {
+    return offsets_.empty() ? 0 : offsets_.back();
+  }
 
   /// Word image of bin membership, present when bin_count() ≤
-  /// kMaxBinsForWords (and the assignment is non-trivial). `bin_words(i)`
-  /// spans words_per_bin() words covering ids [0, 64·words_per_bin()); ids
-  /// beyond every member's id are simply absent. Word-capable channels use
-  /// it for AND+popcount queries; everyone else ignores it.
+  /// kMaxBinsForWords (and the assignment is non-trivial and not sampled).
+  /// `bin_words(i)` spans words_per_bin() words covering ids [0,
+  /// 64·words_per_bin()); ids beyond every member's id are simply absent.
+  /// Word-capable channels use it for AND+popcount queries; everyone else
+  /// ignores it.
   bool has_bin_words() const { return words_per_bin_ != 0; }
   std::size_t words_per_bin() const { return words_per_bin_; }
   std::span<const NodeSet::Word> bin_words(std::size_t i) const {
@@ -120,7 +125,9 @@ class BinAssignment {
                                     RngStream& rng);
   void bump_version();
 
-  std::vector<NodeId> arena_;          ///< members, grouped by bin
+  std::vector<NodeId> arena_;          ///< members, grouped by bin; a
+                                       ///< sampled bin may leave spare
+                                       ///< slots past offsets_.back()
   std::vector<std::size_t> offsets_;   ///< bins+1 arena offsets
   std::vector<NodeId> scratch_;        ///< reused shuffle buffer
   std::vector<NodeSet::Word> words_;   ///< bins × words_per_bin_ image

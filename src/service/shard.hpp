@@ -21,9 +21,9 @@
 //      approx-tolerant queries are answered by the `nz-geom` counting
 //      estimator instead of an exact session — honestly tagged
 //      mode=approximate with the claimed (1±ε, confidence) band attached;
-//   4. mid-run cancellation — a deadline or shard kill trips the engine's
-//      CancelToken between queries; the outcome maps to a typed error,
-//      never a fabricated verdict.
+//   4. mid-run cancellation — a shard kill trips the engine's CancelToken
+//      at the next poll between queries, a deadline within 32 polls; the
+//      outcome maps to a typed error, never a fabricated verdict.
 #pragma once
 
 #include <atomic>
@@ -49,21 +49,35 @@
 namespace tcast::service {
 
 /// Deadline + shard-kill cancel token handed to the engine for one query.
+/// Every poll loads the kill flag, so a kill trips at the next poll. The
+/// clock is read on the first poll and then on every kClockStride-th: the
+/// engine polls before every query, and a clock read on every poll took
+/// about a third of an exact-tier request's time. So a deadline trips at most
+/// kClockStride - 1 polls later than a clock read on every poll would trip
+/// it, never before it passes, and then stays tripped. One thread polls a
+/// token (the one running its query).
 class QueryCancelToken final : public core::CancelToken {
  public:
+  static constexpr std::uint32_t kClockStride = 32;
+
   QueryCancelToken(const Clock& clock, TimeUs deadline_us,
                    const std::atomic<bool>& killed)
       : clock_(&clock), deadline_us_(deadline_us), killed_(&killed) {}
 
   bool cancelled() const override {
-    return killed_->load(std::memory_order_acquire) ||
-           clock_->now_us() >= deadline_us_;
+    if (killed_->load(std::memory_order_acquire)) return true;
+    if (expired_) return true;
+    if (polls_++ % kClockStride != 0) return false;
+    expired_ = clock_->now_us() >= deadline_us_;
+    return expired_;
   }
 
  private:
   const Clock* clock_;
   TimeUs deadline_us_;
   const std::atomic<bool>* killed_;
+  mutable std::uint32_t polls_ = 0;
+  mutable bool expired_ = false;
 };
 
 struct ShardConfig {

@@ -96,6 +96,53 @@ TEST(Binning, SampledDegenerateProbabilities) {
   EXPECT_EQ(BinAssignment::sampled(nodes, 1.0, rng).bin(0).size(), 10u);
 }
 
+TEST(Binning, SampledMatchesThePerNodeBernoulliWalk) {
+  // assign_sampled decides each node with an integer compare on the draw;
+  // it must keep exactly the nodes, and consume exactly the draws, of
+  // `if (rng.bernoulli(p)) push_back(id)`. p·2^53 is an integer for 0,
+  // 2^-53, 0.25, 0.5, 1−2^-53 and 1, and is not for 1e-300 and 0.0014.
+  const double ps[] = {0.0,  0x1.0p-53, 1e-300,           0.0014,
+                       0.25, 0.5,       1.0 - 0x1.0p-53, 1.0};
+  std::vector<std::vector<NodeId>> node_lists;
+  for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 1024u, 4096u})
+    node_lists.push_back(iota_nodes(n));
+  node_lists.push_back({3, 900, 17, 4095, 64, 65, 2, 70000, 0});
+  // The compare is exact at its boundary, where random draws almost never
+  // land: u = threshold - 1 passes `uniform01() < p` and u = threshold
+  // fails it.
+  for (const double p : ps) {
+    const std::uint64_t threshold = RngStream::bernoulli_threshold(p);
+    ASSERT_LE(threshold, std::uint64_t{1} << 53) << p;
+    if (threshold > 0) {
+      EXPECT_LT(static_cast<double>(threshold - 1) * 0x1.0p-53, p) << p;
+    }
+    if (threshold < (std::uint64_t{1} << 53)) {
+      EXPECT_GE(static_cast<double>(threshold) * 0x1.0p-53, p) << p;
+    }
+  }
+  // One assignment across every case, so a small case follows a large one.
+  BinAssignment a;
+  std::uint64_t seed = 1;
+  for (const auto& nodes : node_lists) {
+    for (const double p : ps) {
+      RngStream rng(seed++, 3);
+      RngStream ref = rng;
+      std::vector<NodeId> expected;
+      for (const NodeId id : nodes)
+        if (ref.bernoulli(p)) expected.push_back(id);
+      a.assign_sampled(nodes, p, rng);
+      ASSERT_EQ(a.bin_count(), 1u);
+      const auto bin = a.bin(0);
+      EXPECT_EQ(std::vector<NodeId>(bin.begin(), bin.end()), expected)
+          << "n=" << nodes.size() << " p=" << p;
+      EXPECT_EQ(a.total_assigned(), expected.size());
+      EXPECT_FALSE(a.has_bin_words());
+      EXPECT_EQ(rng.bits(), ref.bits())
+          << "n=" << nodes.size() << " p=" << p;
+    }
+  }
+}
+
 TEST(Binning, WireRoundTrip) {
   RngStream rng(8);
   const auto nodes = iota_nodes(10);

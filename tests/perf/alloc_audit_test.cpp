@@ -6,7 +6,8 @@
 // PHY/MAC exchange per query). Heap traffic per query is how "fast" code
 // quietly regresses: capacity churn is invisible to differential tests and
 // ruins the sweep throughput the figures are built on. Building a packet
-// world must cost a number of allocations that does not grow with N.
+// world, or running one census, must cost a number of allocations that
+// does not grow with N.
 //
 // The audit counts every global operator new/delete. Sanitizer builds
 // interpose the allocator and add their own bookkeeping allocations, so
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/counting.hpp"
 #include "core/registry.hpp"
 #include "core/round_engine.hpp"
 #include "group/binning.hpp"
@@ -173,6 +175,30 @@ TEST(AllocAudit, PacketWorldBuildIsConstantInN) {
     EXPECT_LE(large, 20u) << name << " world build allocates " << large
                           << " times";
   }
+}
+
+TEST(AllocAudit, CensusAllocatesTheSameAtAnyN) {
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocator interposed";
+  // A census (tcastd's approximate path) runs 120-145 sampled probes. They
+  // share one bin assignment whose arena is sized once, so its heap traffic
+  // must not grow with N or with the number of probes.
+  std::vector<std::uint64_t> costs;
+  for (const std::size_t n : {64u, 1024u, 4096u}) {
+    RngStream rng(0xa110c, n);
+    auto channel = group::ExactChannel::with_random_positives(n, n / 8, rng);
+    for (std::size_t rep = 0; rep < 3; ++rep) {
+      const std::uint64_t before = news();
+      const auto out = core::run_newport_zheng_count(
+          channel, channel.all_nodes(), rng, core::CountOptions{});
+      costs.push_back(news() - before);
+      EXPECT_GT(out.queries, 100u);
+      EXPECT_LE(costs.back(), 3u)
+          << "census at N=" << n << " allocates " << costs.back()
+          << " times";
+    }
+  }
+  for (const std::uint64_t cost : costs)
+    EXPECT_EQ(cost, costs.front()) << "census allocations grow with N";
 }
 
 }  // namespace

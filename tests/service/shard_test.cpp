@@ -184,14 +184,17 @@ class SteppingClock final : public Clock {
 };
 
 TEST(Shard, DeadlineTrippedMidRunIsACancelNotAVerdict) {
-  SteppingClock clock(100);  // every look at the clock costs 100us
+  SteppingClock clock(500);  // every look at the clock costs 500us
   Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, load_req("p", 256, 100));
   shard.drain();
 
-  // 2ms budget = 20 clock reads; a t=64 run over n=256 wants far more
-  // cancel polls than that, so the token trips mid-run.
+  // 2ms budget = 4 clock reads: submit, the dequeue shed check, the
+  // pre-run poll, and the token's read at its 33rd poll; its read at the
+  // 65th poll, before the 64th engine query, finds the deadline passed. A
+  // 1+ t=64 run certifies at most one positive per query, so it needs at
+  // least 64 queries and the token trips mid-run.
   out.submit(shard, query_req("p", 64, /*deadline_ms=*/2));
   shard.drain();
 
@@ -200,6 +203,75 @@ TEST(Shard, DeadlineTrippedMidRunIsACancelNotAVerdict) {
   const auto stats = shard.stats();
   EXPECT_EQ(stats.cancelled_deadline, 1u);
   EXPECT_EQ(stats.shed_deadline, 0u);
+  EXPECT_EQ(stats.completed_exact, 0u);  // no fabricated verdict
+}
+
+/// Clock that counts its reads and can kill a shard on a chosen one. Time
+/// stands still, so no deadline ever passes.
+class CountingClock final : public Clock {
+ public:
+  TimeUs now_us() const override {
+    ++reads_;
+    if (victim_ != nullptr && reads_ == kill_at_) victim_->kill();
+    return 0;
+  }
+  std::uint64_t reads() const { return reads_; }
+  /// Kills `shard` on the `n`-th read from now.
+  void kill_on_read(Shard& shard, std::uint64_t n) {
+    victim_ = &shard;
+    kill_at_ = reads_ + n;
+  }
+
+ private:
+  mutable std::uint64_t reads_ = 0;
+  Shard* victim_ = nullptr;
+  std::uint64_t kill_at_ = 0;
+};
+
+TEST(Shard, DeadlineReadsTheClockOncePerStride) {
+  CountingClock clock;
+  Shard shard(0, config(clock));
+  Collector out;
+  out.submit(shard, load_req("p", 1024, 128));
+  shard.drain();
+
+  const std::uint64_t before = clock.reads();
+  out.submit(shard, query_req("p", 128, /*deadline_ms=*/50,
+                              ApproxMode::kNever));
+  shard.drain();
+  ASSERT_EQ(out.at(1)->status, StatusCode::kOk);
+  // The engine polls the token once per query on a lossless channel. Four
+  // reads are not the token's strided ones: submit, the dequeue shed
+  // check, the pre-run check (the token's first poll) and finish.
+  const std::uint64_t polls = out.at(1)->queries;
+  const std::uint64_t stride = QueryCancelToken::kClockStride;
+  ASSERT_GE(polls, 4 * stride);
+  EXPECT_LE(clock.reads() - before, (polls + stride - 1) / stride + 4)
+      << polls << " engine polls";
+}
+
+TEST(Shard, KillTripsAtTheNextPoll) {
+  CountingClock clock;
+  Shard shard(0, config(clock));
+  Collector out;
+  out.submit(shard, load_req("p", 1024, 128));
+  shard.drain();
+
+  // Reads 1-3 are submit, the shed check and the pre-run poll; read 4 is
+  // the token's poll before engine query kClockStride, when kClockStride
+  // - 1 queries have run. The kill lands there, after that poll has loaded
+  // the flag, so one more query runs and the next poll, which reads no
+  // clock, must trip on the flag.
+  clock.kill_on_read(shard, 4);
+  out.submit(shard, query_req("p", 128, /*deadline_ms=*/50,
+                              ApproxMode::kNever));
+  shard.drain();
+
+  ASSERT_TRUE(out.at(1).has_value());
+  EXPECT_EQ(out.at(1)->status, StatusCode::kShardDown);
+  EXPECT_LE(out.at(1)->queries, QueryCancelToken::kClockStride);
+  const auto stats = shard.stats();
+  EXPECT_EQ(stats.cancelled_kill, 1u);
   EXPECT_EQ(stats.completed_exact, 0u);  // no fabricated verdict
 }
 

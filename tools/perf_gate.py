@@ -14,7 +14,12 @@ better.
 A row regresses when the parent beats the change under the claim rule of
 bench/e2e/compare.py with the sides swapped: the parent wins at least 9 of
 10 pairs (ties count for neither), and the medians differ by more than the
-change's own quartile distance. A benchmark that the change's
+change's own quartile distance. The benchmarks with a regressed row then
+run again, alone, for 10 more alternating pairs (`tcast_bench --filter
+NAME`; a service/* row re-runs `service_bench` whole), and a row fails
+only if it regresses in both collections: with 22 rows and no correction
+for their number, one slow stretch of a shared host fails some row of a
+single collection in about one run in 10. A benchmark that the change's
 `tcast_bench --list` registers, but that a change report lacks or reports
 with zero throughput, fails the gate too; so does a metric the change
 stops reporting. A benchmark only the parent reports is listed as removed,
@@ -22,7 +27,8 @@ one only the change reports as new; neither fails. Exit status 1 on any
 failure.
 
 --out-dir receives parent.json and change.json, every run in the format of
-bench/e2e/compare.py's result files. --summary-out appends the table as
+bench/e2e/compare.py's result files, and parent-rerun.json and
+change-rerun.json when rows were re-run. --summary-out appends the table as
 markdown (pass "$GITHUB_STEP_SUMMARY" in CI).
 
   python3 tools/perf_gate.py --selftest
@@ -77,17 +83,27 @@ def run_report(cmd, path):
     return benchlib.load_json(path)["benchmarks"]
 
 
-def launch(build):
-    """One quick pass of both benchmark binaries: {name: metrics}."""
+def launch(build, only=None):
+    """One quick pass of both benchmark binaries: {name: metrics}. With
+    `only`, just those benchmarks: one `tcast_bench --filter` run per
+    name, and `service_bench` whole if any service/* name is asked for."""
+    if only is None:
+        cmds = [[TCAST_BENCH, "--quick"], [SERVICE_BENCH, "--quick"]]
+    else:
+        cmds = [[TCAST_BENCH, "--quick", "--filter", name]
+                for name in sorted(only) if not name.startswith("service/")]
+        if any(name.startswith("service/") for name in only):
+            cmds.append([SERVICE_BENCH, "--quick"])
     tmp = tempfile.mkdtemp(prefix="perf_gate")
     try:
         benches = []
-        for binary in (TCAST_BENCH, SERVICE_BENCH):
-            benches += run_report([os.path.join(build, binary), "--quick"],
+        for binary, *flags in cmds:
+            benches += run_report([os.path.join(build, binary), *flags],
                                   os.path.join(tmp, "report.json"))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    return {b["name"]: metrics_of(b) for b in benches}
+    return {b["name"]: metrics_of(b) for b in benches
+            if only is None or b["name"] in only}
 
 
 def registered(build):
@@ -97,17 +113,19 @@ def registered(build):
     return {line.split()[0] for line in out.splitlines() if line.strip()}
 
 
-def collect(parent, change, launch_fn, progress=sys.stderr):
-    """Runs MIN_PAIRS alternating pairs; returns (parent_runs, change_runs)."""
+def collect(parent, change, launch_fn, only=None, progress=sys.stderr):
+    """Runs MIN_PAIRS alternating pairs of launch_fn(build, only); returns
+    (parent_runs, change_runs)."""
     sides = {"parent": (parent, []), "change": (change, [])}
     for i in range(MIN_PAIRS):
         for side in ("parent", "change") if i % 2 == 0 else ("change",
                                                              "parent"):
             build, runs = sides[side]
-            for name, metrics in sorted(launch_fn(build).items()):
+            for name, metrics in sorted(launch_fn(build, only).items()):
                 runs.append({"workload": name, "seed": i, "metrics": metrics})
         if progress:
-            print(f"perf_gate.py: pair {i + 1}/{MIN_PAIRS}", file=progress)
+            print(f"perf_gate.py: {'re-run ' if only else ''}pair "
+                  f"{i + 1}/{MIN_PAIRS}", file=progress)
     return sides["parent"][1], sides["change"][1]
 
 
@@ -162,6 +180,30 @@ def judge(parent_runs, change_runs, names):
     return rows
 
 
+def gate(parent, change, launch_fn, names, progress=sys.stderr):
+    """Both collections: (rows, reruns, first_runs, rerun_runs). `reruns`
+    maps each re-run (benchmark, metric) to its (first row, re-run row); a
+    row that regressed in the first collection keeps `regression` only if
+    it regresses in the re-run too. The runs are (parent, change) pairs,
+    the re-run's empty when nothing regressed."""
+    first_runs = collect(parent, change, launch_fn, None, progress)
+    rows = judge(*first_runs, names)
+    again = {r[0] for r in rows if r[2] == REGRESSION}
+    if not again:
+        return rows, {}, first_runs, ([], [])
+    rerun_runs = collect(parent, change, launch_fn, again, progress)
+    second = {r[:2]: r for r in judge(*rerun_runs, names & again)}
+    reruns, final = {}, []
+    for row in rows:
+        if row[0] in again and row[:2] in second:
+            reruns[row[:2]] = (row, second[row[:2]])
+            if row[2] == REGRESSION and second[row[:2]][2] == OK:
+                row = (*row[:2], OK, *row[3:6],
+                       f"{row[6]}; not again on re-run")
+        final.append(row)
+    return final, reruns, first_runs, rerun_runs
+
+
 def failed(rows):
     return [r for r in rows if r[2] in (REGRESSION, MISSING)]
 
@@ -201,8 +243,17 @@ def render_markdown(rows):
     return "\n".join(lines) + "\n"
 
 
-def report(rows):
+def render_reruns(reruns):
+    return "\n".join(
+        f"perf_gate.py: re-run {name} {metric}: first {first[2]} "
+        f"({first[6]}), re-run {again[2]} ({again[6]})"
+        for (name, metric), (first, again) in sorted(reruns.items()))
+
+
+def report(rows, reruns):
     print(render_text(rows))
+    if reruns:
+        print(render_reruns(reruns))
     bad = failed(rows)
     for name, metric, status, *_, note in bad:
         print(f"perf_gate.py: {status}: {name} {metric}: {note}")
@@ -232,39 +283,48 @@ def selftest():
         shown = [n for n in names + [extra] if n and n != skip]
         return lambda pair: {n: metrics(n, pair) for n in shown}
 
-    def gate(parent, change):
-        """({(bench, metric): (status, parent_wins)}, failing keys)."""
+    def run(parent, change):
+        """({(bench, metric): (status, parent_wins)}, failing keys,
+        {re-run (bench, metric): (first status, re-run status)})."""
         builds, launched = {"P": parent, "C": change}, {"P": 0, "C": 0}
 
-        def launch_fake(side):  # a side's k-th launch is in pair k
+        def launch_fake(side, only):  # a side's k-th launch is in pair k
             launched[side] += 1
-            return builds[side](launched[side] - 1)
-        rows = judge(*collect("P", "C", launch_fake, None), names)
+            return {n: m for n, m in builds[side](launched[side] - 1).items()
+                    if only is None or n in only}
+        rows, reruns, _, _ = gate("P", "C", launch_fake, set(names), None)
         return ({r[:2]: (r[2], r[5]) for r in rows},
-                {r[:2] for r in failed(rows)})
+                {r[:2] for r in failed(rows)},
+                {k: (a[2], b[2]) for k, (a, b) in reruns.items()})
 
-    same = gate(build(extra="a/gone"), build())
-    skipped = gate(build(), build(skip="a/skipped"))
-    new = gate(build(), build(extra="a/new"))
+    same = run(build(extra="a/gone"), build())
+    skipped = run(build(), build(skip="a/skipped"))
+    new = run(build(), build(extra="a/new"))
     # 30% slower in pairs 0-7 and 10% faster in pairs 8-9.
     slow, fast = build(hot=0.7), build(hot=1.1)
-    eight = gate(build(), lambda pair: (slow if pair < 8 else fast)(pair))
-    close = gate(build(), build(hot=0.99))
+    eight = run(build(), lambda pair: (slow if pair < 8 else fast)(pair))
+    close = run(build(), build(hot=0.99))
+    hot = run(build(), build(hot=0.7))
+    # 30% slower in the first collection (pairs 0-9) only.
+    once = run(build(), lambda pair: (slow if pair < MIN_PAIRS else
+                                      build())(pair))
+    tail = run(build(), build(tail=1.3))
+    hot_row, p99_row = ("a/hot", "items_per_s"), ("service/rig", "p99_us")
     checks = [
         ("same code: no failure; a parent-only bench is removed",
          not same[1] and same[0][("a/gone", "items_per_s")][0] == REMOVED),
         ("30% slower on one row: that row alone regresses",
-         gate(build(), build(hot=0.7))[1] == {("a/hot", "items_per_s")}),
+         hot[1] == {hot_row}),
         ("a registered bench the change skips fails",
          skipped[1] == {("a/skipped", "items_per_s")} and
          skipped[0][("a/skipped", "items_per_s")][0] == MISSING),
         ("zero throughput fails",
-         gate(build(), build(zero="a/steady"))[1] ==
+         run(build(), build(zero="a/steady"))[1] ==
          {("a/steady", "items_per_s")}),
         ("30% higher service p99 regresses",
-         gate(build(), build(tail=1.3))[1] == {("service/rig", "p99_us")}),
+         tail[1] == {p99_row}),
         ("a service row that stops reporting percentiles fails",
-         gate(build(), build(plain="service/rig"))[1] ==
+         run(build(), build(plain="service/rig"))[1] ==
          {("service/rig", "p99_us"), ("service/rig", "p999_us")}),
         ("a bench only the change reports is new",
          not new[1] and new[0][("a/new", "items_per_s")][0] == NEW),
@@ -273,6 +333,15 @@ def selftest():
         ("parent wins 10 of 10 pairs by 1%, within the change's quartile "
          "distance: not a regression",
          not close[1] and close[0][("a/hot", "items_per_s")] == (OK, 10)),
+        ("a 0.7x row regresses in both collections, and only it re-runs",
+         hot[2] == {hot_row: (REGRESSION, REGRESSION)}),
+        ("a row slow only in the first collection passes after its re-run",
+         not once[1] and once[2] == {hot_row: (REGRESSION, OK)}),
+        ("a service row re-runs the whole rig, and only its regressed "
+         "metric fails",
+         tail[1] == {p99_row} and set(tail[2]) ==
+         {("service/rig", m) for m in ("items_per_s", "p99_us",
+                                        "p999_us")}),
     ]
     for name, ok in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}")
@@ -292,20 +361,27 @@ def main():
     if not args.parent_build or not args.change_build:
         p.error("--parent-build and --change-build are required")
 
-    names = registered(args.change_build)
-    parent_runs, change_runs = collect(args.parent_build, args.change_build,
-                                       launch)
+    rows, reruns, first_runs, rerun_runs = gate(
+        args.parent_build, args.change_build, launch,
+        registered(args.change_build))
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        benchlib.write_json(os.path.join(args.out_dir, "parent.json"),
-                            {"runs": parent_runs})
-        benchlib.write_json(os.path.join(args.out_dir, "change.json"),
-                            {"runs": change_runs})
-    rows = judge(parent_runs, change_runs, names)
+        for suffix, (parent_runs, change_runs) in (("", first_runs),
+                                                   ("-rerun", rerun_runs)):
+            if not parent_runs and suffix:
+                continue
+            benchlib.write_json(
+                os.path.join(args.out_dir, f"parent{suffix}.json"),
+                {"runs": parent_runs})
+            benchlib.write_json(
+                os.path.join(args.out_dir, f"change{suffix}.json"),
+                {"runs": change_runs})
     if args.summary_out:
         with open(args.summary_out, "a", encoding="utf-8") as f:
             f.write(render_markdown(rows))
-    return report(rows)
+            if reruns:
+                f.write("\n" + render_reruns(reruns) + "\n")
+    return report(rows, reruns)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,11 @@
 //     steady-state regime. Reports end-to-end p50/p99/p999 and throughput.
 //   * open_loop_overload — queries injected at ~2x the measured closed-loop
 //     capacity with no back-pressure from the client side: the overload
-//     regime the robustness PR is about. Reports tail latency of the
-//     queries that did complete plus the shed/degraded/rejected mix; the
-//     invariant (every response is a verdict, an honestly-tagged estimate,
-//     or a typed error) is asserted here too — a load rig that tolerates
-//     silent drops would be measuring a broken service.
+//     regime the overload ladder is for. Reports tail latency of the
+//     queries that did complete plus the shed/rejected mix; the invariant
+//     (every response is a verdict or a typed error) is asserted here too
+//     — a load rig that tolerates silent drops would be measuring a broken
+//     service.
 //
 // Results are tcast-bench-v1 entries with a `percentiles` object;
 // tools/perf_gate.py gates p99/p999 growth the same way it gates
@@ -102,9 +102,7 @@ Workload load_populations(TcastService& svc, RngStream& rng,
 }
 
 struct RigOutcome {
-  std::uint64_t completed = 0;  ///< kOk responses
-  std::uint64_t exact = 0;
-  std::uint64_t approx = 0;
+  std::uint64_t completed = 0;  ///< kOk responses (all exact verdicts)
   std::uint64_t overloaded = 0;
   std::uint64_t deadline = 0;
   std::uint64_t other_typed = 0;
@@ -123,8 +121,7 @@ perf::BenchResult to_result(const std::string& name, std::size_t queries,
               {"workers", static_cast<double>(kWorkers)},
               {"queries", static_cast<double>(queries)},
               {"overloaded", static_cast<double>(o.overloaded)},
-              {"deadline", static_cast<double>(o.deadline)},
-              {"approx", static_cast<double>(o.approx)}};
+              {"deadline", static_cast<double>(o.deadline)}};
   r.timing.reps = 1;
   r.timing.wall_min_s = r.timing.wall_median_s = o.wall_s;
   r.percentiles = {{"p50_us", o.latency.p50},
@@ -138,8 +135,6 @@ ServiceConfig make_service_config() {
   ServiceConfig scfg;
   scfg.shards = kShards;
   scfg.shard.queue_capacity = 64;
-  scfg.shard.degrade_enter = 48;
-  scfg.shard.degrade_exit = 16;
   scfg.shard.batch_max = 16;
   return scfg;
 }
@@ -186,11 +181,6 @@ RigOutcome run_closed_loop(std::size_t queries, const Workload& w,
         switch (resp.status) {
           case StatusCode::kOk:
             ++out.completed;
-            if (resp.mode == AnswerMode::kApproximate) {
-              ++out.approx;
-            } else {
-              ++out.exact;
-            }
             recorder.record(
                 static_cast<std::uint64_t>((q1 - q0) * 1e6));
             break;
@@ -242,11 +232,6 @@ RigOutcome run_open_loop(std::size_t queries, const Workload& w,
       switch (r.status) {
         case StatusCode::kOk:
           ++out.completed;
-          if (r.mode == AnswerMode::kApproximate) {
-            ++out.approx;
-          } else {
-            ++out.exact;
-          }
           recorder.record(static_cast<std::uint64_t>((q1 - q0) * 1e6));
           break;
         case StatusCode::kOverloaded:
@@ -320,11 +305,8 @@ int main(int argc, char** argv) {
     svc.stop_drain_threads();
     results.push_back(to_result("service/closed_loop", queries, closed));
     std::printf(
-        "closed_loop : %llu ok (%llu exact, %llu approx) in %.2fs  "
-        "p50=%.0fus p99=%.0fus p999=%.0fus\n",
-        static_cast<unsigned long long>(closed.completed),
-        static_cast<unsigned long long>(closed.exact),
-        static_cast<unsigned long long>(closed.approx), closed.wall_s,
+        "closed_loop : %llu ok in %.2fs  p50=%.0fus p99=%.0fus p999=%.0fus\n",
+        static_cast<unsigned long long>(closed.completed), closed.wall_s,
         closed.latency.p50, closed.latency.p99, closed.latency.p999);
   }
 
@@ -343,10 +325,9 @@ int main(int argc, char** argv) {
     results.push_back(
         to_result("service/open_loop_overload", queries, open));
     std::printf(
-        "open_loop   : rate=%.0f/s  %llu ok (%llu approx), %llu overloaded, "
-        "%llu deadline, %llu other  p99=%.0fus p999=%.0fus\n",
+        "open_loop   : rate=%.0f/s  %llu ok, %llu overloaded, %llu deadline, "
+        "%llu other  p99=%.0fus p999=%.0fus\n",
         rate, static_cast<unsigned long long>(open.completed),
-        static_cast<unsigned long long>(open.approx),
         static_cast<unsigned long long>(open.overloaded),
         static_cast<unsigned long long>(open.deadline),
         static_cast<unsigned long long>(open.other_typed), open.latency.p99,

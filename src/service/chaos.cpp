@@ -189,10 +189,8 @@ std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg) {
         } else {
           op.deadline_ms = 20 + rng.uniform_below(80);
         }
-        const auto a = rng.uniform_below(10);
-        op.approx = a < 7   ? ApproxMode::kAllow
-                    : a < 9 ? ApproxMode::kNever
-                            : ApproxMode::kRequire;
+        op.approx = rng.uniform_below(10) < 9 ? ApproxMode::kNever
+                                              : ApproxMode::kRequire;
         ops.push_back(std::move(op));
       }
     } else if (roll < 70) {
@@ -277,8 +275,6 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops) {
   ServiceConfig scfg;
   scfg.shards = kShards;
   scfg.shard.queue_capacity = 8;
-  scfg.shard.degrade_enter = 6;
-  scfg.shard.degrade_exit = 2;
   scfg.shard.batch_max = 4;
   scfg.shard.checked = true;
   scfg.shard.clock = &clock;

@@ -51,7 +51,7 @@ struct ServiceOp {
   std::uint64_t seed = 1;
   std::size_t t = 0;
   std::uint64_t deadline_ms = 0;
-  ApproxMode approx = ApproxMode::kAllow;
+  ApproxMode approx = ApproxMode::kNever;
   std::size_t shard = 0;
   TimeUs advance_us = 0;
 
@@ -66,9 +66,9 @@ std::string encode_trace(std::span<const ServiceOp> ops);
 std::optional<std::vector<ServiceOp>> parse_trace(std::string_view text);
 
 /// A campaign is `ops` random steps drawn from `seed`. The service it
-/// attacks is fixed: 2 shards with queue capacity 8, degradation at depth
-/// 6/2, batches of 4 and the conformance guard on; 4 populations of
-/// 16..127 nodes answer 2tbins queries.
+/// attacks is fixed: 2 shards with queue capacity 8, batches of 4 and the
+/// conformance guard on; 4 populations of 16..127 nodes answer 2tbins
+/// queries (one in ten of them approx=require, answered by the census).
 struct ServiceCampaignConfig {
   std::uint64_t seed = 1;
   std::size_t ops = 400;

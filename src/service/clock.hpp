@@ -1,6 +1,6 @@
 // Wall-clock abstraction for the service tier.
 //
-// Deadlines, load shedding and degradation hysteresis are all *timing*
+// Deadlines, load shedding and mid-run cancellation are all *timing*
 // behaviour — exactly the kind of thing that is untestable against a real
 // clock. Every service component therefore reads time through this
 // interface: RealClock in the daemon and the load rigs, ManualClock in the

@@ -100,18 +100,15 @@ std::optional<BackendTier> parse_backend_tier(std::string_view text) {
 
 const char* to_string(ApproxMode m) {
   switch (m) {
-    case ApproxMode::kAllow:
-      return "allow";
     case ApproxMode::kNever:
       return "never";
     case ApproxMode::kRequire:
       return "require";
   }
-  return "allow";
+  return "never";
 }
 
 std::optional<ApproxMode> parse_approx_mode(std::string_view text) {
-  if (text == "allow") return ApproxMode::kAllow;
   if (text == "never") return ApproxMode::kNever;
   if (text == "require") return ApproxMode::kRequire;
   return std::nullopt;

@@ -8,7 +8,7 @@
 //
 // Requests:
 //   load pop=NAME n=128 x=32 seed=7 model=1+ tier=exact
-//   query pop=NAME t=16 algo=2tbins deadline-ms=50 approx=allow
+//   query pop=NAME t=16 algo=2tbins deadline-ms=50 approx=never
 //   stats | list | ping | drop pop=NAME | kill shard=1 | reboot shard=1 |
 //   shutdown
 //
@@ -41,12 +41,11 @@ enum class BackendTier : std::uint8_t { kExact, kPacket };
 const char* to_string(BackendTier t);
 std::optional<BackendTier> parse_backend_tier(std::string_view text);
 
-/// Client policy for graceful degradation: may the server answer this query
-/// from the approximate counting path when overloaded?
+/// Which path answers a query: an exact session or the approximate
+/// counting census. The shard never picks for the client.
 enum class ApproxMode : std::uint8_t {
-  kAllow,    ///< degrade when the shard is overloaded (the default)
-  kNever,    ///< exact or a typed error, never an estimate
-  kRequire,  ///< always answer approximately (cheap census queries)
+  kNever,    ///< exact or a typed error, never an estimate (the default)
+  kRequire,  ///< answer from the `nz-geom` census, tagged approximate
 };
 
 const char* to_string(ApproxMode m);
@@ -81,7 +80,7 @@ struct Request {
   /// Relative per-query budget in milliseconds; 0 = no deadline. The server
   /// stamps the absolute deadline at admission.
   std::uint64_t deadline_ms = 0;
-  ApproxMode approx = ApproxMode::kAllow;
+  ApproxMode approx = ApproxMode::kNever;
   // kKillShard / kRebootShard:
   std::size_t shard = 0;
 
@@ -93,7 +92,7 @@ struct Request {
 
 /// How a verdict was produced. Responses are honest: an approximate answer
 /// is tagged as such, with its claimed (1±epsilon, confidence) band
-/// attached — a degraded server never passes an estimate off as exact.
+/// attached — the server never passes an estimate off as exact.
 enum class AnswerMode : std::uint8_t { kExact, kApproximate };
 
 const char* to_string(AnswerMode m);

@@ -164,7 +164,6 @@ std::string TcastService::stats_text() const {
   std::ostringstream os;
   for (const auto& s : stats()) {
     os << "shard=" << s.index << " depth=" << s.queue_depth
-       << " degraded=" << (s.degraded ? 1 : 0)
        << " killed=" << (s.killed ? 1 : 0) << " admitted=" << s.admitted
        << " rejected_overload=" << s.rejected_overload
        << " shed_deadline=" << s.shed_deadline
@@ -172,9 +171,8 @@ std::string TcastService::stats_text() const {
        << " cancelled_kill=" << s.cancelled_kill
        << " completed_exact=" << s.completed_exact
        << " completed_approx=" << s.completed_approx
-       << " degrade_entries=" << s.degrade_entries << " errors=" << s.errors
+       << " errors=" << s.errors
        << " conformance_violations=" << s.conformance_violations
-       << " plan_hits=" << s.plan_hits << " plan_misses=" << s.plan_misses
        << " populations=" << s.populations
        << " ewma_service_us=" << s.ewma_service_us
        << " latency_count=" << s.latency.count << " p50_us=" << s.latency.p50

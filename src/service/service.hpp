@@ -2,7 +2,7 @@
 //
 // Populations are sharded by FNV-1a of their name across S shards. A
 // shard executes serially under its drain lock (shard.hpp), which lets its
-// population/plan-cache state go without other locking; different shards
+// population state go without other locking; different shards
 // execute in parallel. The daemon (server.hpp) gives every shard its own
 // drain thread, woken by submit(), so a long job holds back only its own
 // shard. Deterministic tests call pump() by hand under a ManualClock, so

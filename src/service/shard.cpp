@@ -1,6 +1,7 @@
 #include "service/shard.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "conformance/checked_channel.hpp"
@@ -17,8 +18,6 @@ bool is_abns_family(std::string_view algo) {
   return algo == "abns:t" || algo == "abns:2t";
 }
 
-/// Plans kept per shard (PlanCache's LRU capacity).
-constexpr std::size_t kPlanCacheCapacity = 64;
 /// Populations larger than this are rejected kInvalidArgument.
 constexpr std::size_t kMaxPopulation = 1 << 16;
 
@@ -34,7 +33,7 @@ TimeUs absolute_deadline(TimeUs now, std::uint64_t deadline_ms) {
 }  // namespace
 
 Shard::Shard(std::size_t index, ShardConfig cfg)
-    : index_(index), cfg_(std::move(cfg)), plans_(kPlanCacheCapacity) {}
+    : index_(index), cfg_(std::move(cfg)) {}
 
 Shard::~Shard() { stop_drain_thread(); }
 
@@ -60,7 +59,6 @@ void Shard::submit(Request req, Callback cb) {
       job.admit_us = now;
       job.deadline_us = absolute_deadline(now, job.req.deadline_ms);
       queue_.push_back(std::move(job));
-      update_degraded(queue_.size());
     }
   }
   if (rejected) {
@@ -105,8 +103,6 @@ void Shard::drain() {
     }
     finish(job, std::move(resp));
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  update_degraded(queue_.size());
 }
 
 void Shard::start_drain_thread() {
@@ -154,7 +150,6 @@ ShardStats Shard::stats() const {
   ShardStats s;
   s.index = index_;
   s.queue_depth = queue_.size();
-  s.degraded = degraded_.load(std::memory_order_acquire);
   s.killed = killed_.load(std::memory_order_acquire);
   s.admitted = admitted_;
   s.rejected_overload = rejected_overload_;
@@ -163,11 +158,8 @@ ShardStats Shard::stats() const {
   s.cancelled_kill = cancelled_kill_;
   s.completed_exact = completed_exact_;
   s.completed_approx = completed_approx_;
-  s.degrade_entries = degrade_entries_;
   s.errors = errors_;
   s.conformance_violations = conformance_violations_;
-  s.plan_hits = plan_hits_;
-  s.plan_misses = plan_misses_;
   s.populations = populations_count_;
   s.ewma_service_us = ewma_service_us_;
   s.latency = latency_.summarize();
@@ -181,8 +173,6 @@ void Shard::finish(const Job& job, Response resp) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     // finish() runs under the drain lock, so it may read drain-path state.
-    plan_hits_ = plans_.hits();
-    plan_misses_ = plans_.misses();
     populations_count_ = populations_.size();
     switch (resp.status) {
       case StatusCode::kOk:
@@ -218,19 +208,6 @@ void Shard::finish(const Job& job, Response resp) {
     }
   }
   job.cb(resp);
-}
-
-void Shard::update_degraded(std::size_t depth) {
-  // Caller holds mu_ (degrade_entries_). Hysteresis: flip on at
-  // degrade_enter, off only once the backlog drains to degrade_exit.
-  if (!degraded_.load(std::memory_order_relaxed)) {
-    if (depth >= cfg_.degrade_enter) {
-      degraded_.store(true, std::memory_order_release);
-      ++degrade_entries_;
-    }
-  } else if (depth <= cfg_.degrade_exit) {
-    degraded_.store(false, std::memory_order_release);
-  }
 }
 
 std::uint64_t Shard::retry_after_ms_locked(std::size_t depth) const {
@@ -291,8 +268,8 @@ Response Shard::do_load(const Request& req) {
 
   // Stream split: 0 = ground-truth draw, 1 = channel-internal randomness
   // (capture draws), 2 = per-query algorithm randomness. One root seed per
-  // population keeps every served answer a pure function of (seed, query
-  // sequence).
+  // population, and no state shared between populations, keep every served
+  // answer a pure function of (seed, this population's query sequence).
   RngStream truth_rng(req.seed, 0);
   pop.channel_rng = std::make_unique<RngStream>(req.seed, 1);
   pop.query_rng = std::make_unique<RngStream>(req.seed, 2);
@@ -347,10 +324,7 @@ Response Shard::do_query(const Job& job) {
     return resp;
   }
 
-  const bool approx_path =
-      job.req.approx == ApproxMode::kRequire ||
-      (job.req.approx == ApproxMode::kAllow &&
-       degraded_.load(std::memory_order_acquire));
+  const bool approx_path = job.req.approx == ApproxMode::kRequire;
 
   if (!approx_path) {
     const auto* spec = core::find_algorithm(job.req.algorithm);
@@ -364,7 +338,7 @@ Response Shard::do_query(const Job& job) {
   }
 
   QueryCancelToken token(*cfg_.clock, job.deadline_us, killed_);
-  if (token.cancelled()) return cancel_response(token);
+  if (token.cancelled()) return cancel_response();
 
   return approx_path ? run_approx(pop, job, token)
                      : run_exact(pop, job, token);
@@ -376,9 +350,6 @@ Response Shard::run_exact(Population& pop, const Job& job,
   core::EngineOptions eopts;
   eopts.cancel = &token;
 
-  const PlanKey key{pop.n, req.t, req.algorithm};
-  const auto plan = plans_.lookup(key);
-
   const bool checked = cfg_.checked && pop.oracle_capable;
   std::optional<conformance::CheckedChannel> guard;
   if (checked) guard.emplace(*pop.channel, std::span<const NodeId>(pop.nodes));
@@ -387,18 +358,16 @@ Response Shard::run_exact(Population& pop, const Job& job,
                                 : *pop.channel;
 
   core::ThresholdOutcome out;
-  double p_estimate = 0.0;
   if (is_abns_family(req.algorithm)) {
-    // Warm start: prefer the plan cached for this exact (n, t), then the
-    // population's last converged estimate, then the paper's static p0.
+    // Warm start (the paper's p0 lever, Fig. 5): this population's last
+    // converged estimate, else the registry's static p0 (t or 2t).
     double p0 = static_cast<double>(
         req.algorithm == "abns:t" ? req.t : 2 * req.t);
     if (pop.abns_p_estimate > 0.0) p0 = pop.abns_p_estimate;
-    if (plan && plan->p_estimate > 0.0) p0 = plan->p_estimate;
     core::AbnsPolicy policy({p0});
     core::RoundEngine engine(ch, *pop.query_rng, eopts);
     out = engine.run(pop.nodes, req.t, policy);
-    p_estimate = policy.current_estimate();
+    const double p_estimate = policy.current_estimate();
     if (!out.cancelled && p_estimate > 0.0) pop.abns_p_estimate = p_estimate;
   } else {
     const auto* spec = core::find_algorithm(req.algorithm);
@@ -406,12 +375,10 @@ Response Shard::run_exact(Population& pop, const Job& job,
   }
 
   if (out.cancelled) {
-    Response resp = cancel_response(token);
+    Response resp = cancel_response();
     resp.queries = out.queries;
     return resp;
   }
-
-  plans_.insert(key, PlanEntry{p_estimate});
 
   if (checked) {
     guard->check_outcome(req.t, out);
@@ -445,7 +412,7 @@ Response Shard::run_approx(Population& pop, const Job& job,
       core::run_newport_zheng_count(ch, pop.nodes, *pop.query_rng, copts);
 
   if (out.cancelled) {
-    Response resp = cancel_response(token);
+    Response resp = cancel_response();
     resp.queries = out.queries;
     return resp;
   }
@@ -458,8 +425,9 @@ Response Shard::run_approx(Population& pop, const Job& job,
     }
   }
 
-  // The honest degraded answer: the count estimate versus t, tagged with
-  // the estimator's claimed band — never passed off as an exact verdict.
+  // The honest approximate answer: the count estimate versus t, tagged
+  // with the estimator's claimed band — never passed off as an exact
+  // verdict.
   Response resp;
   resp.status = StatusCode::kOk;
   resp.decision =
@@ -472,8 +440,7 @@ Response Shard::run_approx(Population& pop, const Job& job,
   return resp;
 }
 
-Response Shard::cancel_response(const core::CancelToken& token) const {
-  (void)token;
+Response Shard::cancel_response() const {
   Response resp;
   if (killed_.load(std::memory_order_acquire)) {
     resp.status = StatusCode::kShardDown;

@@ -1,27 +1,26 @@
 // A tcastd shard: single-owner executor for a slice of the population
-// namespace, with bounded admission, deadline shedding, and graceful
-// degradation to approximate counting.
+// namespace, with bounded admission, deadline shedding and mid-run
+// cancellation.
 //
 // Concurrency contract:
 //   * submit() / kill() / reboot() / shutdown() / stats() are thread-safe
 //     (server threads, chaos controller);
-//   * drain() — where populations, RNG streams and the plan cache live —
-//     holds the shard's drain lock, so one thread at a time drains it: the
-//     shard's own drain thread, or pump()/drain_all() on the caller's
-//     thread. The execution path needs no other locking around engine
-//     runs.
+//   * drain() — where populations and their RNG streams live — holds the
+//     shard's drain lock, so one thread at a time drains it: the shard's
+//     own drain thread, or pump()/drain_all() on the caller's thread. The
+//     execution path needs no other locking around engine runs.
+//
+// A served answer depends only on its own population: its seed and the
+// queries it has served before. Nothing one population does changes
+// another's answers, and a query is answered approximately only when it
+// asks to be (approx=require), however deep the queue.
 //
 // The overload ladder, in order of escalation (docs/SERVICE.md):
 //   1. admission control — the queue is bounded; a full queue rejects with
 //      kOverloaded + a retry-after hint sized from the EWMA service time;
 //   2. deadline shedding — a query whose deadline expired while queued is
 //      resolved kDeadlineExceeded at dequeue, before any engine work;
-//   3. degradation — sustained depth ≥ degrade_enter flips the shard into
-//      degraded mode (hysteresis: exits at depth ≤ degrade_exit), where
-//      approx-tolerant queries are answered by the `nz-geom` counting
-//      estimator instead of an exact session — honestly tagged
-//      mode=approximate with the claimed (1±ε, confidence) band attached;
-//   4. mid-run cancellation — a shard kill trips the engine's CancelToken
+//   3. mid-run cancellation — a shard kill trips the engine's CancelToken
 //      at the next poll between queries, a deadline within 32 polls; the
 //      outcome maps to a typed error, never a fabricated verdict.
 #pragma once
@@ -43,7 +42,6 @@
 #include "group/query_channel.hpp"
 #include "perf/latency.hpp"
 #include "service/clock.hpp"
-#include "service/plan_cache.hpp"
 #include "service/protocol.hpp"
 
 namespace tcast::service {
@@ -83,10 +81,6 @@ class QueryCancelToken final : public core::CancelToken {
 struct ShardConfig {
   /// Bounded admission queue; a full queue rejects with kOverloaded.
   std::size_t queue_capacity = 64;
-  /// Degradation hysteresis on queue depth: enter at >= enter, leave at
-  /// <= exit. enter > exit keeps the mode from flapping per-request.
-  std::size_t degrade_enter = 32;
-  std::size_t degrade_exit = 8;
   /// Max jobs executed per drain() call: one pump() step, and how many
   /// jobs the drain thread runs before it releases the drain lock and
   /// checks for stop.
@@ -101,7 +95,6 @@ struct ShardConfig {
 struct ShardStats {
   std::size_t index = 0;
   std::size_t queue_depth = 0;
-  bool degraded = false;
   bool killed = false;
   std::uint64_t admitted = 0;
   std::uint64_t rejected_overload = 0;
@@ -110,11 +103,8 @@ struct ShardStats {
   std::uint64_t cancelled_kill = 0;
   std::uint64_t completed_exact = 0;
   std::uint64_t completed_approx = 0;
-  std::uint64_t degrade_entries = 0;  ///< times the shard entered degraded mode
-  std::uint64_t errors = 0;           ///< kNotFound/kInvalidArgument/...
+  std::uint64_t errors = 0;  ///< kNotFound/kInvalidArgument/...
   std::uint64_t conformance_violations = 0;
-  std::uint64_t plan_hits = 0;
-  std::uint64_t plan_misses = 0;
   std::uint64_t populations = 0;
   double ewma_service_us = 0.0;
   perf::PercentileSummary latency;  ///< end-to-end, admission → resolution
@@ -161,7 +151,6 @@ class Shard {
   /// kShuttingDown.
   void shutdown();
 
-  bool degraded() const { return degraded_.load(std::memory_order_acquire); }
   std::size_t queue_depth() const;
   ShardStats stats() const;
 
@@ -188,13 +177,13 @@ class Shard {
     std::unique_ptr<RngStream> query_rng;
     std::unique_ptr<group::QueryChannel> channel;
     bool oracle_capable = false;  ///< exact tier: CheckedChannel eligible
-    /// ABNS warm start: the estimate the last ABNS run converged to.
+    /// ABNS warm start: the estimate the last ABNS run on this population
+    /// converged to (0 until one has run).
     double abns_p_estimate = 0.0;
   };
 
   void drain_loop();
   void finish(const Job& job, Response resp);
-  void update_degraded(std::size_t depth);
   std::uint64_t retry_after_ms_locked(std::size_t depth) const;
 
   Response execute(const Job& job);
@@ -205,13 +194,12 @@ class Shard {
                      const core::CancelToken& token);
   Response run_approx(Population& pop, const Job& job,
                       const core::CancelToken& token);
-  Response cancel_response(const core::CancelToken& token) const;
+  Response cancel_response() const;
 
   std::size_t index_;
   ShardConfig cfg_;
   std::atomic<bool> killed_{false};
   std::atomic<bool> shutting_down_{false};
-  std::atomic<bool> degraded_{false};
 
   mutable std::mutex mu_;  ///< queue + counters + latency recorder
   std::condition_variable work_cv_;  ///< on mu_: job admitted or stop
@@ -224,20 +212,16 @@ class Shard {
   std::uint64_t cancelled_kill_ = 0;
   std::uint64_t completed_exact_ = 0;
   std::uint64_t completed_approx_ = 0;
-  std::uint64_t degrade_entries_ = 0;
   std::uint64_t errors_ = 0;
   std::uint64_t conformance_violations_ = 0;
   double ewma_service_us_ = 0.0;
   perf::LatencyRecorder latency_{1 << 14};
-  // stats()'s copies of drain-path figures, refreshed by finish().
-  std::uint64_t plan_hits_ = 0;
-  std::uint64_t plan_misses_ = 0;
+  // stats()'s copy of the population count, refreshed by finish().
   std::size_t populations_count_ = 0;
 
   // Drain-path state, guarded by drain_mu_ (see concurrency contract).
   std::mutex drain_mu_;
   std::unordered_map<std::string, Population> populations_;
-  PlanCache plans_;
 
   std::thread drain_thread_;
 };

@@ -28,7 +28,7 @@ TEST(ServiceOpCodec, EveryKindRoundTrips) {
     op.pop = "p0";
     op.t = 16;
     op.deadline_ms = 5;
-    op.approx = ApproxMode::kNever;
+    op.approx = ApproxMode::kRequire;  // not the default: parse must read it
     ops.push_back(op);
   }
   {
@@ -80,6 +80,7 @@ TEST(ServiceOpCodec, RejectsMalformedOps) {
       "kill =1",                        // no key
       "reboot shard=1 bogus=2",         // unknown key
       "query pop=p t=4 approx=maybe",   // unknown mode
+      "query pop=p t=4 approx=allow",   // removed mode
   };
   for (const char* line : bad)
     EXPECT_FALSE(ServiceOp::parse(line).has_value()) << line;

@@ -61,6 +61,16 @@ TEST(RequestCodec, RejectsGarbage) {
   EXPECT_FALSE(Request::parse("query").has_value());  // missing pop
   EXPECT_FALSE(Request::parse("query pop=x bogus-key=1").has_value());
   EXPECT_FALSE(Request::parse("load pop=x n=notanumber").has_value());
+  EXPECT_FALSE(Request::parse("query pop=x t=4 approx=maybe").has_value());
+  EXPECT_FALSE(Request::parse("query pop=x t=4 approx=allow").has_value());
+}
+
+TEST(RequestCodec, QueryDefaultsToAnExactSession) {
+  const auto parsed = Request::parse("query pop=x t=4");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->approx, ApproxMode::kNever);
+  EXPECT_EQ(parsed->encode(),
+            "query pop=x t=4 algo=2tbins deadline-ms=0 approx=never");
 }
 
 TEST(ResponseCodec, VerdictRoundTrips) {

@@ -52,7 +52,6 @@ Request make_query(const std::string& pop, std::size_t t) {
   req.kind = RequestKind::kQuery;
   req.population = pop;
   req.t = t;
-  req.approx = ApproxMode::kNever;
   return req;
 }
 
@@ -131,7 +130,7 @@ TEST(Service, ListAndStatsReflectState) {
   const auto s = h.roundtrip(std::move(stats));
   ASSERT_EQ(s->status, StatusCode::kOk);
   EXPECT_NE(s->message.find("shard="), std::string::npos);
-  EXPECT_NE(s->message.find("plan_hits="), std::string::npos);
+  EXPECT_NE(s->message.find("completed_exact=1"), std::string::npos);
   EXPECT_NE(s->message.find("p99_us="), std::string::npos);
 }
 

@@ -1,7 +1,7 @@
 // Deterministic overload-ladder tests against one Shard under a
 // ManualClock: every rung — admission rejection, deadline shedding,
-// degradation hysteresis, mid-run cancellation, kill/reboot — is a
-// scripted event here, not a race.
+// mid-run cancellation, kill/reboot — is a scripted event here, not a
+// race.
 #include "service/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -24,15 +24,22 @@ Request load_req(const std::string& pop, std::size_t n, std::size_t x,
   return req;
 }
 
+/// A query in the wire's default mode (an exact session).
 Request query_req(const std::string& pop, std::size_t t,
-                  std::uint64_t deadline_ms = 0,
-                  ApproxMode approx = ApproxMode::kAllow) {
+                  std::uint64_t deadline_ms = 0) {
   Request req;
   req.kind = RequestKind::kQuery;
   req.population = pop;
   req.t = t;
   req.deadline_ms = deadline_ms;
-  req.approx = approx;
+  return req;
+}
+
+/// A census query (approx=require).
+Request census_req(const std::string& pop, std::size_t t,
+                   std::uint64_t deadline_ms = 0) {
+  Request req = query_req(pop, t, deadline_ms);
+  req.approx = ApproxMode::kRequire;
   return req;
 }
 
@@ -76,7 +83,7 @@ TEST(Shard, ExactVerdictsMatchGroundTruth) {
   out.submit(shard, load_req("p", 64, 20));
   shard.drain();
   for (const std::size_t t : {1u, 19u, 20u, 21u, 64u}) {
-    out.submit(shard, query_req("p", t, 0, ApproxMode::kNever));
+    out.submit(shard, query_req("p", t));
     shard.drain();
   }
   for (std::size_t i = 1; i < out.size(); ++i) {
@@ -110,7 +117,7 @@ TEST(Shard, ExactLoadHonoursModel) {
     out.submit(shard, std::move(load));
     shard.drain();
     for (const std::size_t t : thresholds) {
-      out.submit(shard, query_req("p", t, 0, ApproxMode::kNever));
+      out.submit(shard, query_req("p", t));
       shard.drain();
     }
     ASSERT_EQ(out.at(0)->status, StatusCode::kOk);
@@ -236,8 +243,7 @@ TEST(Shard, DeadlineReadsTheClockOncePerStride) {
   shard.drain();
 
   const std::uint64_t before = clock.reads();
-  out.submit(shard, query_req("p", 128, /*deadline_ms=*/50,
-                              ApproxMode::kNever));
+  out.submit(shard, query_req("p", 128, /*deadline_ms=*/50));
   shard.drain();
   ASSERT_EQ(out.at(1)->status, StatusCode::kOk);
   // The engine polls the token once per query on a lossless channel. Four
@@ -263,8 +269,7 @@ TEST(Shard, KillTripsAtTheNextPoll) {
   // the flag, so one more query runs and the next poll, which reads no
   // clock, must trip on the flag.
   clock.kill_on_read(shard, 4);
-  out.submit(shard, query_req("p", 128, /*deadline_ms=*/50,
-                              ApproxMode::kNever));
+  out.submit(shard, query_req("p", 128, /*deadline_ms=*/50));
   shard.drain();
 
   ASSERT_TRUE(out.at(1).has_value());
@@ -275,77 +280,13 @@ TEST(Shard, KillTripsAtTheNextPoll) {
   EXPECT_EQ(stats.completed_exact, 0u);  // no fabricated verdict
 }
 
-TEST(Shard, DegradationHysteresisEntersAndExits) {
-  ManualClock clock;
-  ShardConfig cfg = config(clock);
-  cfg.queue_capacity = 16;
-  cfg.degrade_enter = 4;
-  cfg.degrade_exit = 1;
-  cfg.batch_max = 1;
-  Shard shard(0, cfg);
-  Collector out;
-  out.submit(shard, load_req("p", 64, 30));
-  shard.drain();
-  EXPECT_FALSE(shard.degraded());
-
-  for (int i = 0; i < 4; ++i) out.submit(shard, query_req("p", 16));
-  EXPECT_TRUE(shard.degraded());  // depth hit degrade_enter
-
-  shard.drain();  // depth 4 -> 3: still above degrade_exit
-  EXPECT_TRUE(shard.degraded());
-  shard.drain();  // 3 -> 2
-  EXPECT_TRUE(shard.degraded());
-  shard.drain();  // 2 -> 1 == degrade_exit: recovery
-  EXPECT_FALSE(shard.degraded());
-  shard.drain();
-
-  // Every queued query resolved kOk; the ones served while degraded took
-  // the approximate path and, if tagged approximate, carry their band.
-  const auto stats = shard.stats();
-  EXPECT_EQ(out.resolved(), out.size());
-  EXPECT_EQ(stats.completed_exact + stats.completed_approx, 4u);
-  EXPECT_EQ(stats.degrade_entries, 1u);
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    const Response& r = *out.at(i);
-    ASSERT_EQ(r.status, StatusCode::kOk);
-    if (r.mode == AnswerMode::kApproximate) {
-      EXPECT_GT(r.epsilon, 0.0);
-      EXPECT_GT(r.confidence, 0.0);
-    }
-  }
-  EXPECT_EQ(stats.conformance_violations, 0u);
-}
-
-TEST(Shard, ApproxNeverIsServedExactEvenWhileDegraded) {
-  ManualClock clock;
-  ShardConfig cfg = config(clock);
-  cfg.degrade_enter = 2;
-  cfg.degrade_exit = 0;
-  cfg.batch_max = 8;
-  Shard shard(0, cfg);
-  Collector out;
-  out.submit(shard, load_req("p", 64, 30));
-  shard.drain();
-
-  out.submit(shard, query_req("p", 16, 0, ApproxMode::kNever));
-  out.submit(shard, query_req("p", 16, 0, ApproxMode::kNever));
-  ASSERT_TRUE(shard.degraded());
-  shard.drain();
-
-  for (std::size_t i = 1; i <= 2; ++i) {
-    ASSERT_EQ(out.at(i)->status, StatusCode::kOk);
-    EXPECT_EQ(out.at(i)->mode, AnswerMode::kExact);
-    EXPECT_TRUE(out.at(i)->decision);  // x=30 >= t=16
-  }
-}
-
 TEST(Shard, ApproxRequireAnswersFromTheCountingPath) {
   ManualClock clock;
   Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, load_req("p", 64, 30));
   shard.drain();
-  out.submit(shard, query_req("p", 16, 0, ApproxMode::kRequire));
+  out.submit(shard, census_req("p", 16));
   shard.drain();
   const Response& r = *out.at(1);
   ASSERT_EQ(r.status, StatusCode::kOk);
@@ -406,54 +347,159 @@ TEST(Shard, TypedErrorsForBadRequests) {
   Shard shard(0, config(clock));
   Collector out;
   out.submit(shard, query_req("ghost", 5));
+  Request drop;
+  drop.kind = RequestKind::kDrop;
+  drop.population = "ghost";
+  out.submit(shard, std::move(drop));
   out.submit(shard, load_req("p", 32, 10));
   shard.drain();
   EXPECT_EQ(out.at(0)->status, StatusCode::kNotFound);
+  EXPECT_EQ(out.at(1)->status, StatusCode::kNotFound);
 
+  // The service answers control verbs itself; one that reaches a shard is
+  // a typed error, not a crash or a silent drop.
+  Request ping;
+  ping.kind = RequestKind::kPing;
+  out.submit(shard, std::move(ping));
   out.submit(shard, query_req("p", 0));    // t out of range
   out.submit(shard, query_req("p", 33));   // t > n
   out.submit(shard, load_req("big", 32, 40));  // x > n
-  Request oracle = query_req("p", 5, 0, ApproxMode::kNever);
+  Request oracle = query_req("p", 5);
   oracle.algorithm = "oracle";
   out.submit(shard, std::move(oracle));
-  Request unknown = query_req("p", 5, 0, ApproxMode::kNever);
+  Request unknown = query_req("p", 5);
   unknown.algorithm = "no-such-algo";
   out.submit(shard, std::move(unknown));
   shard.drain();
-  for (std::size_t i = 2; i < out.size(); ++i) {
+  for (std::size_t i = 3; i < out.size(); ++i) {
     ASSERT_TRUE(out.at(i).has_value()) << i;
     EXPECT_EQ(out.at(i)->status, StatusCode::kInvalidArgument) << i;
   }
 }
 
-TEST(Shard, AbnsWarmStartHitsThePlanCache) {
+/// What a client sees of one answer.
+struct Answer {
+  StatusCode status = StatusCode::kOk;
+  bool decision = false;
+  AnswerMode mode = AnswerMode::kExact;
+  QueryCount queries = 0;
+};
+
+/// What else the shard serves while population "a" answers its queries.
+enum class Neighbour { kNone, kSameThresholds, kBacklog };
+
+/// Runs a fixed sequence of abns:t and 2tbins queries on "a" (N=256,
+/// x=32), sharing one shard with "b" (N=256, x=90), and returns a's
+/// answers in order. One drain() serves a whole backlog.
+std::vector<Answer> answers_of_a(Neighbour neighbour) {
   ManualClock clock;
-  Shard shard(0, config(clock));
+  ShardConfig cfg = config(clock);
+  cfg.batch_max = cfg.queue_capacity;
+  Shard shard(0, cfg);
   Collector out;
-  out.submit(shard, load_req("p", 128, 40));
+  out.submit(shard, load_req("a", 256, 32, 7));
+  out.submit(shard, load_req("b", 256, 90, 11));
   shard.drain();
 
-  Request q = query_req("p", 20, 0, ApproxMode::kNever);
-  q.algorithm = "abns:t";
-  out.submit(shard, Request(q));
-  shard.drain();
-  auto stats = shard.stats();
-  EXPECT_EQ(stats.plan_misses, 1u);
-  EXPECT_EQ(stats.plan_hits, 0u);
+  std::vector<std::size_t> slots;
+  for (std::size_t t = 30; t <= 37; ++t) {
+    for (const char* algorithm : {"abns:t", "2tbins"}) {
+      if (neighbour == Neighbour::kSameThresholds) {
+        Request b = query_req("b", t);
+        b.algorithm = algorithm;
+        out.submit(shard, std::move(b));
+      } else if (neighbour == Neighbour::kBacklog) {
+        for (int i = 0; i < 32; ++i) out.submit(shard, query_req("b", t));
+      }
+      Request a = query_req("a", t);
+      a.algorithm = algorithm;
+      slots.push_back(out.size());
+      out.submit(shard, std::move(a));
+      shard.drain();
+    }
+  }
+  EXPECT_EQ(out.resolved(), out.size());
+  EXPECT_EQ(shard.stats().conformance_violations, 0u);
 
-  // Same (n, t, algorithm): the second run warm-starts from the cached
-  // converged estimate.
-  out.submit(shard, Request(q));
-  shard.drain();
-  stats = shard.stats();
-  EXPECT_EQ(stats.plan_misses, 1u);
-  EXPECT_EQ(stats.plan_hits, 1u);
+  std::vector<Answer> answers;
+  for (const std::size_t slot : slots) {
+    const Response& r = *out.at(slot);
+    answers.push_back({r.status, r.decision, r.mode, r.queries});
+  }
+  return answers;
+}
 
-  ASSERT_EQ(out.at(1)->status, StatusCode::kOk);
-  ASSERT_EQ(out.at(2)->status, StatusCode::kOk);
-  EXPECT_TRUE(out.at(1)->decision);
-  EXPECT_TRUE(out.at(2)->decision);
-  EXPECT_EQ(stats.conformance_violations, 0u);
+TEST(Shard, AnswerDependsOnlyOnItsOwnPopulation) {
+  // An answer is a function of its own population's seed and query
+  // history. Neither another population of the same N queried at the same
+  // thresholds (whose ABNS estimate must not warm-start a's runs) nor a
+  // backlog queued ahead (which must not switch a's queries to the census)
+  // may change a single one of a's answers.
+  const std::vector<Answer> alone = answers_of_a(Neighbour::kNone);
+  for (const Answer& a : alone) {
+    EXPECT_EQ(a.status, StatusCode::kOk);
+    EXPECT_EQ(a.mode, AnswerMode::kExact);
+  }
+  for (const Neighbour neighbour :
+       {Neighbour::kSameThresholds, Neighbour::kBacklog}) {
+    const std::vector<Answer> shared = answers_of_a(neighbour);
+    ASSERT_EQ(shared.size(), alone.size());
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+      const auto tag = ::testing::Message()
+                       << "neighbour " << static_cast<int>(neighbour)
+                       << ", query " << i;
+      EXPECT_EQ(shared[i].status, alone[i].status) << tag;
+      EXPECT_EQ(shared[i].decision, alone[i].decision) << tag;
+      EXPECT_EQ(shared[i].mode, alone[i].mode) << tag;
+      EXPECT_EQ(shared[i].queries, alone[i].queries) << tag;
+    }
+  }
+}
+
+TEST(Shard, CensusCancelledMidRunGivesNoEstimate) {
+  // A census polls the token before every probe, so a kill or a deadline
+  // trips it mid-run like an exact session: a typed error, no estimate.
+  {
+    CountingClock clock;
+    Shard shard(0, config(clock));
+    Collector out;
+    out.submit(shard, load_req("p", 256, 100));
+    shard.drain();
+    // Read 4 is the token's clock read at its 33rd poll (see
+    // KillTripsAtTheNextPoll); a census polls well over 33 times.
+    clock.kill_on_read(shard, 4);
+    out.submit(shard, census_req("p", 100, /*deadline_ms=*/50));
+    shard.drain();
+    ASSERT_TRUE(out.at(1).has_value());
+    const Response& r = *out.at(1);
+    EXPECT_EQ(r.status, StatusCode::kShardDown);
+    EXPECT_EQ(r.estimate, 0.0);
+    EXPECT_EQ(r.epsilon, 0.0);
+    EXPECT_GT(r.queries, 0u);
+    const auto stats = shard.stats();
+    EXPECT_EQ(stats.cancelled_kill, 1u);
+    EXPECT_EQ(stats.completed_approx, 0u);
+  }
+  {
+    SteppingClock clock(500);
+    Shard shard(0, config(clock));
+    Collector out;
+    out.submit(shard, load_req("p", 256, 100));
+    shard.drain();
+    // 2 ms = 4 reads (DeadlineTrippedMidRunIsACancelNotAVerdict): the
+    // token's read at its 65th poll finds the deadline passed.
+    out.submit(shard, census_req("p", 100, /*deadline_ms=*/2));
+    shard.drain();
+    ASSERT_TRUE(out.at(1).has_value());
+    const Response& r = *out.at(1);
+    EXPECT_EQ(r.status, StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(r.estimate, 0.0);
+    EXPECT_EQ(r.epsilon, 0.0);
+    EXPECT_GT(r.queries, 0u);
+    const auto stats = shard.stats();
+    EXPECT_EQ(stats.cancelled_deadline, 1u);
+    EXPECT_EQ(stats.completed_approx, 0u);
+  }
 }
 
 TEST(Shard, PacketTierServesVerdicts) {
@@ -464,7 +510,7 @@ TEST(Shard, PacketTierServesVerdicts) {
   load.tier = BackendTier::kPacket;
   out.submit(shard, std::move(load));
   shard.drain();
-  out.submit(shard, query_req("pk", 10, 0, ApproxMode::kNever));
+  out.submit(shard, query_req("pk", 10));
   shard.drain();
   ASSERT_TRUE(out.at(1).has_value());
   EXPECT_EQ(out.at(1)->status, StatusCode::kOk);

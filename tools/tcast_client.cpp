@@ -6,7 +6,7 @@
 //
 // Requests are protocol lines (see docs/SERVICE.md), e.g.:
 //   load pop=fleet n=256 x=40 seed=7
-//   query pop=fleet t=32 deadline-ms=50 approx=allow
+//   query pop=fleet t=32 deadline-ms=50 approx=require
 //   stats | list | ping | shutdown
 //
 // Retryable responses (kOverloaded / kShardDown / kShuttingDown) are

@@ -1,19 +1,18 @@
 // tcastd — the threshold-query daemon.
 //
 //   tcastd --socket /tmp/tcastd.sock [--shards 4] [--queue-capacity 64]
-//          [--degrade-enter 32] [--degrade-exit 8] [--batch-max 8]
-//          [--checked]
+//          [--batch-max 8] [--checked]
 //
 // Serves the wire protocol of src/service/protocol.hpp over a Unix domain
 // socket. Populations are sharded by name; queries resolve to exact
-// verdicts, honestly-tagged approximate answers (under overload
-// degradation), or typed errors — never fabricated verdicts, never silent
-// drops. `tcast_client <socket> shutdown` stops it cleanly.
+// verdicts, honestly-tagged approximate answers (approx=require only), or
+// typed errors — never fabricated verdicts, never silent drops.
+// `tcast_client <socket> shutdown` stops it cleanly.
 //
 // A flag with a missing or malformed value, 0 or more than 64 shards (each
-// shard runs a drain thread), a zero batch, or --degrade-exit not below
-// --degrade-enter prints "tcastd: bad value for <flag>" and exits 2 before
-// the socket is bound.
+// shard runs a drain thread) or a zero batch prints "tcastd: bad value for
+// <flag>", and an unknown flag "tcastd: unknown argument <flag>"; either
+// exits 2 before the socket is bound.
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -70,25 +69,18 @@ int main(int argc, char** argv) {
       ok = number(cfg.shards);
     } else if (arg == "--queue-capacity") {
       ok = number(shard.queue_capacity);
-    } else if (arg == "--degrade-enter") {
-      ok = number(shard.degrade_enter);
-    } else if (arg == "--degrade-exit") {
-      ok = number(shard.degrade_exit);
     } else if (arg == "--batch-max") {
       ok = number(shard.batch_max);
     } else if (arg == "--checked") {
       shard.checked = true;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      std::fprintf(stderr, "tcastd: unknown argument %s\n", arg.c_str());
       return 2;
     }
     if (!ok) return bad_value(arg.c_str());
   }
   if (cfg.shards == 0 || cfg.shards > kMaxShards) return bad_value("--shards");
   if (shard.batch_max == 0) return bad_value("--batch-max");
-  // enter > exit keeps degradation from flapping (shard.hpp).
-  if (shard.degrade_exit >= shard.degrade_enter)
-    return bad_value("--degrade-exit");
 
   TcastService service(cfg);
   UnixServer server(service, socket_path);
@@ -103,9 +95,8 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
 
-  std::printf("tcastd: listening on %s (%zu shards, queue %zu, degrade %zu/%zu%s)\n",
+  std::printf("tcastd: listening on %s (%zu shards, queue %zu%s)\n",
               socket_path.c_str(), cfg.shards, shard.queue_capacity,
-              shard.degrade_enter, shard.degrade_exit,
               shard.checked ? ", checked" : "");
   std::fflush(stdout);
 

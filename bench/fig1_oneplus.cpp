@@ -8,8 +8,7 @@
 // both extremes; CSMA grows ∝ x; sequential starts near n − x and only
 // becomes competitive for x ≫ t.
 #include "bench/figure_common.hpp"
-#include "core/csma_baseline.hpp"
-#include "core/sequential_baseline.hpp"
+#include "core/baselines.hpp"
 
 namespace tcast::bench {
 namespace {
@@ -37,14 +36,13 @@ int run(int argc, char** argv) {
     table.set(static_cast<double>(x), "csma",
               run_trials(mc, [x](RngStream& rng) {
                 return static_cast<double>(
-                    core::run_csma_baseline(kN, x, kT, rng).outcome.queries);
+                    core::run_csma_baseline(kN, x, kT, rng).slots);
               }).mean());
     mc.experiment_id = point_id(1, 11, x);
     table.set(static_cast<double>(x), "sequential",
               run_trials(mc, [x](RngStream& rng) {
                 return static_cast<double>(
-                    core::run_sequential_baseline(kN, x, kT, rng)
-                        .outcome.queries);
+                    core::run_sequential_baseline(kN, x, kT, rng).slots);
               }).mean());
   }
 

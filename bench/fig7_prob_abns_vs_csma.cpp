@@ -5,7 +5,7 @@
 // the probabilistic ABNS wins by a growing margin because CSMA must carry
 // every reply through contention while tcast needs ≈ t queries.
 #include "bench/figure_common.hpp"
-#include "core/csma_baseline.hpp"
+#include "core/baselines.hpp"
 
 namespace tcast::bench {
 namespace {
@@ -25,7 +25,7 @@ int run(int argc, char** argv) {
     table.set(static_cast<double>(x), "csma",
               run_trials(mc, [x](RngStream& rng) {
                 return static_cast<double>(
-                    core::run_csma_baseline(kN, x, kT, rng).outcome.queries);
+                    core::run_csma_baseline(kN, x, kT, rng).slots);
               }).mean());
   }
 

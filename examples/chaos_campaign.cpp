@@ -10,14 +10,10 @@
 //                                                 # preset (nightly)
 //   chaos_campaign --service --sessions 16        # daemon-level campaign
 //                                                 # (src/service/chaos.hpp)
-//   chaos_campaign --unsafe-gate --shrink --emit-stanza
-//                                                 # demo: catch + minimize
-//                                                 # the known gate hole
 //
-// Exit code 0 = zero violations (or, with --unsafe-gate, violations found
-// AND every one shrunk to a replaying reproducer); 1 otherwise. With
-// --out-dir, minimized reproducers are written one per file (replay spec
-// on line 1, regression stanza after) so CI can upload them as artifacts.
+// Exit code 0 = zero violations; 1 otherwise. With --out-dir, minimized
+// reproducers are written one per file (replay spec on line 1, regression
+// stanza after) so CI can upload them as artifacts.
 // A flag with a missing value, a number that is not a whole one in range,
 // zero sessions or ops (a campaign that tests nothing), a --tiers entry
 // other than exact or packet, or more than 256 workers prints
@@ -48,7 +44,6 @@ struct Options {
   bool counting = false;
   bool service = false;
   std::size_t service_ops = 400;
-  bool unsafe_gate = false;
   bool shrink = false;
   bool emit_stanza = false;
   std::string out_dir;
@@ -60,7 +55,7 @@ void usage(const char* argv0) {
                "          [--algos NAME,NAME,...] [--counting]\n"
                "          [--workers N]\n"
                "          [--service] [--ops N]\n"
-               "          [--unsafe-gate] [--shrink] [--emit-stanza]\n"
+               "          [--shrink] [--emit-stanza]\n"
                "          [--out-dir DIR]\n"
                "  --algos    restrict the campaign to the named registry\n"
                "             algorithms (default: every non-oracle entry)\n"
@@ -120,8 +115,6 @@ int parse_args(int argc, char** argv, Options& opts) {
       opts.service = true;
     } else if (arg == "--ops") {
       good = number(opts.service_ops) && opts.service_ops > 0;
-    } else if (arg == "--unsafe-gate") {
-      opts.unsafe_gate = true;
     } else if (arg == "--shrink") {
       opts.shrink = true;
     } else if (arg == "--emit-stanza") {
@@ -183,7 +176,6 @@ int main(int argc, char** argv) {
   if (opts.counting) cfg = chaos::counting_campaign_config(opts.seed);
   cfg.sessions_per_cell = opts.sessions;
   cfg.seed = opts.seed;
-  cfg.break_counts_two_gate = opts.unsafe_gate;
   std::unique_ptr<tcast::ThreadPool> pool;
   if (opts.workers > 0) {
     pool = std::make_unique<tcast::ThreadPool>(opts.workers);
@@ -212,18 +204,6 @@ int main(int argc, char** argv) {
     cfg.tiers.push_back(chaos::Tier::kExact);
   if (opts.tiers.find("packet") != std::string::npos)
     cfg.tiers.push_back(chaos::Tier::kPacket);
-  if (opts.unsafe_gate) {
-    // The gate hole needs lossy 2+ sessions with downgraded captures to
-    // show itself; focus the grid there so the demo stays fast.
-    faults::FaultPlan plan;
-    plan.process = faults::FaultPlan::LossProcess::kGilbertElliott;
-    plan.ge_enter_bad = 0.3;
-    plan.ge_exit_bad = 0.2;
-    plan.ge_loss_bad = 0.8;
-    plan.capture_downgrade = 0.4;
-    cfg.plans = {plan};
-    cfg.algorithms = {"2tbins", "expinc"};
-  }
 
   const auto result = chaos::run_campaign(cfg);
   std::printf("chaos campaign: %zu sessions, %zu faults injected, "
@@ -231,13 +211,11 @@ int main(int argc, char** argv) {
               result.sessions, result.faults_injected,
               result.violating.size(), result.false_yes, result.false_no);
 
-  std::size_t shrunk_ok = 0;
   if (opts.shrink) {
     const auto pred = chaos::violates_any();
     std::size_t index = 0;
     for (const auto& victim : result.violating) {
       const auto shrunk = chaos::shrink(victim.scenario, victim.trace, pred);
-      ++shrunk_ok;
       std::printf("reproducer %zu: %zu -> %zu events, %zu probes\n  %s\n",
                   index, shrunk.original_events, shrunk.trace.events.size(),
                   shrunk.probes, shrunk.replay_spec().c_str());
@@ -254,13 +232,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (opts.unsafe_gate) {
-    // Demo mode succeeds only if the monitors caught the hole (and, when
-    // shrinking, every violation minimized to a replaying reproducer).
-    const bool caught = !result.violating.empty();
-    const bool all_shrunk =
-        !opts.shrink || shrunk_ok == result.violating.size();
-    return caught && all_shrunk ? 0 : 1;
-  }
   return result.violating.empty() ? 0 : 1;
 }

@@ -21,9 +21,9 @@ double optimal_sampling_bin(double t_l, double t_r) {
   return std::max(1.0 + 1e-9, 1.0 / (1.0 - q));
 }
 
-SamplingPlan make_sampling_plan(double t_l, double t_r, double b_override) {
+SamplingPlan make_sampling_plan(double t_l, double t_r) {
   SamplingPlan plan;
-  plan.b = b_override > 0.0 ? b_override : optimal_sampling_bin(t_l, t_r);
+  plan.b = optimal_sampling_bin(t_l, t_r);
   plan.q_low = nonempty_probability(plan.b, std::max(0.0, t_l));
   plan.q_high = nonempty_probability(plan.b, t_r);
   return plan;

@@ -32,10 +32,8 @@ struct SamplingPlan {
 /// for t_l = 0 the optimum is b* = 1/(1 − 0^{...}) → use the limit form.
 double optimal_sampling_bin(double t_l, double t_r);
 
-/// Builds the plan for boundaries (t_l, t_r) with the optimal b (or a
-/// caller-supplied b when b_override > 0).
-SamplingPlan make_sampling_plan(double t_l, double t_r,
-                                double b_override = 0.0);
+/// Builds the plan for boundaries (t_l, t_r) with the optimal b.
+SamplingPlan make_sampling_plan(double t_l, double t_r);
 
 /// Paper Eq. (10): r ≥ 2·log(1/δ) / (ε·log 2e) with ε the tolerated count
 /// deviation. Kept verbatim for reproduction.

@@ -116,7 +116,6 @@ SessionReport run_impl(const ChaosScenario& sc,
   core::EngineOptions opts;
   opts.ordering = core::BinOrdering::kInOrder;  // cross-tier parity
   opts.retry = sc.retry;
-  opts.unsafe_counts_two_despite_loss = sc.break_counts_two_gate;
 
   SessionReport rep;
   rep.scenario = sc;
@@ -159,7 +158,6 @@ std::string ChaosScenario::spec() const {
   s += ";plan=" + plan.to_spec();
   if (retry.kind != core::RetryPolicy::Kind::kNone)
     s += ";retry=" + retry.spec();
-  if (break_counts_two_gate) s += ";unsafe=1";
   return s;
 }
 
@@ -199,9 +197,6 @@ std::optional<ChaosScenario> ChaosScenario::parse(std::string_view text) {
       const auto retry = core::RetryPolicy::parse(value);
       if (!retry) return std::nullopt;
       sc.retry = *retry;
-    } else if (key == "unsafe") {
-      if (value != "0" && value != "1") return std::nullopt;
-      sc.break_counts_two_gate = value == "1";
     } else {
       return std::nullopt;
     }
@@ -281,7 +276,7 @@ CampaignConfig counting_campaign_config(std::uint64_t seed) {
   return cfg;
 }
 
-CampaignResult run_campaign(const CampaignConfig& cfg) {
+std::vector<ChaosScenario> campaign_scenarios(const CampaignConfig& cfg) {
   std::vector<std::string> algorithms = cfg.algorithms;
   if (algorithms.empty()) {
     for (const auto& spec : core::algorithm_registry())
@@ -315,13 +310,16 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
           sc.plan.seed = gen.bits();
           sc.retry = cfg.retry;
           sc.seed = gen.bits();
-          sc.break_counts_two_gate = cfg.break_counts_two_gate;
           scenarios.push_back(sc);
         }
       }
     }
   }
+  return scenarios;
+}
 
+CampaignResult run_campaign(const CampaignConfig& cfg) {
+  const auto scenarios = campaign_scenarios(cfg);
   struct BatchCtx {
     const std::vector<ChaosScenario>* scenarios;
     std::vector<SessionReport>* reports;

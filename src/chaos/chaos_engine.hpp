@@ -18,10 +18,10 @@
 //
 // A correct engine reports zero violations across the whole grid (spurious
 // -activity plans are excluded: interference can legitimately manufacture a
-// false "yes", so no monitor can soundly reject it). The
-// `break_counts_two_gate` knob re-opens the engine's known loss-soundness
-// hole (EngineOptions::unsafe_counts_two_despite_loss) so shrinker tests
-// have a real bug to minimize.
+// false "yes", so no monitor can soundly reject it). A recorded trace keeps
+// the recording channel's lossy() claim; replaying it with that bit cleared
+// is a channel that lies about loss, which re-opens the engine's
+// loss-soundness gate and gives the shrinker tests a real bug to minimize.
 #pragma once
 
 #include <memory>
@@ -62,9 +62,6 @@ struct ChaosScenario {
   /// Root seed: stream 0 draws the positive set, stream 1 the channel
   /// randomness, stream 2 the algorithm's binning.
   std::uint64_t seed = 1;
-  /// TEST-ONLY: run the engine with its loss-soundness gate disabled
-  /// (EngineOptions::unsafe_counts_two_despite_loss).
-  bool break_counts_two_gate = false;
 
   bool ground_truth() const { return x >= t; }
 
@@ -131,7 +128,6 @@ struct CampaignConfig {
   std::size_t sessions_per_cell = 8;
   std::uint64_t seed = 1;
   core::RetryPolicy retry;
-  bool break_counts_two_gate = false;
   /// Instance-size caps: the exact tier is cheap, the packet tier
   /// co-simulates a radio world per query and must stay small.
   std::size_t max_exact_n = 48;
@@ -150,10 +146,12 @@ struct CampaignResult {
   std::vector<SessionReport> violating;
 };
 
-/// Runs the full grid. The scenario list is a pure function of `cfg`
-/// (instance sizes drawn from a dedicated stream of cfg.seed), and sessions
-/// fan out over the pool via run_batch; results are bit-identical whatever
-/// the worker count.
+/// The campaign's sessions, in run order: a pure function of `cfg`
+/// (instance sizes drawn from a dedicated stream of cfg.seed).
+std::vector<ChaosScenario> campaign_scenarios(const CampaignConfig& cfg);
+
+/// Runs the full grid: campaign_scenarios(cfg) fanned out over the pool via
+/// run_batch; results are bit-identical whatever the worker count.
 CampaignResult run_campaign(const CampaignConfig& cfg);
 
 /// Campaign preset over the counting portfolio: every count:* adapter in

@@ -37,8 +37,8 @@ using TracePredicate =
 TracePredicate violates_any();
 
 /// A wrong final verdict survives — specifically a false "yes" (decision
-/// true with ground truth below threshold), the soundness hole the
-/// `break_counts_two_gate` engine variant re-opens.
+/// true with ground truth below threshold), the soundness hole a trace
+/// replayed with its `lossy` bit cleared re-opens.
 TracePredicate violates_false_yes();
 
 struct ShrinkResult {

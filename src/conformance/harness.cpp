@@ -6,7 +6,7 @@
 
 #include "analysis/bounds.hpp"
 #include "common/check.hpp"
-#include "core/sequential_baseline.hpp"
+#include "core/baselines.hpp"
 #include "faults/faulty_channel.hpp"
 #include "group/exact_channel.hpp"
 
@@ -182,9 +182,10 @@ std::vector<ConformanceReport> differential_check(const Scenario& scenario) {
   seq.scenario = exact_sc;
   seq.algorithm = "sequential-baseline";
   RngStream seq_rng(exact_sc.seed, kAlgorithmStream + 1);
-  seq.outcome = core::run_sequential_baseline(exact_sc.n, exact_sc.x,
-                                              exact_sc.t, seq_rng)
-                    .outcome;
+  const auto baseline = core::run_sequential_baseline(exact_sc.n, exact_sc.x,
+                                                      exact_sc.t, seq_rng);
+  seq.outcome.decision = baseline.decision;
+  seq.outcome.queries = baseline.slots;
   if (seq.outcome.decision != truth) {
     seq.violations.push_back(
         {Violation::Category::kOutcome,

@@ -12,7 +12,7 @@ ProbabilisticOutcome run_probabilistic_threshold(
   TCAST_CHECK(opts.repeats >= 1);
 
   ProbabilisticOutcome out;
-  out.plan = analysis::make_sampling_plan(opts.t_l, opts.t_r, opts.b_override);
+  out.plan = analysis::make_sampling_plan(opts.t_l, opts.t_r);
   const double inclusion = 1.0 / out.plan.b;
 
   group::BinAssignment bin;

@@ -18,7 +18,6 @@ struct ProbabilisticThresholdOptions {
   double t_l = 0.0;         ///< low boundary (μ1 + 2σ1)
   double t_r = 0.0;         ///< high boundary (μ2 − 2σ2); must be > t_l
   std::size_t repeats = 1;  ///< r
-  double b_override = 0.0;  ///< sampling parameter; 0 = gap-optimal b
 };
 
 struct ProbabilisticOutcome {

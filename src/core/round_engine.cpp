@@ -172,8 +172,7 @@ ThresholdOutcome RoundEngine::run(std::span<const NodeId> participants,
   // positives — the credit applies only where the channel declares no loss.
   const bool lossy_channel = channel_->lossy();
   const std::size_t activity_lb =
-      (channel_->model() == group::CollisionModel::kTwoPlus &&
-       (!lossy_channel || opts_.unsafe_counts_two_despite_loss))
+      channel_->model() == group::CollisionModel::kTwoPlus && !lossy_channel
           ? 2
           : 1;
 

@@ -117,14 +117,6 @@ struct EngineOptions {
   /// Loss robustness: what to do before committing a silent-bin disposal on
   /// a lossy channel (no effect on lossless channels).
   RetryPolicy retry;
-  /// TEST-ONLY: keep the "activity ⇒ ≥2" credit even on lossy channels.
-  /// The engine credits an undecoded-activity bin with ≥2 positives only
-  /// when the channel does not declare lossy(): a lone reply that fails to
-  /// decode reads as activity there. This flag deliberately re-opens the
-  /// false-"yes" hole that gate closes; the chaos engine's shrinker tests
-  /// use it as the known-broken engine variant whose violations they
-  /// minimize. Never set in production configurations.
-  bool unsafe_counts_two_despite_loss = false;
   /// Cooperative cancellation (deadlines, shard kill). Polled before every
   /// query the engine issues; nullptr = never cancelled. Borrowed — must
   /// outlive the run.

@@ -20,8 +20,6 @@ namespace {
 
 /// The one predicate every announce carries and every responder serves.
 constexpr std::uint8_t kPredicateId = 1;
-/// Size of a foreign cross-traffic frame (Config::interference_duty).
-constexpr std::size_t kInterferenceFrameBytes = 32;
 /// Gap before the first re-poll of a silent bin; it doubles per re-poll.
 constexpr SimTime kPollBackoff = 960 * kMicrosecond;
 
@@ -102,7 +100,6 @@ PacketChannel::PacketChannel(std::vector<bool> positive, Config cfg)
   if (cfg_.interference_duty > 0.0) {
     radio::InterferenceSource::Config icfg;
     icfg.duty = cfg_.interference_duty;
-    icfg.frame_bytes = kInterferenceFrameBytes;
     icfg.position = cfg_.interferer_pos;
     interference_ =
         std::make_unique<radio::InterferenceSource>(*channel_, icfg);
@@ -114,7 +111,7 @@ PacketChannel::~PacketChannel() = default;
 
 std::size_t PacketChannel::max_bins(const Config& cfg) {
   return resolve_primitive(cfg) == RcdPrimitive::kBackcast
-             ? rcd::max_bins(rcd::AddressSlot::kShort)
+             ? rcd::max_bins()
              : std::size_t{rcd::kNotInRound};
 }
 
@@ -237,8 +234,7 @@ BinQueryResult PacketChannel::poll_once(std::uint16_t bin) {
     radio::Frame probe;
     probe.type = radio::FrameType::kPoll;
     probe.ack_request = true;
-    const SimTime die_at =
-        channel_->airtime(probe) + channel_->phy().turnaround / 2;
+    const SimTime die_at = channel_->airtime(probe) + radio::kTurnaround / 2;
     for (const NodeId id : pending_failures_) {
       auto* radio = &participant_radio(id);
       sim_->schedule_after(die_at, [radio] { radio->power_off(); });

@@ -65,17 +65,13 @@ namespace tcast::radio {
 
 class Radio;
 
-/// PHY timing constants (802.15.4 @ 250 kbps; 1 symbol = 16 µs).
-struct PhyParams {
-  SimTime byte_time = 32 * kMicrosecond;     ///< 2 symbols per byte
-  SimTime turnaround = 192 * kMicrosecond;   ///< aTurnaroundTime (12 symbols)
-  SimTime sifs = 192 * kMicrosecond;
-  SimTime backoff_slot = 320 * kMicrosecond; ///< aUnitBackoffPeriod
-  SimTime cca_time = 128 * kMicrosecond;     ///< 8 symbols
-};
+// PHY timing (802.15.4 @ 250 kbps; 1 symbol = 16 µs).
+inline constexpr SimTime kByteTime = 32 * kMicrosecond;  ///< 2 symbols/byte
+/// aTurnaroundTime (12 symbols).
+inline constexpr SimTime kTurnaround = 192 * kMicrosecond;
+inline constexpr SimTime kSifs = 192 * kMicrosecond;
 
 struct ChannelConfig {
-  PhyParams phy;
   double clean_loss = 0.0;  ///< i.i.d. per-receiver loss for lone frames
   HackReceptionModel hack = HackReceptionModel::ideal();
   std::shared_ptr<CaptureModel> capture;  ///< nullptr = NoCaptureModel
@@ -101,7 +97,6 @@ class Channel {
   Channel(sim::Simulator& simulator, ChannelConfig cfg);
 
   sim::Simulator& simulator() { return *sim_; }
-  const PhyParams& phy() const { return cfg_.phy; }
 
   /// Sizes the slot array for `radios` attached radios, so a world that
   /// knows its size attaches them without regrowing it.
@@ -122,7 +117,7 @@ class Channel {
   bool in_range(const Radio& a, const Radio& b) const;
 
   SimTime airtime(const Frame& f) const {
-    return static_cast<SimTime>(f.air_bytes()) * cfg_.phy.byte_time;
+    return static_cast<SimTime>(f.air_bytes()) * kByteTime;
   }
 
   /// Lifetime count of global busy periods (diagnostics / tests).

@@ -15,9 +15,9 @@ double EnergyMeter::charge_mc() const {
   const auto seconds = [](SimTime t) {
     return static_cast<double>(t) / static_cast<double>(kSecond);
   };
-  return cfg_.off_ma * seconds(time_in(RadioState::kOff)) +
-         cfg_.rx_ma * seconds(time_in(RadioState::kRx)) +
-         cfg_.tx_ma * seconds(time_in(RadioState::kTx));
+  return kOffMa * seconds(time_in(RadioState::kOff)) +
+         kRxMa * seconds(time_in(RadioState::kRx)) +
+         kTxMa * seconds(time_in(RadioState::kTx));
 }
 
 }  // namespace tcast::radio

@@ -16,18 +16,14 @@ enum class RadioState : std::size_t { kOff = 0, kRx = 1, kTx = 2 };
 
 inline constexpr std::size_t kRadioStateCount = 3;
 
-struct EnergyConfig {
-  // CC2420 datasheet typical values at 3.0 V.
-  double off_ma = 0.001;  ///< power-down leakage
-  double rx_ma = 18.8;    ///< receive / listen
-  double tx_ma = 17.4;    ///< transmit at 0 dBm
-  double voltage = 3.0;
-};
+// CC2420 datasheet typical values at 3.0 V.
+inline constexpr double kOffMa = 0.001;  ///< power-down leakage
+inline constexpr double kRxMa = 18.8;    ///< receive / listen
+inline constexpr double kTxMa = 17.4;    ///< transmit at 0 dBm
+inline constexpr double kVoltage = 3.0;
 
 class EnergyMeter {
  public:
-  explicit EnergyMeter(EnergyConfig cfg = {}) : cfg_(cfg) {}
-
   /// Records a state change at simulated time `now` (monotonic).
   void transition(RadioState next, SimTime now);
 
@@ -41,10 +37,9 @@ class EnergyMeter {
 
   /// Total charge in millicoulombs and energy in millijoules.
   double charge_mc() const;
-  double energy_mj() const { return charge_mc() * cfg_.voltage; }
+  double energy_mj() const { return charge_mc() * kVoltage; }
 
  private:
-  EnergyConfig cfg_;
   RadioState state_ = RadioState::kOff;
   SimTime last_change_ = 0;
   std::array<SimTime, kRadioStateCount> time_{};

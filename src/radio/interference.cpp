@@ -14,7 +14,7 @@ InterferenceSource::InterferenceSource(Channel& channel, Config cfg)
   TCAST_CHECK(cfg_.duty >= 0.0 && cfg_.duty < 1.0);
   // The interferer is itself a radio (so its frames occupy the channel like
   // any other), owned by a fictitious foreign node.
-  radio_ = std::make_unique<Radio>(*channel_, kNoNode, cfg_.foreign_addr);
+  radio_ = std::make_unique<Radio>(*channel_, kNoNode, kForeignAddr);
   radio_->set_position(cfg_.position.first, cfg_.position.second);
   radio_->set_auto_ack(false);
   radio_->power_on();
@@ -34,7 +34,7 @@ void InterferenceSource::stop() {
 void InterferenceSource::schedule_next() {
   Frame probe;
   probe.type = FrameType::kData;
-  probe.data.resize(cfg_.frame_bytes);
+  probe.data.resize(kFrameBytes);
   const double burst = static_cast<double>(channel_->airtime(probe));
   // busy/(busy+idle) = duty  ⇒  mean idle gap = burst·(1−duty)/duty.
   const double mean_gap = burst * (1.0 - cfg_.duty) / cfg_.duty;
@@ -49,9 +49,9 @@ void InterferenceSource::emit() {
   if (!radio_->transmitting()) {
     Frame f;
     f.type = FrameType::kData;
-    f.src = cfg_.foreign_addr;
-    f.dest = cfg_.foreign_addr;  // foreign PAN: nobody here accepts it
-    f.data.resize(cfg_.frame_bytes);
+    f.src = kForeignAddr;
+    f.dest = kForeignAddr;  // foreign PAN: nobody here accepts it
+    f.data.resize(kFrameBytes);
     radio_->transmit(std::move(f));
     ++frames_emitted_;
   }

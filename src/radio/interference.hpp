@@ -28,14 +28,15 @@ namespace tcast::radio {
 
 class InterferenceSource {
  public:
+  /// Payload size of foreign frames (drives per-burst airtime).
+  static constexpr std::size_t kFrameBytes = 32;
+  /// Source address stamped on foreign frames (diagnostics only).
+  static constexpr ShortAddr kForeignAddr = 0xBEEF;
+
   struct Config {
     /// Long-run fraction of air time occupied by foreign traffic, in
     /// [0, ~0.8]. 0 disables the source.
     double duty = 0.1;
-    /// Payload size of foreign frames (drives per-burst airtime).
-    std::size_t frame_bytes = 32;
-    /// Source address stamped on foreign frames (diagnostics only).
-    ShortAddr foreign_addr = 0xBEEF;
     /// Placement in spatial (finite-range) channels.
     std::pair<double, double> position = {0.0, 0.0};
   };

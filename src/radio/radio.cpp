@@ -43,7 +43,7 @@ void Radio::channel_deliver(const Frame& f, const RxInfo& info) {
     // Capture only the fields the HACK derives from: a by-value Frame would
     // push the closure past std::function's inline buffer and cost one heap
     // allocation per acknowledgement.
-    sim_->schedule_after(channel_->phy().turnaround,
+    sim_->schedule_after(kTurnaround,
                          [this, seq = f.seq, dest = f.src] {
                            if (state_ == RadioState::kRx)
                              transmit(make_hack(seq, dest));

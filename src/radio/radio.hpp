@@ -38,7 +38,6 @@ class Radio {
 
   NodeId owner() const { return owner_; }
   sim::Simulator& simulator() { return *sim_; }
-  const PhyParams& phy() const { return channel_->phy(); }
   Channel& channel() { return *channel_; }
 
   /// Physical placement (metres). Only meaningful when the channel has a
@@ -74,13 +73,6 @@ class Radio {
   void set_alt_address(std::optional<ShortAddr> a) { alt_addr_ = a; }
   std::optional<ShortAddr> alt_address() const { return alt_addr_; }
 
-  /// The second recognition slot (the CC2420's 64-bit extended address,
-  /// modelled with the same 16-bit ephemeral space). Having two slots is
-  /// what lets a node take part in two concurrent backcast sessions
-  /// (paper Sec. IV-D.1: "enabling two concurrent backcasts at most").
-  void set_ext_alt_address(std::optional<ShortAddr> a) { ext_alt_addr_ = a; }
-  std::optional<ShortAddr> ext_alt_address() const { return ext_alt_addr_; }
-
   void set_auto_ack(bool enabled) { auto_ack_ = enabled; }
 
   void set_receive_handler(ReceiveHandler h) { on_receive_ = std::move(h); }
@@ -109,8 +101,7 @@ class Radio {
   /// Hardware address recognition.
   bool address_accepts(const Frame& f) const {
     return f.dest == kBroadcastAddr || f.dest == short_addr_ ||
-           (alt_addr_.has_value() && f.dest == *alt_addr_) ||
-           (ext_alt_addr_.has_value() && f.dest == *ext_alt_addr_);
+           (alt_addr_.has_value() && f.dest == *alt_addr_);
   }
   void channel_activity(SimTime start, SimTime end) {
     on_activity_(start, end);
@@ -128,7 +119,6 @@ class Radio {
   NodeId owner_;
   ShortAddr short_addr_;
   std::optional<ShortAddr> alt_addr_;
-  std::optional<ShortAddr> ext_alt_addr_;
   bool auto_ack_ = true;
   RadioState state_ = RadioState::kOff;
   ReceiveHandler on_receive_;

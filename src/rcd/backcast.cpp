@@ -4,41 +4,30 @@
 
 namespace tcast::rcd {
 
-BackcastResponder::BackcastResponder(radio::Radio& r, PredicateEval eval,
-                                     Config cfg)
-    : radio_(&r), eval_(std::move(eval)), cfg_(cfg) {
+BackcastResponder::BackcastResponder(radio::Radio& r, PredicateEval eval)
+    : radio_(&r), eval_(std::move(eval)) {
   TCAST_CHECK(eval_ != nullptr);
-}
-
-void BackcastResponder::arm(std::optional<radio::ShortAddr> addr) {
-  if (cfg_.slot == AddressSlot::kShort) {
-    radio_->set_alt_address(addr);
-  } else {
-    radio_->set_ext_alt_address(addr);
-  }
 }
 
 bool BackcastResponder::on_frame(const radio::Frame& f) {
   if (f.type != radio::FrameType::kPredicate) return false;
-  if (cfg_.served_predicate && f.predicate_id != *cfg_.served_predicate)
-    return false;  // another session's announce; not ours to consume
   const auto me = static_cast<std::size_t>(radio_->owner());
   std::uint16_t bin = kNotInRound;
   if (me < f.assignment.size()) bin = f.assignment[me];
   if (bin != kNotInRound && eval_(f.predicate_id)) {
     armed_bin_ = bin;
-    arm(static_cast<radio::ShortAddr>(ephemeral_base(cfg_.slot) + bin));
+    radio_->set_alt_address(
+        static_cast<radio::ShortAddr>(radio::kEphemeralBase + bin));
   } else {
     armed_bin_.reset();
-    arm(std::nullopt);
+    radio_->set_alt_address(std::nullopt);
   }
   return true;
 }
 
-BackcastInitiator::BackcastInitiator(radio::Radio& r, Config cfg)
+BackcastInitiator::BackcastInitiator(radio::Radio& r)
     : radio_(&r),
       sim_(&r.simulator()),
-      cfg_(cfg),
       window_timer_(r.simulator(), [this] {
         TCAST_CHECK(awaiting_hack_);
         awaiting_hack_ = false;
@@ -63,8 +52,7 @@ void BackcastInitiator::announce(std::uint8_t predicate_id,
   f.session = session;
   f.predicate_id = predicate_id;
   f.assignment = std::move(assignment);
-  const SimTime settle =
-      radio_->channel().airtime(f) + radio_->phy().turnaround;
+  const SimTime settle = radio_->channel().airtime(f) + radio::kTurnaround;
   radio_->transmit(std::move(f));
   sim_->schedule_after(settle, std::move(done));
 }
@@ -72,12 +60,11 @@ void BackcastInitiator::announce(std::uint8_t predicate_id,
 void BackcastInitiator::poll_bin(std::uint16_t bin,
                                  std::function<void(PollResult)> done) {
   TCAST_CHECK_MSG(!awaiting_hack_, "one poll at a time");
-  TCAST_CHECK_MSG(bin < max_bins(cfg_.slot),
-                  "bin beyond the slot's ephemeral address block");
+  TCAST_CHECK_MSG(bin < max_bins(), "bin beyond the ephemeral address block");
   radio::Frame f;
   f.type = radio::FrameType::kPoll;
   f.src = radio_->short_address();
-  f.dest = static_cast<radio::ShortAddr>(ephemeral_base(cfg_.slot) + bin);
+  f.dest = static_cast<radio::ShortAddr>(radio::kEphemeralBase + bin);
   f.seq = next_seq_++;
   f.ack_request = true;
   f.bin_index = bin;
@@ -88,9 +75,8 @@ void BackcastInitiator::poll_bin(std::uint16_t bin,
   ++polls_sent_;
 
   radio::Frame hack_probe = radio::make_hack(f);
-  const SimTime window = radio_->channel().airtime(f) +
-                         radio_->phy().turnaround +
-                         radio_->channel().airtime(hack_probe) + cfg_.slack;
+  const SimTime window = radio_->channel().airtime(f) + radio::kTurnaround +
+                         radio_->channel().airtime(hack_probe) + kSlack;
   radio_->transmit(std::move(f));
   window_timer_.start_one_shot(window);
 }

@@ -35,19 +35,7 @@ class BackcastResponder {
  public:
   using PredicateEval = std::function<bool(std::uint8_t predicate_id)>;
 
-  struct Config {
-    /// Which hardware recognition slot this session arms. Two responders on
-    /// one mote — one per slot — give the CC2420's "two concurrent
-    /// backcasts" (Sec. IV-D.1).
-    AddressSlot slot = AddressSlot::kShort;
-    /// When set, only Predicate frames with this id are processed (so a
-    /// second responder can serve a different predicate on the other slot).
-    std::optional<std::uint8_t> served_predicate;
-  };
-
-  BackcastResponder(radio::Radio& r, PredicateEval eval)
-      : BackcastResponder(r, std::move(eval), Config{}) {}
-  BackcastResponder(radio::Radio& r, PredicateEval eval, Config cfg);
+  BackcastResponder(radio::Radio& r, PredicateEval eval);
 
   /// Feed every received frame here. Returns true if consumed.
   bool on_frame(const radio::Frame& f);
@@ -56,32 +44,23 @@ class BackcastResponder {
   std::optional<std::uint16_t> armed_bin() const { return armed_bin_; }
 
  private:
-  void arm(std::optional<radio::ShortAddr> addr);
-
   radio::Radio* radio_;
   PredicateEval eval_;
-  Config cfg_;
   std::optional<std::uint16_t> armed_bin_;
 };
 
 /// Initiator-side backcast.
 class BackcastInitiator {
  public:
-  struct Config {
-    /// Extra guard time appended to the HACK wait window.
-    SimTime slack = 2 * 192 * kMicrosecond;
-    /// Ephemeral address block / responder slot this session polls.
-    AddressSlot slot = AddressSlot::kShort;
-  };
+  /// Extra guard time appended to the HACK wait window.
+  static constexpr SimTime kSlack = 2 * 192 * kMicrosecond;
 
   struct PollResult {
     bool nonempty = false;          ///< HACK superposition decoded
     std::size_t superposed = 0;     ///< #HACKs in the decoded superposition
   };
 
-  explicit BackcastInitiator(radio::Radio& r)
-      : BackcastInitiator(r, Config{}) {}
-  BackcastInitiator(radio::Radio& r, Config cfg);
+  explicit BackcastInitiator(radio::Radio& r);
 
   /// Phase 1. `assignment[node]` = bin or kNotInRound. `done` fires after
   /// the broadcast (plus one turnaround so responders are re-armed).
@@ -100,7 +79,6 @@ class BackcastInitiator {
  private:
   radio::Radio* radio_;
   sim::Simulator* sim_;
-  Config cfg_;
   sim::Timer window_timer_;
   std::uint8_t next_seq_ = 1;
   std::uint8_t outstanding_seq_ = 0;

@@ -30,7 +30,7 @@ bool PollcastResponder::on_frame(const radio::Frame& f) {
       // by-value Frame would push the closure past std::function's inline
       // buffer and cost one heap allocation per reply.
       sim_->schedule_after(
-          radio_->phy().sifs,
+          radio::kSifs,
           [this, session = f.session, dest = f.src, seq = f.seq] {
             if (!radio_->is_on() || radio_->transmitting()) return;
             radio::Frame reply;
@@ -48,10 +48,9 @@ bool PollcastResponder::on_frame(const radio::Frame& f) {
   }
 }
 
-PollcastInitiator::PollcastInitiator(radio::Radio& r, Config cfg)
+PollcastInitiator::PollcastInitiator(radio::Radio& r)
     : radio_(&r),
       sim_(&r.simulator()),
-      cfg_(cfg),
       window_timer_(r.simulator(), [this] {
         TCAST_CHECK(awaiting_votes_);
         awaiting_votes_ = false;
@@ -76,8 +75,7 @@ void PollcastInitiator::announce(std::uint8_t predicate_id,
   f.predicate_id = predicate_id;
   f.assignment = std::move(assignment);
   outstanding_session_ = session;
-  const SimTime settle =
-      radio_->channel().airtime(f) + radio_->phy().turnaround;
+  const SimTime settle = radio_->channel().airtime(f) + radio::kTurnaround;
   radio_->transmit(std::move(f));
   sim_->schedule_after(settle, std::move(done));
 }
@@ -95,8 +93,8 @@ void PollcastInitiator::poll_bin(std::uint16_t bin,
 
   radio::Frame probe;  // a representative Reply, for window sizing
   probe.type = radio::FrameType::kReply;
-  const SimTime window = radio_->channel().airtime(f) + radio_->phy().sifs +
-                         radio_->channel().airtime(probe) + cfg_.slack;
+  const SimTime window = radio_->channel().airtime(f) + radio::kSifs +
+                         radio_->channel().airtime(probe) + kSlack;
   awaiting_votes_ = true;
   pending_result_ = PollResult{};
   poll_done_ = std::move(done);

@@ -56,18 +56,15 @@ class PollcastResponder {
 /// Initiator-side pollcast.
 class PollcastInitiator {
  public:
-  struct Config {
-    SimTime slack = 2 * 192 * kMicrosecond;
-  };
+  /// Extra guard time appended to the vote window.
+  static constexpr SimTime kSlack = 2 * 192 * kMicrosecond;
 
   struct PollResult {
     bool activity = false;  ///< energy detected in the vote window
     std::optional<NodeId> captured;  ///< decoded Reply, if any
   };
 
-  explicit PollcastInitiator(radio::Radio& r)
-      : PollcastInitiator(r, Config{}) {}
-  PollcastInitiator(radio::Radio& r, Config cfg);
+  explicit PollcastInitiator(radio::Radio& r);
 
   /// Broadcasts the predicate + assignment (phase 1 for the whole round).
   void announce(std::uint8_t predicate_id, std::uint32_t session,
@@ -86,7 +83,6 @@ class PollcastInitiator {
  private:
   radio::Radio* radio_;
   sim::Simulator* sim_;
-  Config cfg_;
   sim::Timer window_timer_;
   std::uint8_t next_seq_ = 1;
   std::uint32_t outstanding_session_ = 0;

@@ -6,7 +6,7 @@
 // read nothing. Between frames Q adapts with the standard Q-algorithm
 // (Schoute-style: raise Qfp on collisions, lower it on idles). The census
 // terminates when a frame completes with no unread tags left, or — for the
-// threshold use case — as soon as `stop_after_reads` tags have been read.
+// threshold use case — as soon as t tags have been read.
 //
 // Cost unit: one slot ≡ one tcast query slot, so census and tcast costs
 // plot on one axis.
@@ -19,15 +19,6 @@
 
 namespace tcast::rfid {
 
-struct InventoryConfig {
-  std::size_t q0 = 4;            ///< initial Q
-  std::size_t q_max = 15;
-  double q_step = 0.3;           ///< Qfp adjustment per collision/idle
-  std::size_t stop_after_reads = 0;  ///< 0 = full census
-  /// Safety valve on total slots (0 = none).
-  std::size_t max_slots = 1u << 22;
-};
-
 struct InventoryResult {
   std::size_t reads = 0;       ///< tags successfully inventoried
   std::size_t slots = 0;       ///< total slots consumed
@@ -38,8 +29,7 @@ struct InventoryResult {
 };
 
 /// Inventories `population` responding tags.
-InventoryResult run_inventory(std::size_t population, RngStream& rng,
-                              const InventoryConfig& cfg = {});
+InventoryResult run_inventory(std::size_t population, RngStream& rng);
 
 /// Threshold decision via early-stopped census: read until `t` matching
 /// tags are seen (⇒ true) or the census completes with fewer (⇒ false).
@@ -50,7 +40,6 @@ struct InventoryThresholdResult {
 };
 
 InventoryThresholdResult inventory_threshold(std::size_t population,
-                                             std::size_t t, RngStream& rng,
-                                             const InventoryConfig& cfg = {});
+                                             std::size_t t, RngStream& rng);
 
 }  // namespace tcast::rfid

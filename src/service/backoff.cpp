@@ -8,12 +8,11 @@ namespace tcast::service {
 std::uint64_t BackoffPolicy::delay_ms(std::size_t attempt,
                                       std::uint64_t retry_after_hint,
                                       RngStream& rng) const {
-  double d = static_cast<double>(base_ms) *
-             std::pow(multiplier, static_cast<double>(attempt));
-  d = std::min(d, static_cast<double>(max_ms));
+  double d = static_cast<double>(kBaseMs) *
+             std::pow(kMultiplier, static_cast<double>(attempt));
+  d = std::min(d, static_cast<double>(kMaxMs));
   d = std::max(d, static_cast<double>(retry_after_hint));
-  const double j = std::clamp(jitter, 0.0, 1.0);
-  const double scaled = d * (1.0 - j * rng.uniform01());
+  const double scaled = d * (1.0 - kJitter * rng.uniform01());
   return static_cast<std::uint64_t>(std::llround(std::max(scaled, 0.0)));
 }
 

@@ -17,12 +17,13 @@
 namespace tcast::service {
 
 struct BackoffPolicy {
-  std::uint64_t base_ms = 2;
-  double multiplier = 2.0;
-  std::uint64_t max_ms = 2000;
-  /// Jitter factor in [0, 1]: the delay is drawn uniformly from
-  /// [(1 - jitter) * d, d] ("equal jitter" at 0.5, full jitter at 1).
-  double jitter = 0.5;
+  static constexpr std::uint64_t kBaseMs = 2;
+  static constexpr double kMultiplier = 2.0;
+  static constexpr std::uint64_t kMaxMs = 2000;
+  /// Jitter factor: the delay is drawn uniformly from [(1 - kJitter) * d, d]
+  /// ("equal jitter").
+  static constexpr double kJitter = 0.5;
+
   std::size_t max_retries = 4;
 
   /// Whether `status` merits attempt number `attempt` (0-based count of

@@ -16,6 +16,13 @@ namespace {
 constexpr std::size_t kPopulations = 4;
 constexpr std::size_t kMaxN = 128;
 constexpr std::size_t kShards = 2;
+constexpr std::size_t kQueueCapacity = 8;
+constexpr std::size_t kBatchMax = 4;
+/// Rounds of the closing census volley: 9 rounds over 4 populations make
+/// 36 census answers, the fewest at which the (1±ε) band check's floor
+/// (conformance::acceptance_floor at δ = 0.1, z = 3) reaches 0.75.
+constexpr std::size_t kCensusRounds = 9;
+static_assert(kPopulations <= kBatchMax, "one pump must drain a round");
 
 const char* kind_name(ServiceOp::Kind k) {
   switch (k) {
@@ -145,7 +152,8 @@ std::optional<std::vector<ServiceOp>> parse_trace(std::string_view text) {
 std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg) {
   RngStream rng(cfg.seed, 0xc4a5);
   std::vector<ServiceOp> ops;
-  ops.reserve(cfg.ops + kPopulations + 4 * kShards);
+  ops.reserve(cfg.ops + kPopulations + 4 * kShards +
+              (kCensusRounds + 1) * (kPopulations + 1));
 
   std::vector<std::pair<std::size_t, std::size_t>> pops;  // (n, x)
   for (std::size_t p = 0; p < kPopulations; ++p) {
@@ -236,6 +244,41 @@ std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg) {
     op.shard = s;
     ops.push_back(std::move(op));
   }
+  // Then a census volley over every population, with no deadline, so the
+  // band check judges enough answers to mean something. Every population
+  // is reloaded first, with at least one positive: a load submitted to a
+  // killed shard may never have taken effect, and a census of x = 0 is
+  // exact, not an estimate. Pumps empty the queues before the reloads and
+  // drain each round before the next, so no op finds its queue full.
+  const auto pump = [&ops] {
+    ServiceOp op;
+    op.kind = ServiceOp::Kind::kPump;
+    ops.push_back(std::move(op));
+  };
+  for (std::size_t i = 0; i < kQueueCapacity / kBatchMax; ++i) pump();
+  for (std::size_t p = 0; p < kPopulations; ++p) {
+    ServiceOp op;
+    op.kind = ServiceOp::Kind::kLoad;
+    op.pop = "p";
+    op.pop += std::to_string(p);
+    op.n = pops[p].first;
+    op.x = 1 + static_cast<std::size_t>(rng.uniform_below(op.n));
+    op.seed = rng.bits() | 1;
+    ops.push_back(std::move(op));
+  }
+  pump();
+  for (std::size_t round = 0; round < kCensusRounds; ++round) {
+    for (std::size_t p = 0; p < kPopulations; ++p) {
+      ServiceOp op;
+      op.kind = ServiceOp::Kind::kQuery;
+      op.pop = "p";
+      op.pop += std::to_string(p);
+      op.t = 1;
+      op.approx = ApproxMode::kRequire;
+      ops.push_back(std::move(op));
+    }
+    pump();
+  }
   return ops;
 }
 
@@ -274,8 +317,8 @@ ServiceCampaignReport run_service_ops(std::span<const ServiceOp> ops) {
   ManualClock clock;
   ServiceConfig scfg;
   scfg.shards = kShards;
-  scfg.shard.queue_capacity = 8;
-  scfg.shard.batch_max = 4;
+  scfg.shard.queue_capacity = kQueueCapacity;
+  scfg.shard.batch_max = kBatchMax;
   scfg.shard.checked = true;
   scfg.shard.clock = &clock;
 

@@ -76,7 +76,9 @@ struct ServiceCampaignConfig {
 
 /// Deterministic op script for `cfg.seed` — kill/reboot, bursty query
 /// volleys (to overflow the bounded queues), deadline'd queries, clock
-/// advances and pumps, interleaved.
+/// advances and pumps, interleaved — then every shard rebooted, every
+/// population reloaded with at least one positive, and a closing census
+/// volley: 9 rounds over every population, 36 estimates with no deadline.
 std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg);
 
 struct ServiceCampaignReport {

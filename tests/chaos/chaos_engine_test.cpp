@@ -1,10 +1,11 @@
 // ChaosEngine: scenario spec round-trips, single-session verdicts, and the
 // campaign loop — zero violations for the guarded engine across the grid,
 // deterministic results whatever the worker count, and real violations the
-// moment the known loss-soundness hole is re-opened.
+// moment a replay re-opens the known loss-soundness hole.
 #include <gtest/gtest.h>
 
 #include "chaos/chaos_engine.hpp"
+#include "lossless_replay.hpp"
 
 namespace tcast::chaos {
 namespace {
@@ -20,7 +21,6 @@ TEST(ChaosScenario, SpecRoundTripsExactly) {
   sc.seed = 77;
   sc.plan = *faults::FaultPlan::parse("ge=0.02:0.25:0:0.7,crash=0.01,seed=5");
   sc.retry = core::RetryPolicy::fixed(3);
-  sc.break_counts_two_gate = true;
   const auto back = ChaosScenario::parse(sc.spec());
   ASSERT_TRUE(back.has_value()) << sc.spec();
   EXPECT_EQ(*back, sc) << sc.spec();
@@ -43,7 +43,7 @@ TEST(ChaosScenario, ParseRejectsMalformedSpecs) {
       "algo=2tbins;tier=cloud", // unknown tier
       "algo=2tbins;plan=bogus=1",
       "algo=2tbins;retry=sometimes",
-      "algo=2tbins;unsafe=2",
+      "algo=2tbins;unsafe=1",   // retired key
       "algo=2tbins;n=4;x=9",    // x > n
       "algo=2tbins;what=1",     // unknown key
       "algo=2tbins;lp=1",       // retired key
@@ -128,28 +128,22 @@ TEST(ChaosEngine, CampaignIsDeterministicAcrossWorkerCounts) {
 }
 
 TEST(ChaosEngine, BrokenGateCampaignIsCaughtByTheMonitors) {
-  // Re-open the engine's loss-soundness hole (activity still counted as
-  // ≥2 under loss) and the campaign must catch it in the act: a false
-  // "yes" flagged by the outcome monitor on some 2+ lossy session.
-  CampaignConfig cfg;
-  cfg.algorithms = {"2tbins"};
-  cfg.tiers = {Tier::kExact};
-  faults::FaultPlan heavy;
-  heavy.process = faults::FaultPlan::LossProcess::kGilbertElliott;
-  heavy.ge_enter_bad = 0.3;
-  heavy.ge_exit_bad = 0.2;
-  heavy.ge_loss_bad = 0.8;
-  // The hole needs a downgraded capture to exploit: a lone positive whose
-  // decode failure reads as activity gets credited as ≥2.
-  heavy.capture_downgrade = 0.4;
-  cfg.plans = {heavy};
-  cfg.sessions_per_cell = 64;
-  cfg.seed = 11;
-  cfg.max_exact_n = 32;
-  cfg.break_counts_two_gate = true;
-  const auto result = run_campaign(cfg);
-  EXPECT_FALSE(result.violating.empty());
-  EXPECT_GT(result.false_yes, 0u);
+  // The guarded campaign is clean. Replay each session's trace on a
+  // channel that claims no loss (activity counted as ≥2 again) and the
+  // monitors must catch the hole in the act: false "yes" verdicts, each
+  // flagged.
+  const auto cfg = gate_hole_campaign();
+  const auto live = run_campaign(cfg);
+  EXPECT_TRUE(live.violating.empty());
+  EXPECT_EQ(live.false_yes, 0u);
+  std::size_t false_yes = 0;
+  for (const auto& sc : campaign_scenarios(cfg)) {
+    const auto rep = replay_claiming_no_loss(run_session(sc));
+    if (!rep.false_yes()) continue;
+    ++false_yes;
+    EXPECT_FALSE(rep.violations.empty()) << sc.spec();
+  }
+  EXPECT_GT(false_yes, 0u);
 }
 
 }  // namespace

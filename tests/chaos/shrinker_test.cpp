@@ -4,30 +4,19 @@
 #include <gtest/gtest.h>
 
 #include "chaos/shrinker.hpp"
+#include "lossless_replay.hpp"
 
 namespace tcast::chaos {
 namespace {
 
-/// A seeded campaign against the broken-gate engine variant; returns the
-/// first violating false-"yes" session (deterministic).
+/// The first session of a seeded campaign whose live trace, replayed with
+/// its `lossy` bit cleared, answers a false "yes" (deterministic). Its
+/// trace keeps `lossy` cleared, so every shrink candidate replays the lie.
 SessionReport find_violation() {
-  CampaignConfig cfg;
-  cfg.algorithms = {"2tbins"};
-  cfg.tiers = {Tier::kExact};
-  faults::FaultPlan plan;
-  plan.process = faults::FaultPlan::LossProcess::kGilbertElliott;
-  plan.ge_enter_bad = 0.3;
-  plan.ge_exit_bad = 0.2;
-  plan.ge_loss_bad = 0.8;
-  plan.capture_downgrade = 0.4;
-  cfg.plans = {plan};
-  cfg.sessions_per_cell = 64;
-  cfg.seed = 11;
-  cfg.max_exact_n = 32;
-  cfg.break_counts_two_gate = true;
-  const auto result = run_campaign(cfg);
-  for (const auto& rep : result.violating)
+  for (const auto& sc : campaign_scenarios(gate_hole_campaign())) {
+    const auto rep = replay_claiming_no_loss(run_session(sc));
     if (rep.false_yes()) return rep;
+  }
   ADD_FAILURE() << "seeded campaign produced no false-yes violation";
   return {};
 }

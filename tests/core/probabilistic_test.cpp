@@ -108,17 +108,5 @@ TEST(Probabilistic, PlanFieldsAreConsistent) {
   EXPECT_LE(out.nonempty_seen, 5u);
 }
 
-TEST(Probabilistic, BOverrideRespected) {
-  RngStream rng(5);
-  auto ch = ExactChannel::with_random_positives(64, 10, rng);
-  ProbabilisticThresholdOptions opts;
-  opts.t_l = 8;
-  opts.t_r = 40;
-  opts.repeats = 3;
-  opts.b_override = 17.0;
-  const auto out = run_probabilistic_threshold(ch, ch.all_nodes(), opts, rng);
-  EXPECT_DOUBLE_EQ(out.plan.b, 17.0);
-}
-
 }  // namespace
 }  // namespace tcast::core

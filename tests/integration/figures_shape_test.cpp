@@ -9,12 +9,11 @@
 #include "analysis/bimodal.hpp"
 #include "common/monte_carlo.hpp"
 #include "core/abns.hpp"
-#include "core/csma_baseline.hpp"
+#include "core/baselines.hpp"
 #include "core/oracle.hpp"
 #include "core/probabilistic_abns.hpp"
 #include "core/probabilistic_threshold.hpp"
 #include "core/registry.hpp"
-#include "core/sequential_baseline.hpp"
 #include "core/two_t_bins.hpp"
 #include "group/exact_channel.hpp"
 
@@ -68,7 +67,7 @@ TEST(Fig1Shape, CsmaScalesWithXAndCrossesTcast) {
     mc.experiment_id = id;
     return run_trials(mc, [x](RngStream& rng) {
              return static_cast<double>(
-                 run_csma_baseline(kN, x, kT, rng).outcome.queries);
+                 run_csma_baseline(kN, x, kT, rng).slots);
            })
         .mean();
   };
@@ -86,7 +85,7 @@ TEST(Fig1Shape, SequentialStartsNearNMinusX) {
   const double at_small = run_trials(mc, [](RngStream& rng) {
                             return static_cast<double>(
                                 run_sequential_baseline(kN, 2, kT, rng)
-                                    .outcome.queries);
+                                    .slots);
                           }).mean();
   EXPECT_GT(at_small, 100.0);
 }
@@ -141,8 +140,7 @@ TEST(Fig7Shape, ProbAbnsBeatsCsmaAboveThreshold) {
     mc.experiment_id = 300 + x;
     const double csma = run_trials(mc, [x, n, t](RngStream& rng) {
                           return static_cast<double>(
-                              run_csma_baseline(n, x, t, rng)
-                                  .outcome.queries);
+                              run_csma_baseline(n, x, t, rng).slots);
                         }).mean();
     mc.experiment_id = 340 + x;
     const double prob = run_trials(mc, [x, n, t](RngStream& rng) {

@@ -33,7 +33,7 @@
 #include <memory>
 #include <vector>
 
-#include "mac/csma.hpp"
+#include "csma_mac.hpp"
 #include "radio/capture.hpp"
 #include "radio/channel.hpp"
 #include "radio/hack_model.hpp"

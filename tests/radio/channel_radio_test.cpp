@@ -194,7 +194,7 @@ TEST(ChannelRadio, AutoAckAfterOneTurnaround) {
   w.sim.run();
   ASSERT_TRUE(hack_at.has_value());
   EXPECT_EQ(hack_seq, 42);
-  EXPECT_EQ(*hack_at, data_air + w.channel.phy().turnaround + hack_air);
+  EXPECT_EQ(*hack_at, data_air + kTurnaround + hack_air);
 }
 
 TEST(ChannelRadio, NoAutoAckWithoutRequest) {

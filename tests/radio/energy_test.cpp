@@ -18,17 +18,14 @@ TEST(EnergyMeter, AccumulatesTimePerState) {
 }
 
 TEST(EnergyMeter, ChargeUsesConfiguredCurrents) {
-  EnergyConfig cfg;
-  cfg.rx_ma = 10.0;
-  cfg.tx_ma = 20.0;
-  cfg.off_ma = 0.0;
-  cfg.voltage = 3.0;
-  EnergyMeter meter(cfg);
+  // The CC2420 datasheet currents: 1 s each of RX, TX and power-down.
+  EnergyMeter meter;
   meter.transition(RadioState::kRx, 0);
-  meter.transition(RadioState::kTx, kSecond);  // 1 s RX
-  meter.settle(2 * kSecond);                   // 1 s TX
-  EXPECT_DOUBLE_EQ(meter.charge_mc(), 10.0 + 20.0);
-  EXPECT_DOUBLE_EQ(meter.energy_mj(), 3.0 * 30.0);
+  meter.transition(RadioState::kTx, kSecond);      // 1 s RX
+  meter.transition(RadioState::kOff, 2 * kSecond); // 1 s TX
+  meter.settle(3 * kSecond);                       // 1 s off
+  EXPECT_DOUBLE_EQ(meter.charge_mc(), 18.8 + 17.4 + 0.001);
+  EXPECT_DOUBLE_EQ(meter.energy_mj(), 3.0 * (18.8 + 17.4 + 0.001));
 }
 
 TEST(EnergyMeter, SettleIsIdempotent) {

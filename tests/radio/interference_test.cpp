@@ -14,7 +14,6 @@ TEST(InterferenceSource, EmitsAtRoughlyTheConfiguredDuty) {
   Channel channel(sim, {});
   InterferenceSource::Config cfg;
   cfg.duty = 0.3;
-  cfg.frame_bytes = 32;
   InterferenceSource source(channel, cfg);
   source.start();
 

@@ -2,7 +2,7 @@
 // collisions, hidden terminals, and neighbouring-region asymmetries.
 #include <gtest/gtest.h>
 
-#include "mac/csma.hpp"
+#include "csma_mac.hpp"
 #include "radio/channel.hpp"
 #include "radio/radio.hpp"
 #include "rcd/backcast.hpp"

@@ -157,11 +157,9 @@ TEST(Backcast, StaleHackFromPreviousPollIgnored) {
 }
 
 TEST(BackcastDeathTest, PollBeyondTheAddressBlockAborts) {
-  // The short slot's block is 0xE000..0xFFEF: bin 8176 would be polled at
-  // the second initiator's address and bin 8191 at broadcast. The extended
-  // block stops where the short one starts.
-  EXPECT_EQ(max_bins(AddressSlot::kShort), 8176u);
-  EXPECT_EQ(max_bins(AddressSlot::kExtended), 4096u);
+  // The block is 0xE000..0xFFEF: bin 8176 would be polled at a reserved
+  // address and bin 8191 at broadcast.
+  EXPECT_EQ(max_bins(), 8176u);
   BackcastWorld w(2);
   w.positive = {true, false};
   w.announce({0, 1});

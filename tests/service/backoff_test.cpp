@@ -27,18 +27,26 @@ TEST(Backoff, RetriesOnlyRetryableStatusesWithinBudget) {
   EXPECT_FALSE(policy.should_retry(StatusCode::kInvalidArgument, 0));
 }
 
+/// The exponential schedule before the hint and jitter: 2 ms · 2^attempt,
+/// capped at 2 s.
+double scheduled_ms(std::size_t attempt) {
+  return std::min(static_cast<double>(BackoffPolicy::kBaseMs) *
+                      std::pow(BackoffPolicy::kMultiplier,
+                               static_cast<double>(attempt)),
+                  static_cast<double>(BackoffPolicy::kMaxMs));
+}
+
+constexpr double kJitter = BackoffPolicy::kJitter;
+
 TEST(Backoff, DelayStaysInTheJitteredExponentialEnvelope) {
   BackoffPolicy policy;  // base 2ms, x2, jitter 0.5
   RngStream rng(7, 0);
   for (std::size_t attempt = 0; attempt < 6; ++attempt) {
-    const double full =
-        static_cast<double>(policy.base_ms) *
-        std::pow(policy.multiplier, static_cast<double>(attempt));
-    const auto cap = std::min<double>(full, static_cast<double>(policy.max_ms));
+    const double cap = scheduled_ms(attempt);
     for (int i = 0; i < 50; ++i) {
       const auto d = policy.delay_ms(attempt, 0, rng);
       EXPECT_LE(static_cast<double>(d), cap + 1.0) << "attempt " << attempt;
-      EXPECT_GE(static_cast<double>(d), (1.0 - policy.jitter) * cap - 1.0)
+      EXPECT_GE(static_cast<double>(d), (1.0 - kJitter) * cap - 1.0)
           << "attempt " << attempt;
     }
   }
@@ -51,16 +59,15 @@ TEST(Backoff, ServerHintActsAsFloor) {
     const auto d = policy.delay_ms(0, 500, rng);
     // The hint (500ms) dominates the 2ms exponential term; jitter may
     // shave at most `jitter` off the combined delay.
-    EXPECT_GE(static_cast<double>(d), (1.0 - policy.jitter) * 500.0 - 1.0);
+    EXPECT_GE(static_cast<double>(d), (1.0 - kJitter) * 500.0 - 1.0);
   }
 }
 
 TEST(Backoff, DelayNeverExceedsMax) {
-  BackoffPolicy policy;
-  policy.max_ms = 100;
+  BackoffPolicy policy;  // 2 ms · 2^10 passes the 2 s cap
   RngStream rng(7, 2);
-  for (std::size_t attempt = 0; attempt < 12; ++attempt)
-    EXPECT_LE(policy.delay_ms(attempt, 0, rng), 100u);
+  for (std::size_t attempt = 0; attempt < 16; ++attempt)
+    EXPECT_LE(policy.delay_ms(attempt, 0, rng), BackoffPolicy::kMaxMs);
 }
 
 struct Envelope {
@@ -92,11 +99,8 @@ TEST(Backoff, JitterFillsTheWholeEnvelopeStatistically) {
   BackoffPolicy policy;  // base 2ms, x2, max 2000ms, jitter 0.5
   RngStream rng(0xbacc, 1);
   for (const std::size_t attempt : {std::size_t{2}, std::size_t{5}}) {
-    const double d = std::min(
-        static_cast<double>(policy.base_ms) *
-            std::pow(policy.multiplier, static_cast<double>(attempt)),
-        static_cast<double>(policy.max_ms));
-    const double lo = (1.0 - policy.jitter) * d;
+    const double d = scheduled_ms(attempt);
+    const double lo = (1.0 - kJitter) * d;
     const double span = d - lo;
     const auto e = sample_envelope(policy, attempt, 0, rng);
     EXPECT_LE(static_cast<double>(e.min), lo + 0.02 * span + 1.0)
@@ -114,23 +118,21 @@ TEST(Backoff, JitterFillsTheWholeEnvelopeStatistically) {
 
 TEST(Backoff, EnvelopeGrowsMonotonicallyThenPinsAtTheCap) {
   // The per-attempt envelope mean must be nondecreasing across attempts
-  // and saturate exactly once the exponential schedule crosses max_ms —
+  // and saturate exactly once the exponential schedule crosses kMaxMs —
   // the cap is a ceiling the schedule sticks to, not a wrap or a reset.
-  BackoffPolicy policy;
-  policy.base_ms = 3;
-  policy.multiplier = 2.0;
-  policy.max_ms = 96;  // caps from attempt 5 (3·2^5 = 96) onward
+  BackoffPolicy policy;  // caps from attempt 10 (2·2^10 > 2000) onward
   RngStream rng(0xbacc, 2);
   double prev_mean = -1.0;
-  for (std::size_t attempt = 0; attempt < 10; ++attempt) {
+  const double max = static_cast<double>(BackoffPolicy::kMaxMs);
+  for (std::size_t attempt = 0; attempt < 14; ++attempt) {
     const auto e = sample_envelope(policy, attempt, 0, rng, 2000);
     EXPECT_GE(e.mean, prev_mean - 1.0) << "attempt " << attempt;
-    EXPECT_LE(e.max, policy.max_ms) << "attempt " << attempt;
+    EXPECT_LE(e.max, BackoffPolicy::kMaxMs) << "attempt " << attempt;
     prev_mean = e.mean;
-    if (attempt >= 5) {
+    if (attempt >= 10) {
       // Saturated: the envelope is [(1-j)·max, max] regardless of attempt.
-      const double lo = (1.0 - policy.jitter) * 96.0;
-      EXPECT_NEAR(e.mean, (lo + 96.0) / 2.0, 0.05 * (96.0 - lo) + 1.0)
+      const double lo = (1.0 - kJitter) * max;
+      EXPECT_NEAR(e.mean, (lo + max) / 2.0, 0.05 * (max - lo) + 1.0)
           << "attempt " << attempt;
     }
   }
@@ -143,7 +145,7 @@ TEST(Backoff, ServerHintLiftsTheWholeEnvelope) {
   BackoffPolicy policy;  // base 2ms: schedule says ~2ms at attempt 0
   RngStream rng(0xbacc, 3);
   const double hint = 800.0;
-  const double lo = (1.0 - policy.jitter) * hint;
+  const double lo = (1.0 - kJitter) * hint;
   const double span = hint - lo;
   const auto e = sample_envelope(policy, 0, 800, rng);
   EXPECT_GE(static_cast<double>(e.min), lo - 1.0);
@@ -151,12 +153,11 @@ TEST(Backoff, ServerHintLiftsTheWholeEnvelope) {
   EXPECT_LE(static_cast<double>(e.min), lo + 0.02 * span + 1.0);
   EXPECT_GE(static_cast<double>(e.max), hint - 0.02 * span - 1.0);
   EXPECT_NEAR(e.mean, (lo + hint) / 2.0, 0.05 * span + 1.0);
-  // And the hint is ignored when the schedule already exceeds it.
-  BackoffPolicy big;
-  big.base_ms = 1000;
-  const auto scheduled = sample_envelope(big, 0, 5, rng, 500);
+  // And the hint is ignored when the schedule already exceeds it: attempt
+  // 9 schedules 1,024 ms against a 5 ms hint.
+  const auto scheduled = sample_envelope(policy, 9, 5, rng, 500);
   EXPECT_GE(static_cast<double>(scheduled.min),
-            (1.0 - big.jitter) * 1000.0 - 1.0);
+            (1.0 - kJitter) * 1024.0 - 1.0);
 }
 
 }  // namespace

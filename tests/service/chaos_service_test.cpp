@@ -131,6 +131,21 @@ TEST(ServiceChaos, SeededCampaignsUpholdTheServiceContract) {
   }
 }
 
+TEST(ServiceChaos, EveryCampaignJudgesEnoughCensusAnswers) {
+  // The (1±ε) band check means something only over enough estimates: at
+  // 36 of them its acceptance floor (δ = 0.1, z = 3) reaches 0.75, so a
+  // campaign fails once more than 9 miss the band. The closing census
+  // volley guarantees the 36 whatever the random prefix did.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    ServiceCampaignConfig cfg;
+    cfg.seed = seed;
+    const auto report = run_service_ops(generate_service_ops(cfg));
+    EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.summary();
+    EXPECT_GE(report.ok_approx, 36u) << "seed " << seed;
+    EXPECT_GE(report.approx_floor, 0.75) << "seed " << seed;
+  }
+}
+
 TEST(ServiceChaos, ReplayIsDeterministic) {
   ServiceCampaignConfig cfg;
   cfg.seed = 5;

@@ -143,14 +143,22 @@ TEST(ServerSmoke, RetryLoopRecoversFromAKilledShard) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, StatusCode::kShardDown);
 
+  // While the shard stays down, the retry loop spends its budget and ends
+  // with the typed status after 1 + max_retries attempts.
+  BackoffPolicy policy;
+  policy.max_retries = 1;
+  RngStream rng(1, 0);
+  std::size_t attempts = 0;
+  resp = client.call_with_retries(parse_or_die("query pop=p t=5"), policy,
+                                  rng, &attempts);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, StatusCode::kShardDown);
+  EXPECT_EQ(attempts, 2u);
+
   // Reboot, then the retry loop must land a verdict.
   ASSERT_EQ(client.call(parse_or_die("reboot shard=0"))->status,
             StatusCode::kOk);
-  BackoffPolicy policy;
   policy.max_retries = 3;
-  policy.base_ms = 1;
-  RngStream rng(1, 0);
-  std::size_t attempts = 0;
   resp = client.call_with_retries(parse_or_die("query pop=p t=5"), policy,
                                   rng, &attempts);
   ASSERT_TRUE(resp.has_value());
@@ -161,6 +169,32 @@ TEST(ServerSmoke, RetryLoopRecoversFromAKilledShard) {
   server.stop();
   loop.join();
   svc.stop_drain_threads();
+}
+
+TEST(ServerSmoke, SocketSetUpFailuresAreReported) {
+  // A path longer than sockaddr_un holds, a directory that does not exist
+  // and a socket nobody listens on: start() and connect() return false
+  // with a reason, and an unconnected client's call() is nullopt.
+  TcastService svc(ServiceConfig{});
+  const std::string too_long = "/tmp/" + std::string(200, 'x') + ".sock";
+  const std::string no_dir = "/tmp/tcast_test_no_such_dir_" +
+                             std::to_string(::getpid()) + "/s.sock";
+  std::string error;
+  EXPECT_FALSE(UnixServer(svc, too_long).start(&error));
+  EXPECT_NE(error.find("too long"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(UnixServer(svc, no_dir).start(&error));
+  EXPECT_FALSE(error.empty());
+
+  UnixClient long_client(too_long);
+  error.clear();
+  EXPECT_FALSE(long_client.connect(&error));
+  EXPECT_NE(error.find("too long"), std::string::npos) << error;
+  UnixClient lonely(temp_socket_path("nobody"));
+  error.clear();
+  EXPECT_FALSE(lonely.connect(&error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(lonely.call(parse_or_die("ping")).has_value());
 }
 
 TEST(ServerSmoke, UnparseableRequestGetsATypedResponse) {

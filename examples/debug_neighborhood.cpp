@@ -40,6 +40,9 @@ int main() {
         std::max<std::size_t>(2, std::min(suspects.size(), 2 * kStale));
     const auto assignment =
         group::BinAssignment::random_equal(suspects, bins, rng);
+    // Announce the round's bins before querying them, as every engine round
+    // does (on a packet channel an unannounced bin has no listeners).
+    channel.announce(assignment);
     std::vector<NodeId> next;
     for (std::size_t b = 0; b < assignment.bin_count(); ++b) {
       const auto bin = assignment.bin(b);

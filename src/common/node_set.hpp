@@ -1,29 +1,22 @@
-// NodeSet — a packed bitset over the participant universe, the set-algebra
-// substrate of the abstract tier's fast path.
+// NodeSet — a packed bitset over the participant universe: the exact
+// tier's ground truth and the round engine's alive set.
 //
 // Group-testing theory frames a bin query as "is bin ∩ positives empty?",
 // which on 64-bit words is AND + popcount: one word operation covers 64
-// nodes. NodeSet stores membership as words and exposes exactly the
-// operations the query kernel and the round engine need — intersection
-// tests and counts, selection (first/nth member), word-level iteration, and
-// bulk ANDNOT removal — plus an in-place random-equal partitioner that
-// replaces the shuffle-then-deal bin construction with one strided gather
-// into a flat arena.
-//
-// Determinism contract: nothing in here draws randomness except
-// `random_equal_partition_into`, which consumes exactly the Fisher-Yates
-// draw sequence of `RngStream::shuffle` (same draws, same resulting
-// partition as the historical shuffle-and-deal — the paper-pseudocode
-// conformance test depends on this).
+// nodes. NodeSet stores membership as words and exposes what its two users
+// need: membership updates and tests, word-level iteration, a prefix fill,
+// and bulk ANDNOT removal. ExactChannel hands the words to the batched
+// bin-count kernel (common/simd_kernels.hpp); nothing in here draws
+// randomness.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "common/simd_kernels.hpp"
 #include "common/types.hpp"
 
@@ -95,62 +88,6 @@ class NodeSet {
   /// small universes, and every variant is bit-identical anyway.
   static constexpr std::size_t kInlineWords = 8;
 
-  /// Do two word images share a member? Lengths may differ: a shorter image
-  /// simply has no members beyond its last word. Wide images dispatch to
-  /// the SIMD kernel layer (common/simd_kernels.hpp).
-  static bool intersects(std::span<const Word> a, std::span<const Word> b) {
-    const std::size_t n = a.size() < b.size() ? a.size() : b.size();
-    if (n <= kInlineWords) {
-      for (std::size_t i = 0; i < n; ++i)
-        if (a[i] & b[i]) return true;
-      return false;
-    }
-    return simd::words_intersect(a.data(), b.data(), n);
-  }
-
-  static std::size_t intersection_count(std::span<const Word> a,
-                                        std::span<const Word> b) {
-    const std::size_t n = a.size() < b.size() ? a.size() : b.size();
-    if (n <= kInlineWords) {
-      std::size_t total = 0;
-      for (std::size_t i = 0; i < n; ++i)
-        total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-      return total;
-    }
-    return simd::words_and_popcount(a.data(), b.data(), n);
-  }
-
-  /// Smallest member, or kNoNode when empty.
-  NodeId first_member() const {
-    for (std::size_t i = 0; i < words_.size(); ++i)
-      if (words_[i] != 0)
-        return static_cast<NodeId>(
-            i * kWordBits +
-            static_cast<std::size_t>(std::countr_zero(words_[i])));
-    return kNoNode;
-  }
-
-  /// The n-th member (0-based) in ascending id order. Requires n < count().
-  NodeId nth_member(std::size_t n) const {
-    TCAST_DCHECK(n < count_);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      const auto pop = static_cast<std::size_t>(std::popcount(words_[i]));
-      if (n >= pop) {
-        n -= pop;
-        continue;
-      }
-      Word w = words_[i];
-      while (n > 0) {
-        w &= w - 1;  // clear lowest set bit
-        --n;
-      }
-      return static_cast<NodeId>(
-          i * kWordBits + static_cast<std::size_t>(std::countr_zero(w)));
-    }
-    TCAST_CHECK_MSG(false, "nth_member past the last member");
-    return kNoNode;
-  }
-
   /// Visits members in ascending id order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -208,30 +145,5 @@ class NodeSet {
   std::size_t universe_ = 0;
   std::size_t count_ = 0;
 };
-
-/// In-place random-equal partitioner. Permutes `items` (Fisher-Yates, the
-/// exact draw sequence of `RngStream::shuffle`) and writes the partition
-/// grouped by bin into the flat `arena`, with bin j occupying
-/// [offsets[j], offsets[j+1]). Bin sizes differ by at most one, and bin j's
-/// member order is the historical round-robin deal order
-/// (perm[j], perm[j+bins], perm[j+2·bins], …) — bit-identical bins to the
-/// old shuffle-then-push_back construction, without any per-bin vectors.
-inline void random_equal_partition_into(std::span<NodeId> items,
-                                        std::size_t bins, RngStream& rng,
-                                        std::vector<NodeId>& arena,
-                                        std::vector<std::size_t>& offsets) {
-  TCAST_CHECK(bins >= 1);
-  rng.shuffle(items);
-  const std::size_t n = items.size();
-  offsets.resize(bins + 1);
-  arena.resize(n);
-  std::size_t next = 0;
-  for (std::size_t b = 0; b < bins; ++b) {
-    offsets[b] = next;
-    // Bin b holds the round-robin deal positions b, b+bins, b+2·bins, …
-    for (std::size_t i = b; i < n; i += bins) arena[next++] = items[i];
-  }
-  offsets[bins] = n;
-}
 
 }  // namespace tcast

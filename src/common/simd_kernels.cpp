@@ -15,24 +15,8 @@ namespace tcast::simd {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Portable: plain loops, written so the auto-vectorizer is free to act (no
-// early exit inside the vector body; the intersect splits into whole blocks
-// with a reduction OR). The fallback on any hardware without an explicit
-// SIMD level.
-
-bool intersect_portable(const std::uint64_t* a, const std::uint64_t* b,
-                        std::size_t n) {
-  constexpr std::size_t kBlock = 8;
-  std::size_t i = 0;
-  for (; i + kBlock <= n; i += kBlock) {
-    std::uint64_t acc = 0;
-    for (std::size_t j = 0; j < kBlock; ++j) acc |= a[i + j] & b[i + j];
-    if (acc != 0) return true;
-  }
-  std::uint64_t acc = 0;
-  for (; i < n; ++i) acc |= a[i] & b[i];
-  return acc != 0;
-}
+// Portable: plain loops with no early exit, so the auto-vectorizer is free
+// to act. The fallback on any hardware without an explicit SIMD level.
 
 std::size_t and_popcount_portable(const std::uint64_t* a,
                                   const std::uint64_t* b, std::size_t n) {
@@ -76,23 +60,6 @@ __attribute__((target(TCAST_AVX512_TARGET))) inline std::uint64_t sum_lanes_512(
   _mm512_storeu_si512(lanes, v);
   return lanes[0] + lanes[1] + lanes[2] + lanes[3] + lanes[4] + lanes[5] +
          lanes[6] + lanes[7];
-}
-
-__attribute__((target(TCAST_AVX512_TARGET))) bool intersect_avx512(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    if (_mm512_test_epi64_mask(va, vb) != 0) return true;
-  }
-  if (i < n) {
-    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
-    const __m512i va = _mm512_maskz_loadu_epi64(tail, a + i);
-    const __m512i vb = _mm512_maskz_loadu_epi64(tail, b + i);
-    if (_mm512_test_epi64_mask(va, vb) != 0) return true;
-  }
-  return false;
 }
 
 __attribute__((target(TCAST_AVX512_TARGET))) std::size_t and_popcount_avx512(
@@ -239,30 +206,6 @@ void force_level(Level level) {
 
 void clear_forced_level() {
   g_forced.store(kAuto, std::memory_order_relaxed);
-}
-
-bool words_intersect(const std::uint64_t* a, const std::uint64_t* b,
-                     std::size_t n) {
-  switch (active_level()) {
-#if defined(TCAST_SIMD_X86)
-    case Level::kAVX512:
-      return intersect_avx512(a, b, n);
-#endif
-    default:
-      return intersect_portable(a, b, n);
-  }
-}
-
-std::size_t words_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t n) {
-  switch (active_level()) {
-#if defined(TCAST_SIMD_X86)
-    case Level::kAVX512:
-      return and_popcount_avx512(a, b, n);
-#endif
-    default:
-      return and_popcount_portable(a, b, n);
-  }
 }
 
 std::size_t words_andnot_count(std::uint64_t* dst, const std::uint64_t* mask,

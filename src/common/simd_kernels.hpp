@@ -1,13 +1,15 @@
 // SIMD word-set kernels — the vector substrate under NodeSet and the
-// abstract tier's sweep hot loops.
+// exact tier's per-announcement bin counts.
 //
-// Every kernel operates on packed 64-bit membership words (the NodeSet /
-// BinAssignment word-image layout) and comes in two implementations:
+// Two kernels operate on packed 64-bit membership words (the NodeSet /
+// BinAssignment word-image layout): the round engine's bulk ANDNOT removal
+// (words_andnot_count) and ExactChannel's batched bin counting
+// (bin_intersection_counts). Each comes in two implementations:
 //
 //   kPortable — plain loops written to auto-vectorize; the fallback on any
 //               hardware without AVX-512 (AArch64 included).
-//   kAVX512   — explicit 512-bit x86 paths (VPTESTMQ, VPOPCNTQ); requires
-//               AVX-512 F+BW+VPOPCNTDQ.
+//   kAVX512   — explicit 512-bit x86 paths (VPOPCNTQ); requires AVX-512
+//               F+BW+VPOPCNTDQ.
 //
 // There is no AVX2 level: measured, it never beat kPortable in nine rounds
 // of ten on any benchmark, while kAVX512 did on both full sweeps
@@ -55,18 +57,9 @@ void force_level(Level level);
 void clear_forced_level();
 
 // ---------------------------------------------------------------------------
-// Kernels. `n` counts 64-bit words; callers pass min(len_a, len_b) — a
-// shorter image simply has no members beyond its last word. All pointers
-// need only natural (8-byte) alignment; the vector paths use unaligned
-// loads.
-
-/// Do the two word images share a set bit? (AND != 0, early exit.)
-bool words_intersect(const std::uint64_t* a, const std::uint64_t* b,
-                     std::size_t n);
-
-/// popcount(a & b) over n words.
-std::size_t words_and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t n);
+// Kernels. Word counts cover the shorter of the two images — a shorter
+// image simply has no members beyond its last word. All pointers need only
+// natural (8-byte) alignment; the vector paths use unaligned loads.
 
 /// dst &= ~mask over n words; returns popcount(dst & mask) — how many set
 /// bits the ANDNOT actually cleared.

@@ -2,11 +2,11 @@
 //
 // Storage is one flat NodeId arena plus a bins+1 offset table (no per-bin
 // vectors), and — when the bin count is small enough for the word path to
-// win — a per-bin 64-bit word image of the membership, so word-capable
-// channels can answer "is this bin empty?" with AND + popcount against
-// their positive set (see common/node_set.hpp). The `assign_*` methods
-// reuse every buffer, so a round engine re-binning each round allocates
-// nothing at steady state.
+// win — a per-bin 64-bit word image of the membership, so the exact tier
+// can count every bin's positives with AND + popcount against its positive
+// set (see common/node_set.hpp). The `assign_*` methods reuse every
+// buffer, so a round engine re-binning each round allocates nothing at
+// steady state.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +24,10 @@ namespace tcast::group {
 class BinAssignment {
  public:
   /// Beyond this many bins the per-bin word images are not built: with b
-  /// bins over n nodes a span walk costs O(n/b) per query while the word
-  /// path costs O(n/64) — words only win while b ≲ 64, and the image arena
-  /// would grow as b·n/64 words.
+  /// bins over n nodes, counting every bin from the images costs b·n/64
+  /// word operations while one walk of the arena costs n member tests —
+  /// words only win while b ≲ 64, and the image arena would grow as
+  /// b·n/64 words.
   static constexpr std::size_t kMaxBinsForWords = 64;
 
   BinAssignment() = default;
@@ -79,8 +80,8 @@ class BinAssignment {
   /// kMaxBinsForWords (and the assignment is non-trivial and not sampled).
   /// `bin_words(i)` spans words_per_bin() words covering ids [0,
   /// 64·words_per_bin()); ids beyond every member's id are simply absent.
-  /// Word-capable channels use it for AND+popcount queries; everyone else
-  /// ignores it.
+  /// ExactChannel counts bins from it and the round engine clears an empty
+  /// bin from its alive set with it; everyone else ignores it.
   bool has_bin_words() const { return words_per_bin_ != 0; }
   std::size_t words_per_bin() const { return words_per_bin_; }
   std::span<const NodeSet::Word> bin_words(std::size_t i) const {

@@ -33,11 +33,6 @@ ExactChannel::ExactChannel(std::size_t n, std::size_t x, RngStream& rng,
   if (x > 0) assign_random_positives(x, rng);
 }
 
-ExactChannel ExactChannel::all_negative(std::size_t n, RngStream& rng,
-                                        Config cfg) {
-  return ExactChannel(n, 0, rng, std::move(cfg));
-}
-
 ExactChannel ExactChannel::with_random_positives(std::size_t n, std::size_t x,
                                                  RngStream& rng) {
   return with_random_positives(n, x, rng, Config{});
@@ -85,27 +80,13 @@ std::optional<std::size_t> ExactChannel::oracle_positive_count(
   return count;
 }
 
-std::optional<std::size_t> ExactChannel::oracle_positive_count(
-    const BinAssignment& a, std::size_t idx) const {
-  if (const std::uint32_t* counts = cached_bin_counts(a)) return counts[idx];
-  if (a.has_bin_words())
-    return NodeSet::intersection_count(positive_.words(), a.bin_words(idx));
-  return oracle_positive_count(a.bin(idx));
-}
-
-const std::uint32_t* ExactChannel::oracle_bin_counts(
-    const BinAssignment& a) const {
-  return cached_bin_counts(a);
-}
-
 void ExactChannel::do_announce(const BinAssignment& a) {
   announced_version_ = a.version();
   counts_valid_ = false;
 }
 
-const std::uint32_t* ExactChannel::cached_bin_counts(
+const std::uint32_t* ExactChannel::oracle_bin_counts(
     const BinAssignment& a) const {
-  if (!a.has_bin_words()) return nullptr;
   // Versions are globally unique per assign event, so matching the
   // announced version proves `a` carries exactly the announced content —
   // even if it is a different object, or the announced one was re-assigned
@@ -113,12 +94,22 @@ const std::uint32_t* ExactChannel::cached_bin_counts(
   if (a.version() != announced_version_ || announced_version_ == 0)
     return nullptr;
   if (!counts_valid_) {
-    counts_.resize(a.bin_count());
-    const auto pos = positive_.words();
-    simd::bin_intersection_counts(pos.data(), pos.size(),
-                                  a.bin_words_arena().data(),
-                                  a.words_per_bin(), a.bin_count(),
-                                  counts_.data());
+    const std::size_t bins = a.bin_count();
+    counts_.resize(bins);
+    if (a.has_bin_words()) {
+      const auto pos = positive_.words();
+      simd::bin_intersection_counts(pos.data(), pos.size(),
+                                    a.bin_words_arena().data(),
+                                    a.words_per_bin(), bins, counts_.data());
+    } else {
+      // No word image (more than kMaxBinsForWords bins): one walk of the
+      // arena, each member tested once.
+      for (std::size_t b = 0; b < bins; ++b) {
+        std::uint32_t k = 0;
+        for (const NodeId id : a.bin(b)) k += positive_.test(id) ? 1u : 0u;
+        counts_[b] = k;
+      }
+    }
     counts_valid_ = true;
   }
   return counts_.data();
@@ -147,29 +138,14 @@ BinQueryResult ExactChannel::do_query_bin(const BinAssignment& a,
                                           std::size_t idx) {
   // Hot path: counts already materialized for this exact announcement
   // (versions are globally unique, so the compare alone proves `a` is the
-  // announced content). Skips the full re-validation in cached_bin_counts.
-  if (counts_valid_ && a.version() == announced_version_) {
-    const std::size_t k = counts_[idx];
-    if (model() == CollisionModel::kOnePlus)
-      return k > 0 ? BinQueryResult::activity() : BinQueryResult::empty();
-    return resolve(k, a.bin(idx));
-  }
-  if (const std::uint32_t* counts = cached_bin_counts(a)) {
-    const std::size_t k = counts[idx];
-    if (model() == CollisionModel::kOnePlus)
-      return k > 0 ? BinQueryResult::activity() : BinQueryResult::empty();
-    return resolve(k, a.bin(idx));
-  }
-  if (a.has_bin_words()) {
-    const auto image = a.bin_words(idx);
-    if (model() == CollisionModel::kOnePlus)
-      return NodeSet::intersects(positive_.words(), image)
-                 ? BinQueryResult::activity()
-                 : BinQueryResult::empty();
-    return resolve(NodeSet::intersection_count(positive_.words(), image),
-                   a.bin(idx));
-  }
-  return do_query_set(a.bin(idx));
+  // announced content). Skips the full re-validation in oracle_bin_counts.
+  const std::uint32_t* counts =
+      counts_valid_ && a.version() == announced_version_
+          ? counts_.data()
+          : oracle_bin_counts(a);
+  // `a` was never announced (or changed since): walk the bin's members.
+  if (counts == nullptr) return do_query_set(a.bin(idx));
+  return resolve(counts[idx], a.bin(idx));
 }
 
 BinQueryResult ExactChannel::do_query_set(std::span<const NodeId> nodes) {

@@ -4,11 +4,14 @@
 // semantics; the only randomness is the capture draw of the 2+ model. This
 // is the channel behind Figs. 1-3 and 5-11.
 //
-// Ground truth is stored as a NodeSet (common/node_set.hpp), so a bin query
-// against a word-capable BinAssignment is AND + popcount over 64-node words
-// instead of a per-member span walk. The conformance suite's differential
-// tests prove it bit-identical (outcomes, query counts, and RNG draws) to a
-// scalar per-member walk, tests/conformance/reference_exact_channel.hpp.
+// Per announced assignment the channel counts every bin's positives once —
+// AND + popcount of the assignment's word image against the positive
+// NodeSet (common/node_set.hpp) when it has one, else one walk of its
+// members — and answers each query_bin from that array. A query on an
+// assignment that was never announced walks the bin's members. The
+// conformance suite's differential tests prove it bit-identical (outcomes,
+// query counts, and RNG draws) to a scalar per-member walk,
+// tests/conformance/reference_exact_channel.hpp.
 #pragma once
 
 #include <memory>
@@ -33,11 +36,6 @@ class ExactChannel final : public QueryChannel {
   ExactChannel(std::vector<bool> positive, RngStream& rng)
       : ExactChannel(std::move(positive), rng, Config{}) {}
   ExactChannel(std::vector<bool> positive, RngStream& rng, Config cfg);
-
-  /// All-negative ground truth over `n` nodes — the reusable-workspace
-  /// entry: pair with assign_random_positives()/rebind_rng() to recycle one
-  /// channel across Monte-Carlo trials (the sweep engine's hot loop).
-  static ExactChannel all_negative(std::size_t n, RngStream& rng, Config cfg);
 
   /// Convenience: n nodes with a random x-subset positive.
   static ExactChannel with_random_positives(std::size_t n, std::size_t x,
@@ -70,8 +68,17 @@ class ExactChannel final : public QueryChannel {
 
   std::optional<std::size_t> oracle_positive_count(
       std::span<const NodeId> nodes) const override;
-  std::optional<std::size_t> oracle_positive_count(
-      const BinAssignment& a, std::size_t idx) const override;
+
+  /// Per-announcement SoA cache: every bin's positive count, built on
+  /// first use after announce() — through the SIMD bin-count kernel when
+  /// `a` has a word image, else by one walk of its arena — and then served
+  /// as array lookups: the oracle ordering pass and the query loop each
+  /// touch every bin, so one pass replaces 2·bins per-bin counts. Returns
+  /// nullptr unless `a` is the currently announced assignment at its
+  /// announced version — an assignment mutated or recycled since its
+  /// announce() can never serve stale counts. Invalidated by any
+  /// ground-truth mutation. Consumes no RNG, so query_bin draws exactly
+  /// what a member walk would.
   const std::uint32_t* oracle_bin_counts(const BinAssignment& a) const override;
 
  protected:
@@ -81,32 +88,20 @@ class ExactChannel final : public QueryChannel {
   BinQueryResult do_query_set(std::span<const NodeId> nodes) override;
 
  private:
-  /// with_random_positives()/all_negative() body; a constructor so the
-  /// factories can return prvalues (QueryChannel is neither copyable nor
-  /// movable). Kept private — and four-argument — so braced bool lists like
+  /// with_random_positives() body; a constructor so the factories can
+  /// return prvalues (QueryChannel is neither copyable nor movable). Kept
+  /// private — and four-argument — so braced bool lists like
   /// `ExactChannel({true}, rng, cfg)` keep selecting the vector<bool> ctor.
   ExactChannel(std::size_t n, std::size_t x, RngStream& rng, Config cfg);
 
   BinQueryResult resolve(std::size_t positives, std::span<const NodeId> bin);
-
-  /// Per-announcement SoA cache: every bin's positive count, batched
-  /// through the SIMD bin-count kernel on first use after announce() and
-  /// then served as array lookups — the oracle ordering pass and the query
-  /// loop each touch every bin, so one vector pass replaces 2·bins word
-  /// walks. Returns nullptr (and the callers fall back to the per-bin
-  /// kernels) unless `a` has a word image and is the currently announced
-  /// assignment at its announced version — an assignment mutated or
-  /// recycled since its announce() can never serve stale counts.
-  /// Invalidated by any ground-truth mutation. Consumes no RNG, so cached
-  /// and uncached runs stay draw-for-draw identical.
-  const std::uint32_t* cached_bin_counts(const BinAssignment& a) const;
 
   NodeSet positive_;
   std::vector<NodeId> nodes_;         ///< cached [0, n)
   std::vector<NodeId> pool_scratch_;  ///< assign_random_positives() reuse
   RngStream* rng_;
   std::shared_ptr<radio::CaptureModel> capture_;
-  /// cached_bin_counts() state (see above). `counts_` is mutable because
+  /// oracle_bin_counts() state (see above). `counts_` is mutable because
   /// the materialization point is the const oracle-count hook; the channel
   /// is single-threaded by contract (the query counter already is).
   std::uint64_t announced_version_ = 0;  ///< 0 = nothing announced yet

@@ -122,10 +122,9 @@ class QueryChannel {
     return std::nullopt;
   }
 
-  /// Bin-indexed variant of the oracle hook. Defaults to the span overload,
-  /// so wrappers that forward the span version keep working unchanged;
-  /// word-capable channels override it to count via AND+popcount against
-  /// the assignment's word image.
+  /// Bin-indexed variant of the oracle hook: the span overload over the
+  /// bin's members. No channel in the library overrides it; a whole
+  /// announced assignment is counted at once by oracle_bin_counts().
   virtual std::optional<std::size_t> oracle_positive_count(
       const BinAssignment& a, std::size_t idx) const {
     return oracle_positive_count(a.bin(idx));
@@ -134,9 +133,10 @@ class QueryChannel {
   /// Bulk variant of the bin-indexed oracle hook: every bin's positive
   /// count as one contiguous array (bin i at index i, valid until the next
   /// mutation of channel or assignment), or nullptr when this channel has
-  /// no cheap whole-assignment answer. Channels that batch their counts per
-  /// announcement (the exact tier) serve the cached array; callers must
-  /// fall back to per-bin oracle_positive_count on nullptr.
+  /// no cheap whole-assignment answer. The exact tier serves the array it
+  /// counts once per announced assignment; callers must fall back to
+  /// per-bin oracle_positive_count on nullptr (an unannounced assignment,
+  /// or a channel without ground truth).
   virtual const std::uint32_t* oracle_bin_counts(const BinAssignment& a) const {
     (void)a;
     return nullptr;

@@ -1,7 +1,5 @@
 // Property tests for NodeSet against a std::set oracle, plus targeted
-// word-boundary cases for the selection helpers (first_member / nth_member)
-// and a draw-compatibility proof for random_equal_partition_into: it must
-// reproduce the historical shuffle-then-deal binning bit-for-bit.
+// word-boundary cases for iteration and bulk removal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +24,6 @@ TEST(NodeSet, StartsEmpty) {
   EXPECT_EQ(s.word_count(), 3u);
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.first_member(), kNoNode);
   EXPECT_TRUE(members_of(s).empty());
 }
 
@@ -73,83 +70,6 @@ TEST(NodeSet, ClearKeepsUniverse) {
   EXPECT_FALSE(s.test(99));
 }
 
-TEST(NodeSet, FirstMemberAcrossWordBoundaries) {
-  NodeSet s(256);
-  for (const NodeId id : {NodeId{255}, NodeId{128}, NodeId{127}, NodeId{64},
-                          NodeId{63}, NodeId{1}, NodeId{0}}) {
-    s.insert(id);
-    EXPECT_EQ(s.first_member(), id);  // inserting in descending order
-  }
-}
-
-TEST(NodeSet, NthMemberWordBoundaries) {
-  // Members straddling every word boundary of a 4-word set: selection must
-  // carry the rank across words correctly.
-  NodeSet s(256);
-  const std::vector<NodeId> ids = {0, 5, 63, 64, 65, 127, 128, 200, 255};
-  for (const NodeId id : ids) s.insert(id);
-  ASSERT_EQ(s.count(), ids.size());
-  for (std::size_t n = 0; n < ids.size(); ++n)
-    EXPECT_EQ(s.nth_member(n), ids[n]) << "rank " << n;
-}
-
-TEST(NodeSet, NthMemberMatchesSortedOracleOnRandomSets) {
-  RngStream rng(0x5eed, 2);
-  for (int rep = 0; rep < 50; ++rep) {
-    const std::size_t universe = 1 + rng.uniform_below(300);
-    NodeSet s(universe);
-    std::set<NodeId> oracle;
-    const std::size_t inserts = rng.uniform_below(universe + 1);
-    for (std::size_t i = 0; i < inserts; ++i) {
-      const auto id = static_cast<NodeId>(rng.uniform_below(universe));
-      s.insert(id);
-      oracle.insert(id);
-    }
-    ASSERT_EQ(s.count(), oracle.size());
-    std::size_t n = 0;
-    for (const NodeId id : oracle) EXPECT_EQ(s.nth_member(n++), id);
-  }
-}
-
-TEST(NodeSet, IntersectsAndIntersectionCount) {
-  NodeSet a(192), b(192);
-  EXPECT_FALSE(NodeSet::intersects(a.words(), b.words()));
-  EXPECT_EQ(NodeSet::intersection_count(a.words(), b.words()), 0u);
-
-  a.insert(10);
-  a.insert(70);
-  a.insert(130);
-  b.insert(11);
-  b.insert(71);
-  EXPECT_FALSE(NodeSet::intersects(a.words(), b.words()));
-
-  b.insert(130);  // shared member in the last word only
-  EXPECT_TRUE(NodeSet::intersects(a.words(), b.words()));
-  EXPECT_EQ(NodeSet::intersection_count(a.words(), b.words()), 1u);
-
-  b.insert(10);
-  b.insert(70);
-  EXPECT_EQ(NodeSet::intersection_count(a.words(), b.words()), 3u);
-}
-
-TEST(NodeSet, IntersectionWithShorterImageIgnoresTail) {
-  // A shorter word image has no members beyond its last word; members of the
-  // longer set past that point must not count.
-  NodeSet wide(192), narrow(64);
-  wide.insert(5);
-  wide.insert(100);
-  wide.insert(180);
-  narrow.insert(5);
-  EXPECT_TRUE(NodeSet::intersects(wide.words(), narrow.words()));
-  EXPECT_EQ(NodeSet::intersection_count(wide.words(), narrow.words()), 1u);
-  EXPECT_EQ(NodeSet::intersection_count(narrow.words(), wide.words()), 1u);
-
-  narrow.erase(5);
-  narrow.insert(40);
-  EXPECT_FALSE(NodeSet::intersects(wide.words(), narrow.words()));
-  EXPECT_FALSE(NodeSet::intersects(narrow.words(), wide.words()));
-}
-
 TEST(NodeSet, RemoveWordsReportsActualRemovals) {
   NodeSet alive(256), gone(256);
   for (NodeId id = 0; id < 256; id += 3) alive.insert(id);
@@ -179,70 +99,6 @@ TEST(NodeSet, ForEachVisitsAscending) {
   EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end()));
   EXPECT_EQ(visited, members_of(s));
   EXPECT_EQ(visited.size(), 5u);
-}
-
-// The historical random-equal construction the partitioner must reproduce:
-// shuffle, then deal round-robin into per-bin vectors.
-std::vector<std::vector<NodeId>> shuffle_then_deal(std::vector<NodeId> items,
-                                                   std::size_t bins,
-                                                   RngStream& rng) {
-  rng.shuffle(std::span<NodeId>(items));
-  std::vector<std::vector<NodeId>> out(bins);
-  for (std::size_t i = 0; i < items.size(); ++i)
-    out[i % bins].push_back(items[i]);
-  return out;
-}
-
-TEST(NodeSetPartition, MatchesShuffleThenDealBitForBit) {
-  RngStream scenario_rng(0xfeed, 3);
-  std::vector<NodeId> arena;
-  std::vector<std::size_t> offsets;
-  for (int rep = 0; rep < 100; ++rep) {
-    const std::size_t n = scenario_rng.uniform_below(97);
-    const std::size_t bins = 1 + scenario_rng.uniform_below(20);
-    std::vector<NodeId> items(n);
-    for (std::size_t i = 0; i < n; ++i) items[i] = static_cast<NodeId>(i * 2);
-
-    // Two RNG streams with identical state: one for the oracle, one for the
-    // partitioner. Draw-compatibility means both end up in the same state.
-    RngStream oracle_rng(0xabc, static_cast<std::uint64_t>(rep));
-    RngStream fast_rng(0xabc, static_cast<std::uint64_t>(rep));
-    const auto expected = shuffle_then_deal(items, bins, oracle_rng);
-
-    std::vector<NodeId> fast_items = items;
-    random_equal_partition_into(std::span<NodeId>(fast_items), bins, fast_rng,
-                                arena, offsets);
-
-    ASSERT_EQ(offsets.size(), bins + 1);
-    EXPECT_EQ(offsets.front(), 0u);
-    EXPECT_EQ(offsets.back(), n);
-    for (std::size_t b = 0; b < bins; ++b) {
-      ASSERT_LE(offsets[b], offsets[b + 1]);
-      const std::vector<NodeId> got(arena.begin() + static_cast<std::ptrdiff_t>(offsets[b]),
-                                    arena.begin() + static_cast<std::ptrdiff_t>(offsets[b + 1]));
-      EXPECT_EQ(got, expected[b]) << "bin " << b;
-    }
-    // Same number of draws consumed: the next raw output must agree.
-    EXPECT_EQ(oracle_rng.bits(), fast_rng.bits());
-  }
-}
-
-TEST(NodeSetPartition, BinSizesDifferByAtMostOne) {
-  RngStream rng(0x1234, 4);
-  std::vector<NodeId> items(37);
-  for (std::size_t i = 0; i < items.size(); ++i)
-    items[i] = static_cast<NodeId>(i);
-  std::vector<NodeId> arena;
-  std::vector<std::size_t> offsets;
-  random_equal_partition_into(std::span<NodeId>(items), 5, rng, arena,
-                              offsets);
-  std::size_t min_size = items.size(), max_size = 0;
-  for (std::size_t b = 0; b < 5; ++b) {
-    const std::size_t size = offsets[b + 1] - offsets[b];
-    min_size = std::min(min_size, size);
-    max_size = std::max(max_size, size);
-  }
-  EXPECT_LE(max_size - min_size, 1u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "../always_activity_channel.hpp"
 #include "common/monte_carlo.hpp"
 #include "core/registry.hpp"
 #include "group/exact_channel.hpp"
@@ -109,23 +110,13 @@ TEST(CountingBounds, SamplingEstimatorsStayUnderTheirCeiling) {
 // and runs its whole refinement: the ceiling is reached exactly, and it is
 // the anchor, 3 probes on each of ⌈log2(n+1)⌉ + 2 levels and the
 // ⌈4.5·ln(2/δ)/ε²⌉ refinement repeats the claim sizes.
-class AlwaysActiveChannel final : public group::QueryChannel {
- public:
-  AlwaysActiveChannel() : QueryChannel(CollisionModel::kOnePlus) {}
-
- protected:
-  group::BinQueryResult do_query_set(std::span<const NodeId>) override {
-    return group::BinQueryResult::activity();
-  }
-};
-
 TEST(CountingBounds, NzGeomReachesItsCeilingWhenEveryProbeIsActive) {
   const double repeats = std::ceil(4.5 * std::log(2.0 / kCountDelta) /
                                    (kCountEpsilon * kCountEpsilon));
   for (const std::size_t n : {1u, 3u, 16u, 97u, 512u, 4096u}) {
     std::vector<NodeId> nodes(n);
     for (std::size_t i = 0; i < n; ++i) nodes[i] = static_cast<NodeId>(i);
-    AlwaysActiveChannel ch;
+    AlwaysActivityChannel ch(CollisionModel::kOnePlus, /*lossy=*/false);
     RngStream rng(70 + n);
     const auto out = run_newport_zheng_count(ch, nodes, rng);
     const double levels =

@@ -2,6 +2,7 @@
 // conservative 2+ lower bound, anti-livelock, and option independence.
 #include <gtest/gtest.h>
 
+#include "../always_activity_channel.hpp"
 #include "core/registry.hpp"
 #include "core/two_t_bins.hpp"
 #include "faults/faulty_channel.hpp"
@@ -89,16 +90,7 @@ TEST(EngineOptions, AllActivitySingletonsCertifyTheThreshold) {
   // A channel that reports activity on every bin never lets elimination
   // happen. With t = 5 and 8 nodes, 2tBins' 10 bins clamp to 8 singletons;
   // each reads non-empty, so the fifth certifies x ≥ t in the first round.
-  class AlwaysActivityChannel final : public group::QueryChannel {
-   public:
-    AlwaysActivityChannel() : QueryChannel(CollisionModel::kOnePlus) {}
-
-   protected:
-    group::BinQueryResult do_query_set(std::span<const NodeId>) override {
-      return group::BinQueryResult::activity();
-    }
-  };
-  AlwaysActivityChannel ch;
+  AlwaysActivityChannel ch(CollisionModel::kOnePlus, /*lossy=*/false);
   RngStream rng(2);
   std::vector<NodeId> nodes(8);
   for (std::size_t i = 0; i < nodes.size(); ++i)

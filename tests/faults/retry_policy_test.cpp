@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "../always_activity_channel.hpp"
 #include "core/registry.hpp"
 #include "faults/faulty_channel.hpp"
 #include "group/exact_channel.hpp"
@@ -97,25 +98,6 @@ TEST(RetryPolicy, LosslessChannelsAreBitExactUnderAnyPolicy) {
   }
 }
 
-// A 2+ channel that always reports undecoded activity; `lossy()` is the
-// only thing that differs between the two instances, so the query counts
-// isolate the soundness gate.
-class AlwaysActivityChannel final : public group::QueryChannel {
- public:
-  explicit AlwaysActivityChannel(bool lossy)
-      : QueryChannel(group::CollisionModel::kTwoPlus), lossy_(lossy) {}
-
-  bool lossy() const override { return lossy_; }
-
- protected:
-  group::BinQueryResult do_query_set(std::span<const NodeId>) override {
-    return group::BinQueryResult::activity();
-  }
-
- private:
-  bool lossy_;
-};
-
 TEST(RetryPolicy, SoundnessGateDisablesActivityCountsTwoUnderLoss) {
   const auto* spec = find_algorithm("2tbins");
   ASSERT_NE(spec, nullptr);
@@ -123,8 +105,11 @@ TEST(RetryPolicy, SoundnessGateDisablesActivityCountsTwoUnderLoss) {
   EngineOptions opts;
   opts.ordering = BinOrdering::kInOrder;
 
+  // Two 2+ channels that always report undecoded activity and differ only
+  // in `lossy()`, so the query counts isolate the soundness gate.
   // Lossless: the first activity bin certifies ≥2 ⇒ t = 2 in one query.
-  AlwaysActivityChannel clean(/*lossy=*/false);
+  AlwaysActivityChannel clean(group::CollisionModel::kTwoPlus,
+                              /*lossy=*/false);
   RngStream rng_a(3, 0);
   const auto fast = spec->run(clean, nodes, 2, rng_a, opts);
   EXPECT_TRUE(fast.decision);
@@ -132,7 +117,8 @@ TEST(RetryPolicy, SoundnessGateDisablesActivityCountsTwoUnderLoss) {
 
   // Lossy: a lone undecoded reply may be hiding behind the activity, so
   // each bin only certifies ≥1 — two bins are needed for the same answer.
-  AlwaysActivityChannel lossy(/*lossy=*/true);
+  AlwaysActivityChannel lossy(group::CollisionModel::kTwoPlus,
+                              /*lossy=*/true);
   RngStream rng_b(3, 0);
   const auto careful = spec->run(lossy, nodes, 2, rng_b, opts);
   EXPECT_TRUE(careful.decision);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../conformance/reference_exact_channel.hpp"
+#include "group/binning.hpp"
 #include "group/instrumented_channel.hpp"
 
 namespace tcast::group {
@@ -100,6 +102,50 @@ TEST(ExactChannel, QueryCounterResets) {
   ch.query_set(ids({0}));
   ch.reset_query_counter();
   EXPECT_EQ(ch.queries_used(), 0u);
+}
+
+TEST(ExactChannel, WideAnnouncedAssignmentIsCountedAndAnsweredExactly) {
+  // 100 bins over 400 nodes: more than BinAssignment::kMaxBinsForWords, so
+  // the assignment has no word image. Once announced, its bins are still
+  // counted in one array, and every query_bin answer — announced or not —
+  // matches the scalar reference channel, capture draws included.
+  constexpr std::size_t kNodes = 400, kPositives = 120, kBins = 100;
+  for (const auto model :
+       {CollisionModel::kOnePlus, CollisionModel::kTwoPlus}) {
+    SCOPED_TRACE(to_string(model));
+    RngStream rng(12, 1), ref_rng(12, 1);
+    ExactChannel::Config cfg;
+    cfg.model = model;
+    auto ch = ExactChannel::with_random_positives(kNodes, kPositives, rng, cfg);
+    conformance::ReferenceExactChannel ref(kNodes, kPositives, ref_rng, model);
+    RngStream bin_rng(13);
+    const auto announced =
+        BinAssignment::random_equal(ch.all_nodes(), kBins, bin_rng);
+    const auto unannounced =
+        BinAssignment::random_equal(ch.all_nodes(), kBins, bin_rng);
+    ASSERT_FALSE(announced.has_bin_words());
+    ch.announce(announced);
+    ref.announce(announced);
+
+    const std::uint32_t* counts = ch.oracle_bin_counts(announced);
+    ASSERT_NE(counts, nullptr);
+    for (std::size_t b = 0; b < kBins; ++b) {
+      std::uint32_t walked = 0;
+      for (const NodeId id : announced.bin(b)) walked += ch.is_positive(id);
+      EXPECT_EQ(counts[b], walked) << "bin " << b;
+    }
+    EXPECT_EQ(ch.oracle_bin_counts(unannounced), nullptr);
+
+    for (const BinAssignment* a : {&announced, &unannounced}) {
+      for (std::size_t b = 0; b < kBins; ++b) {
+        const BinQueryResult got = ch.query_bin(*a, b);
+        const BinQueryResult want = ref.query_bin(*a, b);
+        EXPECT_EQ(got.kind, want.kind) << "bin " << b;
+        EXPECT_EQ(got.captured, want.captured) << "bin " << b;
+      }
+    }
+    EXPECT_EQ(rng.bits(), ref_rng.bits()) << "capture draws diverged";
+  }
 }
 
 TEST(InstrumentedChannel, RecordsTranscriptWithGroundTruth) {

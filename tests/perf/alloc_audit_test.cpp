@@ -61,29 +61,41 @@ TEST(AllocAudit, CountingAllocatorSeesVectorGrowth) {
 
 TEST(AllocAudit, ExactTierQueriesAreAllocationFree) {
   if (kSanitized) GTEST_SKIP() << "sanitizer allocator interposed";
-  RngStream rng(0xa110c, 1);
-  auto channel = group::ExactChannel::with_random_positives(128, 16, rng);
-  std::vector<NodeId> candidates(channel.all_nodes().begin(),
-                                 channel.all_nodes().end());
-  group::BinAssignment a;
+  // 32 bins carry a word image (counted by the SIMD kernel); 256 bins have
+  // none (counted by one walk of the arena).
+  const struct {
+    std::size_t n, x, bins;
+  } shapes[] = {{128, 16, 32}, {1024, 128, 256}};
+  for (const auto& shape : shapes) {
+    RngStream rng(0xa110c, 1);
+    auto channel =
+        group::ExactChannel::with_random_positives(shape.n, shape.x, rng);
+    std::vector<NodeId> candidates(channel.all_nodes().begin(),
+                                   channel.all_nodes().end());
+    group::BinAssignment a;
 
-  // Warm-up: one full announce/query cycle grows the assignment arenas,
-  // the channel's count cache, and the reciprocal cache to steady state.
-  a.assign_random_equal_inplace(std::span<NodeId>(candidates), 32, rng);
-  channel.announce(a);
-  for (std::size_t idx = 0; idx < a.bin_count(); ++idx)
-    (void)channel.query_bin(a, idx);
-
-  const std::uint64_t before = news();
-  for (std::size_t round = 0; round < 50; ++round) {
-    a.assign_random_equal_inplace(std::span<NodeId>(candidates), 32, rng);
+    // Warm-up: one full announce/query cycle grows the assignment arenas,
+    // the channel's count cache, and the reciprocal cache to steady state.
+    a.assign_random_equal_inplace(std::span<NodeId>(candidates), shape.bins,
+                                  rng);
     channel.announce(a);
-    (void)channel.oracle_bin_counts(a);
     for (std::size_t idx = 0; idx < a.bin_count(); ++idx)
       (void)channel.query_bin(a, idx);
+
+    std::size_t uncounted = 0;
+    const std::uint64_t before = news();
+    for (std::size_t round = 0; round < 50; ++round) {
+      a.assign_random_equal_inplace(std::span<NodeId>(candidates), shape.bins,
+                                    rng);
+      channel.announce(a);
+      uncounted += channel.oracle_bin_counts(a) == nullptr ? 1u : 0u;
+      for (std::size_t idx = 0; idx < a.bin_count(); ++idx)
+        (void)channel.query_bin(a, idx);
+    }
+    EXPECT_EQ(news(), before)
+        << shape.bins << "-bin announce/query cycle touched the heap";
+    EXPECT_EQ(uncounted, 0u) << shape.bins << " bins";
   }
-  EXPECT_EQ(news(), before)
-      << "exact-tier announce/query cycle touched the heap";
 }
 
 TEST(AllocAudit, ExactTierEngineTrialsAreAllocationFree) {
@@ -93,7 +105,7 @@ TEST(AllocAudit, ExactTierEngineTrialsAreAllocationFree) {
   // algorithm, whole trials must be heap-silent — this is the property the
   // batched sweep engine's throughput rests on.
   RngStream rng(0xa110c, 2);
-  auto channel = group::ExactChannel::all_negative(128, rng, {});
+  group::ExactChannel channel(std::vector<bool>(128), rng);
   core::RoundEngine engine(channel, rng, {});
   for (const auto& spec : core::algorithm_registry()) {
     if (!spec.run_with_engine) continue;

@@ -106,8 +106,8 @@ TEST(SweepRngCompat, PersistentEngineConsumesIdenticalDrawSequence) {
   for (const auto& spec : core::algorithm_registry()) {
     if (!spec.run_with_engine) continue;
     RngStream scratch(0xe6171, 0);
-    auto fresh_ch = group::ExactChannel::all_negative(48, scratch, {});
-    auto reuse_ch = group::ExactChannel::all_negative(48, scratch, {});
+    group::ExactChannel fresh_ch(std::vector<bool>(48), scratch);
+    group::ExactChannel reuse_ch(std::vector<bool>(48), scratch);
     core::RoundEngine engine(reuse_ch, scratch, {});
     for (std::size_t trial = 0; trial < 25; ++trial) {
       const std::size_t x = trial % 13;

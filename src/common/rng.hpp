@@ -35,33 +35,15 @@ namespace detail {
 // silences -Wpedantic about it being non-ISO.
 __extension__ using Uint128 = unsigned __int128;
 
-/// Cached reciprocal m = floor(2^64 / bound) and rejection threshold
-/// 2^64 mod bound for the division-free uniform_below fast path. One
-/// 64-bit division ever per (thread, cache slot, bound); the Monte-Carlo
-/// hot loops (Fisher-Yates over a fixed n, positive-set sampling)
-/// re-request the same descending bound sequence every trial, so after the
-/// first trial every lookup hits. Direct-mapped, statically
-/// zero-initialized (bound 0 is rejected before lookup, so the empty slot
-/// never false-hits), no heap — the perf-tier allocation audit counts on
-/// that.
-struct Reciprocal {
-  std::uint64_t bound;
-  std::uint64_t m;
-  std::uint64_t threshold;
-};
-
-inline const Reciprocal& reciprocal_for(std::uint64_t bound) {
-  constexpr std::size_t kSlots = 4096;  // covers bounds 2..4097 collision-free
-  thread_local Reciprocal cache[kSlots];
-  Reciprocal& e = cache[bound & (kSlots - 1)];
-  if (e.bound != bound) {
-    e.bound = bound;
-    e.m = ~std::uint64_t{0} / bound;
-    // 2^64 mod bound = 2^64 - m·bound, in wrapping u64 arithmetic.
-    e.threshold = 0 - e.m * bound;
-  }
-  return e;
-}
+/// uniform_below's multipliers m = floor((2^64 - 1) / b) for every bound b
+/// from 2 to 4,097, indexed by b (entries 0 and 1 are unused). The
+/// Monte-Carlo hot loops (Fisher-Yates over n candidates, positive-set
+/// sampling) draw at every bound up to n, so any n up to 4,097 divides
+/// nothing. Computed at compile time and defined once, in rng.cpp: the
+/// table is read-only data that every thread shares, so no thread keeps
+/// its own copy (a per-thread cache would cost every thread its size in
+/// resident memory and a zero-fill at start), and no lookup allocates.
+extern const std::array<std::uint64_t, 4098> kReciprocals;
 
 }  // namespace detail
 
@@ -130,13 +112,15 @@ class RngStream {
   /// Raw 64 random bits.
   std::uint64_t bits() { return engine_(); }
 
-  /// Uniform integer in [0, bound), exactly unbiased. Division-free: the
-  /// classic rejection loop with the threshold and modulo evaluated through
-  /// a cached reciprocal (detail::reciprocal_for). Draw-for-draw identical
-  /// to the two-division loop `threshold = (0 - bound) % bound; draw until
-  /// r >= threshold; return r % bound` — same engine draws consumed, same
-  /// values returned, for every bound — which rng_test proves exhaustively
-  /// at the edge bounds and randomly in between.
+  /// Uniform integer in [0, bound), exactly unbiased. The classic
+  /// rejection loop, with the threshold and the modulo evaluated through
+  /// the reciprocal m = floor((2^64 - 1) / bound): read from the shared
+  /// table detail::kReciprocals up to bound 4,097, one division beyond it.
+  /// Draw-for-draw identical to the two-division loop `threshold = (0 -
+  /// bound) % bound; draw until r >= threshold; return r % bound` — same
+  /// engine draws consumed, same values returned, for every bound — which
+  /// rng_test proves exhaustively at the edge bounds and randomly in
+  /// between.
   std::uint64_t uniform_below(std::uint64_t bound) {
     TCAST_CHECK(bound > 0);
     if ((bound & (bound - 1)) == 0) {
@@ -144,11 +128,14 @@ class RngStream {
       // is always accepted and the modulo is a mask.
       return engine_() & (bound - 1);
     }
-    const detail::Reciprocal& rec = detail::reciprocal_for(bound);
-    const std::uint64_t m = rec.m;
+    const std::uint64_t m = bound < detail::kReciprocals.size()
+                                ? detail::kReciprocals[bound]
+                                : ~std::uint64_t{0} / bound;
+    // 2^64 mod bound = 2^64 - m·bound, in wrapping u64 arithmetic.
+    const std::uint64_t threshold = 0 - m * bound;
     for (;;) {
       const std::uint64_t r = engine_();
-      if (r < rec.threshold) continue;
+      if (r < threshold) continue;
       // q̂ = floor(r·m / 2^64) ∈ {q-1, q} for the true quotient q = r/bound
       // (proof: m = (2^64-θ)/bound with θ < bound, so r·m/2^64 lies in
       // (r/bound - 1, r/bound]), hence one conditional subtract corrects.

@@ -167,6 +167,15 @@ std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg) {
     pops.emplace_back(op.n, op.x);
     ops.push_back(std::move(op));
   }
+  // Pump the first loads through before anything can kill a shard: a kill
+  // flushes the queue, and a population whose first load is flushed
+  // answers every query kNotFound until a reload lands.
+  const auto pump = [&ops] {
+    ServiceOp op;
+    op.kind = ServiceOp::Kind::kPump;
+    ops.push_back(std::move(op));
+  };
+  for (std::size_t i = 0; i < kQueueCapacity / kBatchMax; ++i) pump();
 
   for (std::size_t i = 0; i < cfg.ops; ++i) {
     const auto roll = rng.uniform_below(100);
@@ -202,9 +211,7 @@ std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg) {
         ops.push_back(std::move(op));
       }
     } else if (roll < 70) {
-      ServiceOp op;
-      op.kind = ServiceOp::Kind::kPump;
-      ops.push_back(std::move(op));
+      pump();
     } else if (roll < 80) {
       ServiceOp op;
       op.kind = ServiceOp::Kind::kAdvance;
@@ -250,11 +257,6 @@ std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg) {
   // killed shard may never have taken effect, and a census of x = 0 is
   // exact, not an estimate. Pumps empty the queues before the reloads and
   // drain each round before the next, so no op finds its queue full.
-  const auto pump = [&ops] {
-    ServiceOp op;
-    op.kind = ServiceOp::Kind::kPump;
-    ops.push_back(std::move(op));
-  };
   for (std::size_t i = 0; i < kQueueCapacity / kBatchMax; ++i) pump();
   for (std::size_t p = 0; p < kPopulations; ++p) {
     ServiceOp op;

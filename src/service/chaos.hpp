@@ -74,11 +74,12 @@ struct ServiceCampaignConfig {
   std::size_t ops = 400;
 };
 
-/// Deterministic op script for `cfg.seed` — kill/reboot, bursty query
-/// volleys (to overflow the bounded queues), deadline'd queries, clock
-/// advances and pumps, interleaved — then every shard rebooted, every
-/// population reloaded with at least one positive, and a closing census
-/// volley: 9 rounds over every population, 36 estimates with no deadline.
+/// Deterministic op script for `cfg.seed` — every population loaded and
+/// pumped through, then kill/reboot, bursty query volleys (to overflow the
+/// bounded queues), deadline'd queries, clock advances and pumps,
+/// interleaved — then every shard rebooted, every population reloaded
+/// with at least one positive, and a closing census volley: 9 rounds over
+/// every population, 36 estimates with no deadline.
 std::vector<ServiceOp> generate_service_ops(const ServiceCampaignConfig& cfg);
 
 struct ServiceCampaignReport {

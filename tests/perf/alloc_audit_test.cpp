@@ -1,23 +1,29 @@
-// Allocation audit for the query hot paths (`ctest -L perf`): after a
-// warm-up that grows every reusable buffer to steady state, issuing
-// queries must touch the heap ZERO times — on the exact tier (ExactChannel
-// announce/query/bin-count cache, the RoundEngine round loop, the division-
-// free uniform_below reciprocal cache) and on the packet tier (the full
-// PHY/MAC exchange per query). Heap traffic per query is how "fast" code
-// quietly regresses: capacity churn is invisible to differential tests and
-// ruins the sweep throughput the figures are built on. Building a packet
-// world, or running one census, must cost a number of allocations that
-// does not grow with N.
+// Allocation and footprint audit for the query hot paths (`ctest -L
+// perf`): after a warm-up that grows every reusable buffer to steady
+// state, issuing queries must touch the heap ZERO times — on the exact
+// tier (ExactChannel announce/query/bin-count cache, the RoundEngine round
+// loop) and on the packet tier (the full PHY/MAC exchange per query). Heap
+// traffic per query is how "fast" code quietly regresses: capacity churn
+// is invisible to differential tests and ruins the sweep throughput the
+// figures are built on. Building a packet world, or running one census,
+// must cost a number of allocations that does not grow with N. And a
+// thread that draws uniform_below at every bound must not grow the
+// process's resident memory by more than its own stack: every pool worker
+// and every tcastd thread draws.
 //
 // The audit counts every global operator new/delete. Sanitizer builds
-// interpose the allocator and add their own bookkeeping allocations, so
-// the suite skips itself there (CI's sanitizer matrix excludes `-L perf`
-// anyway).
+// interpose the allocator and add their own bookkeeping allocations and
+// per-thread shadow memory, so the suite skips itself there (CI's
+// sanitizer matrix excludes `-L perf` anyway).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
+#include <latch>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -74,8 +80,8 @@ TEST(AllocAudit, ExactTierQueriesAreAllocationFree) {
                                    channel.all_nodes().end());
     group::BinAssignment a;
 
-    // Warm-up: one full announce/query cycle grows the assignment arenas,
-    // the channel's count cache, and the reciprocal cache to steady state.
+    // Warm-up: one full announce/query cycle grows the assignment arenas
+    // and the channel's count cache to steady state.
     a.assign_random_equal_inplace(std::span<NodeId>(candidates), shape.bins,
                                   rng);
     channel.announce(a);
@@ -211,6 +217,47 @@ TEST(AllocAudit, CensusAllocatesTheSameAtAnyN) {
   }
   for (const std::uint64_t cost : costs)
     EXPECT_EQ(cost, costs.front()) << "census allocations grow with N";
+}
+
+/// This process's resident set (VmRSS), in KiB; 0 if it cannot be read.
+std::size_t resident_kib() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoul(line.substr(6));
+  return 0;
+}
+
+TEST(AllocAudit, UniformBelowKeepsNoPerThreadState) {
+  if (kSanitized) GTEST_SKIP() << "sanitizer runtime adds per-thread memory";
+  // 16 threads each draw at every bound 1-5,000, past the reciprocal
+  // table's last bound (4,097), then wait while the resident set is read.
+  // A thread costs its touched stack pages, 8-17 KiB; a per-thread
+  // reciprocal cache of 4,096 slots cost 96 KiB more.
+  constexpr std::size_t kThreads = 16;
+  std::vector<std::uint64_t> sums(kThreads);
+  std::latch drawn(kThreads);
+  std::latch measured(1);
+
+  const std::size_t before = resident_kib();
+  ASSERT_GT(before, 0u);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      RngStream rng(0xf007, i);
+      for (std::uint64_t bound = 1; bound <= 5000; ++bound)
+        sums[i] += rng.uniform_below(bound);
+      drawn.count_down();
+      measured.wait();
+    });
+  }
+  drawn.wait();
+  const std::size_t during = resident_kib();
+  measured.count_down();
+  for (auto& t : threads) t.join();
+
+  EXPECT_LT(during, before + kThreads * 48)
+      << kThreads << " drawing threads grew the resident set by "
+      << (during - before) << " KiB";
 }
 
 }  // namespace
